@@ -3,11 +3,17 @@
 This is the classic primal-dual blossom algorithm in its well-known
 dictionary-based form.  Two implementation choices matter here:
 
-* All dual arithmetic runs on ``fractions.Fraction``.  Float inputs convert
-  to rationals without rounding, every slack comparison is exact, and the
-  returned matching is therefore an exact optimum.  The graphs this package
-  solves have a few dozen vertices at most, so the bigint overhead is
-  irrelevant next to the guarantee.
+* Edge weights must be Python ints, and all dual arithmetic stays in
+  ints.  The dual variables are stored pre-multiplied by two, so every
+  slack is an int as well, and the half-slack of an edge between two
+  S-blossoms (the type-3 dual change) is exact: with integer weights that
+  slack is always even, the parity invariant of Galil's integer-weight
+  formulation (also asserted by van Rantwijk's ``mwmatching``).  Callers
+  holding floats scale them first: every finite float is an integer times
+  a power of two, so multiplying all weights by one common power of two
+  yields ints without rounding.  A positive common factor scales every
+  slack and every dual change alike, so all comparisons, tie-breaks and
+  hence the returned matching are the same as for the unscaled weights.
 * ``max_cardinality=True`` restricts the search to maximum-cardinality
   matchings (maximum weight among those).  Perfect-matching queries are
   answered by running in this mode and checking that every vertex got a
@@ -19,10 +25,7 @@ is plenty for the matching instances produced by the solvers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
-
-_ZERO = Fraction(0)
 
 
 class _NoNode:
@@ -46,31 +49,32 @@ class _Blossom:
 
 def maximum_weight_matching(
     num_vertices: int,
-    edge_weights: Mapping[tuple[int, int], object],
+    edge_weights: Mapping[tuple[int, int], int],
     max_cardinality: bool = False,
 ) -> dict[int, int]:
     """Compute a maximum-weight matching and return its mate map.
 
-    ``edge_weights`` maps vertex pairs ``(u, v)`` with ``u != v`` to
-    weights (ints, floats or Fractions; floats convert exactly).  The
-    result maps every matched vertex to its mate, in both directions.
+    ``edge_weights`` maps vertex pairs ``(u, v)`` with ``u != v`` to int
+    weights (see the module docstring for scaling floats).  The result
+    maps every matched vertex to its mate, in both directions.
     """
     if not edge_weights or num_vertices == 0:
         return {}
 
-    wt: dict[tuple[int, int], Fraction] = {}
+    wt: dict[tuple[int, int], int] = {}
     nbrs: dict[int, list[int]] = {v: [] for v in range(num_vertices)}
     for (u, v), w in edge_weights.items():
         if u == v:
             raise ValueError("self-loops are not allowed")
-        f = w if isinstance(w, Fraction) else Fraction(w)
+        if not isinstance(w, int):
+            raise TypeError(f"edge weights must be ints, got {type(w).__name__}")
         if (u, v) not in wt:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        wt[(u, v)] = wt[(v, u)] = f
+        wt[(u, v)] = wt[(v, u)] = w
 
     gnodes = list(range(num_vertices))
-    maxweight = max(max(wt.values()), _ZERO)
+    maxweight = max(max(wt.values()), 0)
 
     # mate[v]: the vertex matched to v, tracked in both directions.
     # label: 1 = S (even), 2 = T (odd), on top-level blossoms and vertices.
@@ -84,13 +88,13 @@ def maximum_weight_matching(
     blossomparent: dict[object, object] = dict.fromkeys(gnodes, None)
     blossombase: dict[object, int] = dict(zip(gnodes, gnodes))
     bestedge: dict[object, tuple[int, int] | None] = {}
-    dualvar: dict[int, Fraction] = dict.fromkeys(gnodes, maxweight)
-    blossomdual: dict[_Blossom, Fraction] = {}
+    dualvar: dict[int, int] = dict.fromkeys(gnodes, maxweight)
+    blossomdual: dict[_Blossom, int] = {}
     allowedge: dict[tuple[int, int], bool] = {}
     queue: list[int] = []
 
     def slack(v, w):
-        # Twice the actual slack; exact because everything is rational.
+        # Twice the actual slack; an int, like every dual.
         return dualvar[v] + dualvar[w] - 2 * wt[(v, w)]
 
     def assign_label(w, t, v):
@@ -178,7 +182,7 @@ def maximum_weight_matching(
         assert label[bb] == 1
         label[b] = 1
         labeledge[b] = labeledge[bb]
-        blossomdual[b] = _ZERO
+        blossomdual[b] = 0
         for v in b.leaves():
             if label[inblossom[v]] == 2:
                 queue.append(v)
@@ -449,7 +453,8 @@ def maximum_weight_matching(
                     and bestedge.get(b) is not None
                 ):
                     kslack = slack(*bestedge[b])
-                    d = kslack / 2
+                    assert kslack % 2 == 0
+                    d = kslack // 2
                     if deltatype == -1 or d < delta:
                         delta = d
                         deltatype = 3
@@ -471,7 +476,7 @@ def maximum_weight_matching(
                 # the duals certify optimality, then stop.
                 assert max_cardinality
                 deltatype = 1
-                delta = max(_ZERO, min(dualvar.values()))
+                delta = max(0, min(dualvar.values()))
 
             for v in gnodes:
                 if label.get(inblossom[v]) == 1:

@@ -210,18 +210,27 @@ def build_nn_index(points: Sequence[ColoredPoint]) -> NearestNeighborIndex:
 
 
 class _ClosestPairFinder:
-    """Bichromatic closest pairs for all color pairs of one point set."""
+    """Bichromatic closest pairs for all color pairs of one point set.
+
+    The kd-tree works on coordinates scaled by one power of two that brings
+    the largest magnitude into ``[0.5, 1)``: the scaling is exact, and the
+    tree's squared distances can no longer overflow on huge coordinates.
+    The exact pass measures the original coordinates.
+    """
 
     def __init__(self, point_set: ColoredPointSet):
         self._ps = point_set
         self._trees: dict[int, cKDTree] = {}
+        peak = max(float(np.abs(point_set.xs).max()), float(np.abs(point_set.ys).max()))
+        exponent = -math.frexp(peak)[1]
+        self._sx = np.ldexp(point_set.xs, exponent)
+        self._sy = np.ldexp(point_set.ys, exponent)
 
     def _tree(self, color: int) -> cKDTree:
         tree = self._trees.get(color)
         if tree is None:
             idx = self._ps.color_indices(color)
-            xy = np.column_stack((self._ps.xs[idx], self._ps.ys[idx]))
-            tree = cKDTree(xy)
+            tree = cKDTree(np.column_stack((self._sx[idx], self._sy[idx])))
             self._trees[color] = tree
         return tree
 
@@ -230,8 +239,8 @@ class _ClosestPairFinder:
         idx_i = ps.color_indices(ci)
         idx_j = ps.color_indices(cj)
         tree = self._tree(ci)
-        xy_j = np.column_stack((ps.xs[idx_j], ps.ys[idx_j]))
-        dist, _ = tree.query(xy_j)
+        sx, sy = self._sx, self._sy
+        dist, _ = tree.query(np.column_stack((sx[idx_j], sy[idx_j])))
         dist = np.atleast_1d(dist)
         dmin = float(dist.min())
         cut = dmin + max(dmin * _CANDIDATE_SLACK, _ABS_SLACK)
@@ -240,7 +249,7 @@ class _ClosestPairFinder:
         for pos_j in np.nonzero(dist <= cut)[0]:
             b = int(idx_j[pos_j])
             bx, by = xs[b], ys[b]
-            for pos_i in tree.query_ball_point((bx, by), cut):
+            for pos_i in tree.query_ball_point((sx[b], sy[b]), cut):
                 a = int(idx_i[pos_i])
                 key = (math.hypot(xs[a] - bx, ys[a] - by), a, b)
                 if best is None or key < best:

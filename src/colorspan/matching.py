@@ -5,12 +5,16 @@ package: perfect-matching existence, minimum-weight perfect matching,
 bottleneck perfect matching (minimize the largest edge) and threshold
 perfect matching (maximize the smallest edge).
 
-The weighted optimum comes from the blossom engine after negating and
-shifting weights so that minimizing total weight becomes maximizing it.
-The bottleneck and threshold variants binary-search the sorted distinct
-edge weights, testing perfect-matching existence on the subgraph of edges
-at most (respectively at least) the probed threshold; both searches rest
-on the monotonicity of existence in the edge set.
+The weighted optimum comes from the integer blossom engine: every float
+weight is an integer over a power-of-two denominator, so multiplying by
+the largest such denominator turns all weights into ints without
+rounding, and negating and shifting them makes minimizing total weight
+maximizing it.  The answer is exactly the float optimum, with no rational
+arithmetic anywhere.  The bottleneck and threshold variants share one
+binary search over the sorted distinct edge weights, testing
+perfect-matching existence on the subgraph of edges at most
+(respectively at least) the probed threshold; the search rests on the
+monotonicity of existence in the edge set.
 
 Infeasibility (no perfect matching) is reported by returning ``None``;
 malformed graphs raise :class:`~colorspan.errors.InvalidInstanceError`.
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
@@ -161,59 +164,67 @@ def min_weight_perfect_matching(g: WeightedGraph) -> Matching | None:
         return Matching.empty()
     if n % 2 or len(g.edges) < n // 2:
         return None
-    # Negate and shift so the maximum-weight engine minimizes the total;
-    # all perfect matchings have the same cardinality, so any shift works.
-    wmax = Fraction(max(w for _, _, w in g.edges))
-    transformed = {(u, v): wmax - Fraction(w) for u, v, w in g.edges}
+    # Scale to ints exactly: each weight is num / den with den a power of
+    # two, so den divides the largest denominator and num * (scale // den)
+    # is the weight times scale.  Then negate and shift so the
+    # maximum-weight engine minimizes the total; all perfect matchings
+    # have the same cardinality, so any shift works.
+    ratios = [w.as_integer_ratio() for _, _, w in g.edges]
+    scale = max(den for _, den in ratios)
+    scaled = [num * (scale // den) for num, den in ratios]
+    top = max(scaled)
+    transformed = {(u, v): top - iw for (u, v, _), iw in zip(g.edges, scaled)}
     mate = maximum_weight_matching(n, transformed, max_cardinality=True)
     if len(mate) < n:
         return None
     return Matching.from_edges(g, _mate_to_pairs(mate))
 
 
-def bottleneck_perfect_matching(g: WeightedGraph) -> Matching | None:
-    """A perfect matching minimizing its maximum edge weight.
+def _threshold_perfect_matching(g: WeightedGraph, minimize_max: bool) -> Matching | None:
+    """A perfect matching optimizing its extreme edge weight.
 
-    Binary search over the sorted distinct weights for the smallest
-    threshold whose at-most-threshold subgraph still has a perfect
-    matching; the returned matching's ``max_edge_weight`` is that optimum.
+    With ``minimize_max`` the largest edge is minimized, otherwise the
+    smallest edge is maximized.  The distinct weights are sorted from the
+    most to the least restrictive threshold (ascending, respectively
+    descending), and a binary search finds the first threshold whose
+    subgraph of edges on the permitted side still has a perfect matching.
     """
     if g.num_vertices == 0:
         return Matching.empty()
-    levels = sorted({w for _, _, w in g.edges})
+    levels = sorted({w for _, _, w in g.edges}, reverse=not minimize_max)
     if not levels or not has_perfect_matching(g):
         return None
+
+    def within(level: float) -> WeightedGraph:
+        if minimize_max:
+            return g.filtered(max_weight=level)
+        return g.filtered(min_weight=level)
+
     lo, hi = 0, len(levels) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if has_perfect_matching(g.filtered(max_weight=levels[mid])):
+        if has_perfect_matching(within(levels[mid])):
             hi = mid
         else:
             lo = mid + 1
-    pairs = _perfect_matching_pairs(g.filtered(max_weight=levels[lo]))
+    pairs = _perfect_matching_pairs(within(levels[lo]))
     assert pairs is not None
     return Matching.from_edges(g, pairs)
+
+
+def bottleneck_perfect_matching(g: WeightedGraph) -> Matching | None:
+    """A perfect matching minimizing its maximum edge weight.
+
+    The returned matching's ``max_edge_weight`` is the smallest threshold
+    whose at-most-threshold subgraph still has a perfect matching.
+    """
+    return _threshold_perfect_matching(g, minimize_max=True)
 
 
 def maxmin_perfect_matching(g: WeightedGraph) -> Matching | None:
     """A perfect matching maximizing its minimum edge weight.
 
-    Mirror image of :func:`bottleneck_perfect_matching`: search for the
-    largest threshold whose at-least-threshold subgraph keeps a perfect
-    matching.
+    The returned matching's ``min_edge_weight`` is the largest threshold
+    whose at-least-threshold subgraph still has a perfect matching.
     """
-    if g.num_vertices == 0:
-        return Matching.empty()
-    levels = sorted({w for _, _, w in g.edges})
-    if not levels or not has_perfect_matching(g):
-        return None
-    lo, hi = 0, len(levels) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if has_perfect_matching(g.filtered(min_weight=levels[mid])):
-            lo = mid
-        else:
-            hi = mid - 1
-    pairs = _perfect_matching_pairs(g.filtered(min_weight=levels[lo]))
-    assert pairs is not None
-    return Matching.from_edges(g, pairs)
+    return _threshold_perfect_matching(g, minimize_max=False)

@@ -90,6 +90,21 @@ class TestSolve:
         expected = solve_maxmin(two_squares_point_set(0.1))
         assert payload["value"] == expected.min_edge_weight
 
+    @pytest.mark.parametrize("objective", ["minsum", "minmax", "maxmin"])
+    def test_huge_coordinates_match_oracle(self, capsys, tmp_path, objective):
+        # Squared distances of 1e200 coordinates overflow a float; the
+        # closest builder must still solve, and agree with the oracle.
+        f = tmp_path / "huge.points"
+        f.write_text("4 4\n1e200 0 0\n2e200 1e200 1\n3e200 0 2\n0 3e200 3\n")
+        code, out, _ = run(capsys, "solve", str(f), "--objective", objective, "--json")
+        assert code == EXIT_OK
+        solved = json.loads(out)
+        code, out, _ = run(capsys, "oracle", str(f), "--objective", objective, "--json")
+        assert code == EXIT_OK
+        reference = json.loads(out)
+        assert solved["pairs"] == reference["pairs"]
+        assert solved["value"] == reference["value"]
+
     def test_graph_infeasible_exit_code(self, capsys, tmp_path):
         f = tmp_path / "mono.graph"
         f.write_text("4 2 2\n0\n0\n1\n1\n0 1\n2 3\n")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -158,26 +159,35 @@ class TestMaxMin:
 
 class TestTiedWeights:
     # Repeated weights force blossom formation far more often than random
-    # floats do, and zero-weight edges are legal (coincident points).
+    # floats do, and zero-weight edges are legal (coincident points).  The
+    # palette spans the float range (the smallest subnormal up to 1e300),
+    # so the engine's integer scaling must be exact: totals are compared
+    # as exact rational sums, which float sums of such weights are not.
     @pytest.mark.parametrize("seed", range(20))
     def test_tied_and_zero_weights_match_enumeration(self, seed):
         import random
 
         rng = random.Random(seed)
         n = rng.choice([4, 6, 8])
+        palette = [0.0, 1.0, 1.0, 2.0, 5e-324, 1e-300, 1e300]
         edges = [
-            (u, v, rng.choice([0.0, 1.0, 1.0, 2.0]))
+            (u, v, rng.choice(palette))
             for u in range(n)
             for v in range(u + 1, n)
             if rng.random() < 0.7
         ]
         g = WeightedGraph(n, edges)
+
+        def exact_total(pairing):
+            return sum(Fraction(g.weight(u, v)) for u, v in pairing)
+
         best_sum = best_bot = best_max = None
         for pairing in perfect_pairings(range(n)):
             if all(g.has_edge(u, v) for u, v in pairing):
                 ws = [g.weight(u, v) for u, v in pairing]
-                if best_sum is None or sum(ws) < best_sum:
-                    best_sum = sum(ws)
+                total = exact_total(pairing)
+                if best_sum is None or total < best_sum:
+                    best_sum = total
                 if best_bot is None or max(ws) < best_bot:
                     best_bot = max(ws)
                 if best_max is None or min(ws) > best_max:
@@ -187,9 +197,16 @@ class TestTiedWeights:
             assert bottleneck_perfect_matching(g) is None
             assert maxmin_perfect_matching(g) is None
         else:
-            assert min_weight_perfect_matching(g).total_weight == best_sum
+            assert exact_total(min_weight_perfect_matching(g).edges) == best_sum
             assert bottleneck_perfect_matching(g).max_edge_weight == best_bot
             assert maxmin_perfect_matching(g).min_edge_weight == best_max
+
+    def test_engine_rejects_non_integer_weights(self):
+        from colorspan._blossom import maximum_weight_matching
+
+        assert maximum_weight_matching(2, {(0, 1): 3}) == {0: 1, 1: 0}
+        with pytest.raises(TypeError):
+            maximum_weight_matching(2, {(0, 1): 1.5})
 
     def test_all_zero_weights(self):
         g = WeightedGraph(4, [(0, 1, 0.0), (2, 3, 0.0)])
