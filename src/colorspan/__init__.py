@@ -22,10 +22,8 @@ from .geometry import (
     ColoredPointSet,
     ColorGraph,
     ColorPairWitness,
-    NearestNeighborIndex,
     build_closest_color_graph,
     build_farthest_color_graph,
-    build_nn_index,
     distance,
 )
 from .hardness import (
@@ -78,7 +76,6 @@ __all__ = [
     "EquivalenceViolationError",
     "InvalidInstanceError",
     "Matching",
-    "NearestNeighborIndex",
     "Objective",
     "OracleBudget",
     "ParseError",
@@ -93,7 +90,6 @@ __all__ = [
     "brute_force_mcis",
     "build_closest_color_graph",
     "build_farthest_color_graph",
-    "build_nn_index",
     "certify_equivalence",
     "distance",
     "find_k_independent_set",

@@ -26,7 +26,7 @@ from .fileio import (
     serialize_provenance,
     sniff_kind,
 )
-from .geometry import ColoredPointSet, distance
+from .geometry import ColoredPointSet
 from .hardness import (
     VertexColoredGraph,
     certify_equivalence,
@@ -388,7 +388,8 @@ def _cmd_render(args) -> int:
         n = len(ps)
         if any(not (0 <= a < n and 0 <= b < n) for a, b in record.pairs):
             raise InvalidInstanceError("result pairs do not match this point file")
-        recomputed = _recompute_value(ps, record)
+        objective = Objective.from_string(record.objective)
+        recomputed = ColorSpanningMatching.from_pairs(ps, record.pairs).value(objective)
         if abs(recomputed - record.value) > DEFAULT_TOLERANCE:
             raise InvalidInstanceError(
                 f"result value {record.value!r} does not match these points "
@@ -402,17 +403,6 @@ def _cmd_render(args) -> int:
         raise InvalidInstanceError("render needs --result or --objective")
     _write_output(svg, args.out)
     return EXIT_OK
-
-
-def _recompute_value(ps: ColoredPointSet, record: ResultRecord) -> float:
-    canon = sorted((min(a, b), max(a, b)) for a, b in record.pairs)
-    dists = [distance(ps.points[a], ps.points[b]) for a, b in canon]
-    objective = Objective.from_string(record.objective)
-    if objective in (Objective.MINSUM, Objective.MAXSUM):
-        return sum(dists)
-    if objective is Objective.MAXMIN:
-        return min(dists)
-    return max(dists)
 
 
 def build_parser() -> argparse.ArgumentParser:

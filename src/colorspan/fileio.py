@@ -23,8 +23,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import ParseError
-from .geometry import ColoredPoint, ColoredPointSet
+import numpy as np
+
+from .errors import InvalidInstanceError, ParseError
+from .geometry import ColoredPointSet
 from .hardness import VertexColoredGraph
 from .matching import WeightedGraph
 
@@ -36,6 +38,24 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
         if stripped:
             out.append((no, stripped))
     return out
+
+
+def _first_significant_line(text: str) -> tuple[int, str] | None:
+    """``_significant_lines(text)[0]`` (None if every line is blank),
+    splitting only as much of the text as it takes to find that line."""
+    size = 256
+    while True:
+        head = text[:size]
+        whole = len(head) == len(text)
+        lines = head.splitlines()
+        # Unless the head is the whole text, its last line may be cut short.
+        for no, line in enumerate(lines if whole else lines[:-1], start=1):
+            stripped = line.strip()
+            if stripped:
+                return no, stripped
+        if whole:
+            return None
+        size *= 4
 
 
 def _parse_int(token: str, line: int, what: str) -> int:
@@ -56,40 +76,81 @@ def _parse_float(token: str, line: int, what: str) -> float:
 
 
 def parse_points(text: str) -> ColoredPointSet:
-    """Parse a point file into a validated point set."""
-    lines = _significant_lines(text)
-    if not lines:
+    """Parse a point file into a validated point set.
+
+    The body converts column by column, in bulk, with Python's own
+    ``float`` and ``int``, and the point set validates the columns.  Input
+    that fails either step is parsed again line by line, which accepts
+    exactly the same lines and names the first bad one.
+    """
+    first = _first_significant_line(text)
+    if first is None:
         raise ParseError(1, "empty point file")
-    head_no, head = lines[0]
+    head_no, head = first
     tokens = head.split()
     if len(tokens) != 2:
         raise ParseError(head_no, f"header must be 'n t', got {head!r}")
     n = _parse_int(tokens[0], head_no, "point count")
     t = _parse_int(tokens[1], head_no, "color count")
-    if len(lines) - 1 != n:
-        raise ParseError(head_no, f"expected {n} point lines, found {len(lines) - 1}")
-    points = []
-    seen: set[int] = set()
-    for no, line in lines[1:]:
+    sizes = [k for k in map(len, map(str.split, text.splitlines())) if k]
+    if len(sizes) - 1 != n:
+        raise ParseError(head_no, f"expected {n} point lines, found {len(sizes) - 1}")
+    columns = _point_columns(text, sizes)
+    if columns is not None:
+        try:
+            return ColoredPointSet(*columns, t)
+        except InvalidInstanceError:
+            pass
+    xs, ys, colors = _point_columns_by_line(_significant_lines(text)[1:], t)
+    counts = np.bincount(np.array(colors, dtype=np.intp), minlength=max(t, 0))
+    missing = np.flatnonzero(counts == 0).tolist()
+    if missing:
+        raise ParseError(None, f"colors never used: {missing}")
+    return ColoredPointSet(xs, ys, colors, t)
+
+
+def _point_columns(text: str, sizes: list[int]):
+    """``(xs, ys, colors)`` lists of the point lines' tokens, or None if a
+    line has other than three tokens or a token does not convert.
+
+    ``sizes`` are the token counts of the significant lines, header first.
+    Every line break is whitespace to ``str.split``, so once each point
+    line has three tokens, the text's tokens after the header's two are the
+    point lines' tokens in order.
+    """
+    if any(k != 3 for k in sizes[1:]):
+        return None
+    tokens = text.split()
+    try:
+        return (
+            list(map(float, tokens[2::3])),
+            list(map(float, tokens[3::3])),
+            list(map(int, tokens[4::3])),
+        )
+    except ValueError:
+        return None
+
+
+def _point_columns_by_line(lines: list[tuple[int, str]], t: int):
+    """The point lines' columns as lists; raises on the first bad line."""
+    xs, ys, colors = [], [], []
+    for no, line in lines:
         tokens = line.split()
         if len(tokens) != 3:
             raise ParseError(no, f"point line must be 'x y c', got {line!r}")
-        x = _parse_float(tokens[0], no, "x coordinate")
-        y = _parse_float(tokens[1], no, "y coordinate")
+        xs.append(_parse_float(tokens[0], no, "x coordinate"))
+        ys.append(_parse_float(tokens[1], no, "y coordinate"))
         c = _parse_int(tokens[2], no, "color")
         if not 0 <= c < t:
             raise ParseError(no, f"color {c} out of range [0, {t})")
-        seen.add(c)
-        points.append(ColoredPoint(x, y, c))
-    missing = set(range(t)) - seen
-    if missing:
-        raise ParseError(None, f"colors never used: {sorted(missing)}")
-    return ColoredPointSet(points, t)
+        colors.append(c)
+    return xs, ys, colors
 
 
 def serialize_points(point_set: ColoredPointSet) -> str:
+    columns = (point_set.xs.tolist(), point_set.ys.tolist(), point_set.colors.tolist())
     lines = [f"{len(point_set)} {point_set.num_colors}"]
-    lines.extend(f"{p.x!r} {p.y!r} {p.color}" for p in point_set.points)
+    lines.extend([f"{x!r} {y!r} {c}" for x, y, c in zip(*columns)])
     return "\n".join(lines) + "\n"
 
 
@@ -252,10 +313,10 @@ class ResultRecord:
 
 def sniff_kind(text: str) -> str:
     """'points' or 'graph', judged by the header token count (2 vs 3)."""
-    lines = _significant_lines(text)
-    if not lines:
+    first = _first_significant_line(text)
+    if first is None:
         raise ParseError(1, "empty input file")
-    no, head = lines[0]
+    no, head = first
     count = len(head.split())
     if count == 2:
         return "points"

@@ -56,7 +56,7 @@ def two_squares_point_set(eps: float = DEFAULT_EPS) -> ColoredPointSet:
         ColoredPoint(2.0, 0.0, 3),        # e
         ColoredPoint(2.0 - eps, 1.0, 3),  # f
     ]
-    return ColoredPointSet(points, 4)
+    return ColoredPointSet.from_points(points, 4)
 
 
 def stacked_rows_point_set(eps: float = DEFAULT_EPS) -> ColoredPointSet:
@@ -75,4 +75,4 @@ def stacked_rows_point_set(eps: float = DEFAULT_EPS) -> ColoredPointSet:
         ColoredPoint(-half_cd, top, 0),   # e
         ColoredPoint(half_cd, top, 1),    # f
     ]
-    return ColoredPointSet(points, 4)
+    return ColoredPointSet.from_points(points, 4)

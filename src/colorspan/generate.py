@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInstanceError
-from .geometry import ColoredPoint, ColoredPointSet
+from .geometry import ColoredPointSet
 from .hardness import VertexColoredGraph
 from .matching import WeightedGraph
 
@@ -58,11 +58,7 @@ def generate_points(
     else:
         centers = rng.random((num_colors, 2))
         coords = centers[colors] + rng.normal(0.0, 0.08, size=(n, 2))
-    points = [
-        ColoredPoint(float(coords[i, 0]), float(coords[i, 1]), int(colors[i]))
-        for i in range(n)
-    ]
-    return ColoredPointSet(points, num_colors)
+    return ColoredPointSet(coords[:, 0], coords[:, 1], colors, num_colors)
 
 
 def generate_matching_instance(k: int, seed: int, max_class_size: int = 5) -> ColoredPointSet:
@@ -78,11 +74,7 @@ def generate_matching_instance(k: int, seed: int, max_class_size: int = 5) -> Co
     sizes = rng.integers(1, max_class_size + 1, size=t)
     colors = rng.permutation(np.repeat(np.arange(t), sizes))
     coords = rng.random((len(colors), 2))
-    points = [
-        ColoredPoint(float(coords[i, 0]), float(coords[i, 1]), int(colors[i]))
-        for i in range(len(colors))
-    ]
-    return ColoredPointSet(points, t)
+    return ColoredPointSet(coords[:, 0], coords[:, 1], colors, t)
 
 
 def generate_colored_graph(

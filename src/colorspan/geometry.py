@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -60,61 +60,112 @@ def distance(p: ColoredPoint, q: ColoredPoint) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColoredPointSet:
-    """An ordered list of colored points using colors ``0 .. num_colors-1``.
+    """Colored planar points using colors ``0 .. num_colors-1``.
 
-    Every color must occur at least once, ``num_colors >= 2`` and there
-    must be at least as many points as colors.  Coincident points, also
-    across different colors, are legal.
+    The points live in three parallel read-only columns: ``xs`` and ``ys``
+    (float64) and ``colors`` (intp); point ``i`` is row ``i``.  Every
+    coordinate must be finite, every color must occur at least once,
+    ``num_colors >= 2`` and there must be at least as many points as
+    colors.  Coincident points, also across different colors, are legal.
     """
 
-    points: tuple[ColoredPoint, ...]
+    xs: np.ndarray
+    ys: np.ndarray
+    colors: np.ndarray
     num_colors: int
 
-    def __init__(self, points: Iterable[ColoredPoint], num_colors: int):
-        pts = tuple(points)
+    def __init__(self, xs, ys, colors, num_colors: int):
+        xs = _column(xs, np.float64, "coordinates")
+        ys = _column(ys, np.float64, "coordinates")
+        colors = _column(colors, np.intp, "colors")
+        n = len(xs)
+        if len(ys) != n or len(colors) != n:
+            raise InvalidInstanceError("xs, ys and colors must have equal lengths")
+        finite = np.isfinite(xs) & np.isfinite(ys)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise InvalidInstanceError(f"non-finite coordinates ({xs[i]}, {ys[i]})")
         num_colors = int(num_colors)
         if num_colors < 2:
             raise InvalidInstanceError("need at least two colors")
-        if len(pts) < num_colors:
-            raise InvalidInstanceError(
-                f"{len(pts)} points cannot cover {num_colors} colors"
-            )
-        seen = set()
-        for p in pts:
-            if p.color >= num_colors:
-                raise InvalidInstanceError(
-                    f"color {p.color} out of range [0, {num_colors})"
-                )
-            seen.add(p.color)
-        missing = set(range(num_colors)) - seen
-        if missing:
-            raise InvalidInstanceError(f"colors never used: {sorted(missing)}")
-        object.__setattr__(self, "points", pts)
+        if n < num_colors:
+            raise InvalidInstanceError(f"{n} points cannot cover {num_colors} colors")
+        low, high = int(colors.min()), int(colors.max())
+        if low < 0:
+            raise InvalidInstanceError(f"negative color id {low}")
+        if high >= num_colors:
+            raise InvalidInstanceError(f"color {high} out of range [0, {num_colors})")
+        counts = np.bincount(colors, minlength=num_colors)
+        if not counts.all():
+            missing = np.flatnonzero(counts == 0).tolist()
+            raise InvalidInstanceError(f"colors never used: {missing}")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "num_colors", num_colors)
 
+    @classmethod
+    def from_points(
+        cls, points: Iterable[ColoredPoint], num_colors: int
+    ) -> "ColoredPointSet":
+        """The set of the given points, in order."""
+        pts = tuple(points)
+        return cls(
+            [p.x for p in pts], [p.y for p in pts], [p.color for p in pts], num_colors
+        )
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ColoredPointSet):
+            return NotImplemented
+        return (
+            self.num_colors == other.num_colors
+            and np.array_equal(self.xs, other.xs)
+            and np.array_equal(self.ys, other.ys)
+            and np.array_equal(self.colors, other.colors)
+        )
 
     @cached_property
-    def xs(self) -> np.ndarray:
-        return np.array([p.x for p in self.points], dtype=np.float64)
+    def points(self) -> tuple[ColoredPoint, ...]:
+        """The points as objects; built on first use, never by a solver."""
+        return tuple(
+            map(ColoredPoint, self.xs.tolist(), self.ys.tolist(), self.colors.tolist())
+        )
 
-    @cached_property
-    def ys(self) -> np.ndarray:
-        return np.array([p.y for p in self.points], dtype=np.float64)
+    def distance(self, a: int, b: int) -> float:
+        """Exact Euclidean distance between points ``a`` and ``b``.
+
+        Computed on Python floats, so a distance beyond the float range
+        is ``inf`` rather than a numpy overflow warning.
+        """
+        xs, ys = self.xs, self.ys
+        return math.hypot(float(xs[a]) - float(xs[b]), float(ys[a]) - float(ys[b]))
 
     @cached_property
     def _classes(self) -> tuple[np.ndarray, ...]:
-        buckets: list[list[int]] = [[] for _ in range(self.num_colors)]
-        for i, p in enumerate(self.points):
-            buckets[p.color].append(i)
-        return tuple(np.array(b, dtype=np.intp) for b in buckets)
+        order = np.argsort(self.colors, kind="stable")
+        order.flags.writeable = False
+        ends = np.cumsum(np.bincount(self.colors, minlength=self.num_colors)).tolist()
+        return tuple(order[start:end] for start, end in zip([0, *ends], ends))
 
     def color_indices(self, color: int) -> np.ndarray:
         """Indexes of the points of one color, in input order."""
         return self._classes[color]
+
+
+def _column(values, dtype, what: str) -> np.ndarray:
+    try:
+        column = np.array(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInstanceError(f"{what} must be numbers") from None
+    if column.ndim != 1:
+        raise InvalidInstanceError(f"{what} must be one-dimensional")
+    column.flags.writeable = False
+    return column
 
 
 @dataclass(frozen=True)
@@ -165,66 +216,31 @@ class ColorGraph:
         return self.witness(color_a, color_b).distance
 
 
-class NearestNeighborIndex:
-    """Exact nearest-neighbor lookup over the points of one color.
+def _unit_scaled(point_set: ColoredPointSet) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates times the one power of two that brings the largest
+    magnitude into ``[0.5, 1)``.
 
-    Backed by a kd-tree for sublinear expected queries.  The tree only
-    proposes candidates; exact ``math.hypot`` distances decide, and ties
-    go to the lowest stored index, so answers always equal a linear scan.
+    The scaling is exact (up to underflow far below any candidate slack),
+    so the accelerated passes see well-scaled input at every coordinate
+    scale: kd-tree squared distances cannot overflow, hull and candidate
+    arithmetic cannot underflow, and no difference overflows.
     """
-
-    def __init__(self, points: Sequence[ColoredPoint]):
-        pts = tuple(points)
-        if not pts:
-            raise InvalidInstanceError("cannot index an empty point list")
-        if len({p.color for p in pts}) != 1:
-            raise InvalidInstanceError("index expects points of a single color")
-        self._points = pts
-        self._xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64)
-        self._tree = cKDTree(self._xy)
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def query_index(self, x: float, y: float) -> int:
-        """Index (into the stored list) of the nearest point to (x, y)."""
-        d, _ = self._tree.query((x, y))
-        cut = float(d) + max(float(d) * _CANDIDATE_SLACK, _ABS_SLACK)
-        best: tuple[float, int] | None = None
-        for i in self._tree.query_ball_point((x, y), cut):
-            p = self._points[i]
-            key = (math.hypot(p.x - x, p.y - y), i)
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        return best[1]
-
-    def query(self, point: ColoredPoint) -> ColoredPoint:
-        """The stored point nearest to ``point`` (ties: lowest index)."""
-        return self._points[self.query_index(point.x, point.y)]
-
-
-def build_nn_index(points: Sequence[ColoredPoint]) -> NearestNeighborIndex:
-    """Build an exact nearest-neighbor index over one color class."""
-    return NearestNeighborIndex(points)
+    peak = max(float(np.abs(point_set.xs).max()), float(np.abs(point_set.ys).max()))
+    exponent = -math.frexp(peak)[1]
+    return np.ldexp(point_set.xs, exponent), np.ldexp(point_set.ys, exponent)
 
 
 class _ClosestPairFinder:
     """Bichromatic closest pairs for all color pairs of one point set.
 
-    The kd-tree works on coordinates scaled by one power of two that brings
-    the largest magnitude into ``[0.5, 1)``: the scaling is exact, and the
-    tree's squared distances can no longer overflow on huge coordinates.
-    The exact pass measures the original coordinates.
+    The kd-trees hold unit-scaled coordinates; the exact pass measures the
+    original ones.
     """
 
     def __init__(self, point_set: ColoredPointSet):
         self._ps = point_set
         self._trees: dict[int, cKDTree] = {}
-        peak = max(float(np.abs(point_set.xs).max()), float(np.abs(point_set.ys).max()))
-        exponent = -math.frexp(peak)[1]
-        self._sx = np.ldexp(point_set.xs, exponent)
-        self._sy = np.ldexp(point_set.ys, exponent)
+        self._sx, self._sy = _unit_scaled(point_set)
 
     def _tree(self, color: int) -> cKDTree:
         tree = self._trees.get(color)
@@ -244,14 +260,12 @@ class _ClosestPairFinder:
         dist = np.atleast_1d(dist)
         dmin = float(dist.min())
         cut = dmin + max(dmin * _CANDIDATE_SLACK, _ABS_SLACK)
-        xs, ys = ps.xs, ps.ys
         best: tuple[float, int, int] | None = None
         for pos_j in np.nonzero(dist <= cut)[0]:
             b = int(idx_j[pos_j])
-            bx, by = xs[b], ys[b]
             for pos_i in tree.query_ball_point((sx[b], sy[b]), cut):
                 a = int(idx_i[pos_i])
-                key = (math.hypot(xs[a] - bx, ys[a] - by), a, b)
+                key = (ps.distance(a, b), a, b)
                 if best is None or key < best:
                     best = key
         assert best is not None
@@ -262,52 +276,59 @@ class _ClosestPairFinder:
 class _FarthestPairFinder:
     """Bichromatic farthest pairs for all color pairs of one point set.
 
-    Coordinates are deduplicated to their lowest point index, then reduced
-    to convex hull vertices when the class is large enough; a farthest pair
-    always has both endpoints on the hulls, so the reduction is lossless.
+    A class larger than ``_HULL_CUTOFF`` is deduplicated to the lowest
+    point index of each coordinate and then, if still that large, reduced
+    to its convex hull vertices: a farthest pair always has both endpoints
+    on the hulls, so the reduction is lossless.  Hull and candidate pass
+    run on unit-scaled coordinates, the exact pass on the original ones.
     Degenerate classes (collinear, tiny) fall back to the full scan.
     """
 
     def __init__(self, point_set: ColoredPointSet):
         self._ps = point_set
         self._reps: dict[int, np.ndarray] = {}
+        self._sx, self._sy = _unit_scaled(point_set)
 
     def _rep_indices(self, color: int) -> np.ndarray:
         reps = self._reps.get(color)
         if reps is None:
-            ps = self._ps
-            seen: dict[tuple[float, float], int] = {}
-            for i in ps.color_indices(color):
-                i = int(i)
-                key = (float(ps.xs[i]), float(ps.ys[i]))
-                if key not in seen:
-                    seen[key] = i
-            reps = np.array(sorted(seen.values()), dtype=np.intp)
+            reps = self._ps.color_indices(color)
             if len(reps) > _HULL_CUTOFF:
-                coords = np.column_stack((ps.xs[reps], ps.ys[reps]))
-                try:
-                    hull = ConvexHull(coords)
-                    reps = reps[np.sort(hull.vertices)]
-                except QhullError:
-                    pass
+                reps = self._hull_indices(reps)
             self._reps[color] = reps
         return reps
+
+    def _hull_indices(self, idx: np.ndarray) -> np.ndarray:
+        # lexsort is stable, so each run of equal coordinates (0.0 and -0.0
+        # compare equal) starts at its lowest index.
+        xs, ys = self._ps.xs[idx], self._ps.ys[idx]
+        order = np.lexsort((ys, xs))
+        xs, ys = xs[order], ys[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+        reps = np.sort(idx[order[first]])
+        if len(reps) <= _HULL_CUTOFF:
+            return reps
+        try:
+            hull = ConvexHull(np.column_stack((self._sx[reps], self._sy[reps])))
+        except QhullError:
+            return reps
+        return reps[np.sort(hull.vertices)]
 
     def witness(self, ci: int, cj: int) -> ColorPairWitness:
         ps = self._ps
         ai = self._rep_indices(ci)
         bj = self._rep_indices(cj)
-        xs, ys = ps.xs, ps.ys
+        sx, sy = self._sx, self._sy
         dd = np.hypot(
-            xs[ai][:, None] - xs[bj][None, :], ys[ai][:, None] - ys[bj][None, :]
+            sx[ai][:, None] - sx[bj][None, :], sy[ai][:, None] - sy[bj][None, :]
         )
         dmax = float(dd.max())
         cut = dmax - max(dmax * _CANDIDATE_SLACK, _ABS_SLACK)
         best: tuple[float, int, int] | None = None
         for pos_i, pos_j in zip(*np.nonzero(dd >= cut)):
             a, b = int(ai[pos_i]), int(bj[pos_j])
-            exact = math.hypot(xs[a] - xs[b], ys[a] - ys[b])
-            key = (-exact, a, b)
+            key = (-ps.distance(a, b), a, b)
             if best is None or key < best:
                 best = key
         assert best is not None
@@ -323,6 +344,12 @@ def _build_color_graph(point_set: ColoredPointSet, mode: str) -> ColorGraph:
     edges = tuple(
         finder.witness(i, j) for i in range(t) for j in range(i + 1, t)
     )
+    for e in edges:
+        if math.isinf(e.distance):
+            raise InvalidInstanceError(
+                f"the distance between colors {e.color_i} and {e.color_j} "
+                "exceeds the float range"
+            )
     return ColorGraph(num_colors=t, mode=mode, edges=edges)
 
 

@@ -32,7 +32,6 @@ from .geometry import (
     ColorGraph,
     build_closest_color_graph,
     build_farthest_color_graph,
-    distance,
 )
 from .hardness import VertexColoredGraph
 from .matching import (
@@ -90,17 +89,18 @@ class ColorSpanningMatching:
         if not canon:
             raise InvalidInstanceError("a color-spanning matching cannot be empty")
         n = len(point_set)
+        color_of = point_set.colors
         colors: list[int] = []
         for a, b in canon:
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise InvalidInstanceError(f"invalid point pair ({a}, {b})")
-            colors.append(point_set.points[a].color)
-            colors.append(point_set.points[b].color)
+            colors.append(int(color_of[a]))
+            colors.append(int(color_of[b]))
         if len(set(colors)) != len(colors):
             raise InvalidInstanceError("matched endpoints must have distinct colors")
         if set(colors) != set(range(point_set.num_colors)):
             raise InvalidInstanceError("matching must cover every color exactly once")
-        dists = [distance(point_set.points[a], point_set.points[b]) for a, b in canon]
+        dists = [point_set.distance(a, b) for a, b in canon]
         return cls(
             pairs=tuple(canon),
             colors_covered=frozenset(colors),

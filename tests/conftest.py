@@ -1,4 +1,3 @@
-import math
 from pathlib import Path
 
 import pytest
@@ -39,10 +38,3 @@ def exhaustive_color_extremes(ps: ColoredPointSet, mode: str):
             out[(i, j)] = (abs(d) if mode == "closest" else -d, a, b)
     return out
 
-
-def linear_scan_nearest(points, x, y):
-    """Index of the nearest point by linear scan, ties to lowest index."""
-    return min(
-        range(len(points)),
-        key=lambda i: (math.hypot(points[i].x - x, points[i].y - y), i),
-    )

@@ -238,7 +238,7 @@ def test_criterion_8_closest_graph_scale_smoke():
             extra = int(ps.color_indices(c)[0])
             keep.append(extra)
             keep_set.add(extra)
-    replica = ColoredPointSet([ps.points[i] for i in sorted(keep_set)], 20)
+    replica = ColoredPointSet.from_points([ps.points[i] for i in sorted(keep_set)], 20)
     got = build_closest_color_graph(replica)
     expected = exhaustive_color_extremes(replica, "closest")
     exact = all(

@@ -105,6 +105,19 @@ class TestSolve:
         assert solved["pairs"] == reference["pairs"]
         assert solved["value"] == reference["value"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("objective", ["minsum", "minmax", "maxmin"])
+    def test_overflowing_distance_is_invalid_input(self, capsys, tmp_path, objective):
+        # The only bichromatic distance, 2e308, exceeds the float range.
+        f = tmp_path / "overflow.points"
+        f.write_text("2 2\n1e308 0 0\n-1e308 0 1\n")
+        code, out, err = run(capsys, "solve", str(f), "--objective", objective)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == (
+            "invalid input: the distance between colors 0 and 1 exceeds the float range\n"
+        )
+
     def test_graph_infeasible_exit_code(self, capsys, tmp_path):
         f = tmp_path / "mono.graph"
         f.write_text("4 2 2\n0\n0\n1\n1\n0 1\n2 3\n")

@@ -27,7 +27,7 @@ coords = st.floats(
 
 class TestPointsFormat:
     def test_round_trip_simple(self):
-        ps = ColoredPointSet(
+        ps = ColoredPointSet.from_points(
             [ColoredPoint(0.25, -1.5, 0), ColoredPoint(1e-3, 2.0, 1)], 2
         )
         assert parse_points(serialize_points(ps)) == ps
@@ -46,7 +46,7 @@ class TestPointsFormat:
         )
         pts = [ColoredPoint(data.draw(coords), data.draw(coords), c) for c in range(t)]
         pts += [ColoredPoint(x, y, c) for x, y, c in extra]
-        ps = ColoredPointSet(pts, t)
+        ps = ColoredPointSet.from_points(pts, t)
         assert parse_points(serialize_points(ps)) == ps
 
     def test_bad_header(self):

@@ -2,21 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from colorspan import (
     ColoredPoint,
     ColoredPointSet,
     InvalidInstanceError,
+    Objective,
+    brute_force_geometric,
     build_closest_color_graph,
     build_farthest_color_graph,
-    build_nn_index,
     distance,
+    solve_maxmin,
+    solve_minmax,
+    solve_minsum,
 )
 from colorspan.generate import generate_points
+from colorspan.geometry import _FarthestPairFinder
 
-from conftest import exhaustive_color_extremes, linear_scan_nearest
+from conftest import exhaustive_color_extremes
 
 
 def random_point_set(seed, n=30, t=6):
@@ -42,19 +45,19 @@ class TestDistance:
 class TestColoredPointSet:
     def test_rejects_missing_color(self):
         with pytest.raises(InvalidInstanceError):
-            ColoredPointSet([ColoredPoint(0, 0, 0), ColoredPoint(1, 1, 0)], 2)
+            ColoredPointSet.from_points([ColoredPoint(0, 0, 0), ColoredPoint(1, 1, 0)], 2)
 
     def test_rejects_out_of_range_color(self):
         with pytest.raises(InvalidInstanceError):
-            ColoredPointSet([ColoredPoint(0, 0, 0), ColoredPoint(1, 1, 2)], 2)
+            ColoredPointSet.from_points([ColoredPoint(0, 0, 0), ColoredPoint(1, 1, 2)], 2)
 
     def test_rejects_single_color(self):
         with pytest.raises(InvalidInstanceError):
-            ColoredPointSet([ColoredPoint(0, 0, 0)], 1)
+            ColoredPointSet.from_points([ColoredPoint(0, 0, 0)], 1)
 
     def test_rejects_fewer_points_than_colors(self):
         with pytest.raises(InvalidInstanceError):
-            ColoredPointSet([ColoredPoint(0, 0, 0), ColoredPoint(1, 0, 1)], 3)
+            ColoredPointSet.from_points([ColoredPoint(0, 0, 0), ColoredPoint(1, 0, 1)], 3)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInstanceError):
@@ -63,78 +66,62 @@ class TestColoredPointSet:
             ColoredPoint(0.0, float("inf"), 0)
 
     def test_coincident_points_of_different_colors_are_legal(self):
-        ps = ColoredPointSet([ColoredPoint(1, 1, 0), ColoredPoint(1, 1, 1)], 2)
+        ps = ColoredPointSet.from_points([ColoredPoint(1, 1, 0), ColoredPoint(1, 1, 1)], 2)
         assert build_closest_color_graph(ps).weight(0, 1) == 0.0
 
+    @pytest.mark.parametrize(
+        "xs, ys, colors, t, message",
+        [
+            ([0.0, float("nan")], [0.0, 1.0], [0, 1], 2, "non-finite"),
+            ([0.0, 1.0], [float("-inf"), 1.0], [0, 1], 2, "non-finite"),
+            ([0.0, 1.0], [0.0, 1.0], [0, -1], 2, "negative color"),
+            ([0.0, 1.0], [0.0, 1.0], [0, 2], 2, "out of range"),
+            ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0, 0, 2], 3, r"never used: \[1\]"),
+            ([0.0, 1.0], [0.0, 1.0], [0, 1], 3, "cannot cover"),
+            ([0.0], [0.0], [0], 1, "at least two"),
+            ([0.0, 1.0], [0.0], [0, 1], 2, "equal lengths"),
+        ],
+    )
+    def test_array_validation(self, xs, ys, colors, t, message):
+        with pytest.raises(InvalidInstanceError, match=message):
+            ColoredPointSet(xs, ys, colors, t)
 
-class TestNearestNeighborIndex:
-    def test_singleton(self):
-        idx = build_nn_index([ColoredPoint(0, 0, 0)])
-        assert idx.query(ColoredPoint(5, 5, 1)) == ColoredPoint(0, 0, 0)
+    def test_columns_are_read_only_copies(self):
+        xs = np.array([0.0, 1.0])
+        ps = ColoredPointSet(xs, [0.0, 1.0], [1, 0], 2)
+        xs[0] = 5.0
+        assert ps.xs[0] == 0.0
+        for column in (ps.xs, ps.ys, ps.colors):
+            assert not column.flags.writeable
 
-    def test_midpoint_side(self):
-        idx = build_nn_index([ColoredPoint(0, 0, 0), ColoredPoint(10, 0, 0)])
-        assert idx.query(ColoredPoint(4, 0, 1)) == ColoredPoint(0, 0, 0)
+    def test_classes_keep_input_order(self):
+        ps = ColoredPointSet([0, 1, 2, 3, 4, 5], [0] * 6, [2, 0, 1, 0, 2, 0], 3)
+        assert [ps.color_indices(c).tolist() for c in range(3)] == [[1, 3, 5], [2], [0, 4]]
 
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInstanceError):
-            build_nn_index([])
-
-    def test_mixed_colors_rejected(self):
-        with pytest.raises(InvalidInstanceError):
-            build_nn_index([ColoredPoint(0, 0, 0), ColoredPoint(1, 0, 1)])
-
-    def test_matches_linear_scan_on_random_queries(self):
-        rng = np.random.default_rng(7)
-        points = [
-            ColoredPoint(float(x), float(y), 0) for x, y in rng.random((200, 2))
-        ]
-        idx = build_nn_index(points)
-        for x, y in rng.random((50, 2)):
-            assert idx.query_index(float(x), float(y)) == linear_scan_nearest(
-                points, float(x), float(y)
-            )
-
-    def test_tie_breaks_to_lowest_index(self):
-        points = [
-            ColoredPoint(0, 1, 0),
-            ColoredPoint(0, -1, 0),
-            ColoredPoint(0, 1, 0),
-        ]
-        idx = build_nn_index(points)
-        assert idx.query_index(0.0, 0.0) == 0
-        assert idx.query_index(0.0, 0.9) == 0
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.data())
-    def test_equals_linear_scan(self, data):
-        coords = data.draw(
-            st.lists(
-                st.tuples(
-                    st.floats(-100, 100, allow_nan=False),
-                    st.floats(-100, 100, allow_nan=False),
-                ),
-                min_size=1,
-                max_size=40,
-            )
+    def test_points_view_matches_columns(self):
+        ps = random_point_set(4, n=12, t=3)
+        assert ColoredPointSet.from_points(ps.points, ps.num_colors) == ps
+        assert [(p.x, p.y, p.color) for p in ps.points] == list(
+            zip(ps.xs.tolist(), ps.ys.tolist(), ps.colors.tolist())
         )
-        qx = data.draw(st.floats(-100, 100, allow_nan=False))
-        qy = data.draw(st.floats(-100, 100, allow_nan=False))
-        points = [ColoredPoint(x, y, 0) for x, y in coords]
-        idx = build_nn_index(points)
-        assert idx.query_index(qx, qy) == linear_scan_nearest(points, qx, qy)
+
+    @pytest.mark.parametrize("solve", [solve_minsum, solve_minmax, solve_maxmin])
+    def test_solvers_never_build_point_objects(self, solve):
+        ps = generate_points(400, 4, seed=8, distribution="clusters")
+        solve(ps)
+        assert "points" not in vars(ps)
 
 
 class TestColorGraphs:
     def test_two_color_closest_trivial(self):
-        ps = ColoredPointSet([ColoredPoint(0, 0, 0), ColoredPoint(3, 4, 1)], 2)
+        ps = ColoredPointSet.from_points([ColoredPoint(0, 0, 0), ColoredPoint(3, 4, 1)], 2)
         g = build_closest_color_graph(ps)
         assert g.weight(0, 1) == 5.0
         w = g.witness(0, 1)
         assert (w.point_a, w.point_b) == (0, 1)
 
     def test_three_point_farthest_trivial(self):
-        ps = ColoredPointSet(
+        ps = ColoredPointSet.from_points(
             [ColoredPoint(0, 0, 0), ColoredPoint(1, 0, 0), ColoredPoint(5, 0, 1)], 2
         )
         assert build_farthest_color_graph(ps).weight(0, 1) == 5.0
@@ -168,7 +155,7 @@ class TestColorGraphs:
         pts = [ColoredPoint(float(x), float(y), 0) for x, y in rng.random((60, 2))]
         pts += [ColoredPoint(p.x, p.y, 0) for p in pts[:10]]
         pts += [ColoredPoint(float(x), float(y), 1) for x, y in rng.random((60, 2))]
-        ps = ColoredPointSet(pts, 2)
+        ps = ColoredPointSet.from_points(pts, 2)
         g = build_farthest_color_graph(ps)
         (d, a, b) = exhaustive_color_extremes(ps, "farthest")[(0, 1)]
         w = g.witness(0, 1)
@@ -177,7 +164,7 @@ class TestColorGraphs:
     def test_collinear_class_falls_back_to_scan(self):
         pts = [ColoredPoint(float(i), 0.0, 0) for i in range(40)]
         pts.append(ColoredPoint(5.0, 7.0, 1))
-        ps = ColoredPointSet(pts, 2)
+        ps = ColoredPointSet.from_points(pts, 2)
         w = build_farthest_color_graph(ps).witness(0, 1)
         assert w.distance == distance(pts[39], pts[40])
         assert (w.point_a, w.point_b) == (39, 40)
@@ -192,7 +179,7 @@ class TestColorGraphs:
                     assert close.weight(i, j) <= far.weight(i, j)
 
     def test_closest_equals_farthest_iff_single_cross_distance(self):
-        ps = ColoredPointSet([ColoredPoint(0, 0, 0), ColoredPoint(3, 4, 1)], 2)
+        ps = ColoredPointSet.from_points([ColoredPoint(0, 0, 0), ColoredPoint(3, 4, 1)], 2)
         assert build_closest_color_graph(ps).weight(0, 1) == build_farthest_color_graph(
             ps
         ).weight(0, 1)
@@ -201,7 +188,7 @@ class TestColorGraphs:
         ps = random_point_set(21)
         rng = np.random.default_rng(5)
         perm = rng.permutation(len(ps))
-        shuffled = ColoredPointSet([ps.points[int(i)] for i in perm], ps.num_colors)
+        shuffled = ColoredPointSet.from_points([ps.points[int(i)] for i in perm], ps.num_colors)
         for builder in (build_closest_color_graph, build_farthest_color_graph):
             g1, g2 = builder(ps), builder(shuffled)
             for i in range(ps.num_colors):
@@ -211,7 +198,7 @@ class TestColorGraphs:
     @pytest.mark.parametrize("scale", [0.25, 2.0, 1024.0])
     def test_power_of_two_scaling_is_exact(self, scale):
         ps = random_point_set(33, n=20, t=4)
-        scaled = ColoredPointSet(
+        scaled = ColoredPointSet.from_points(
             [ColoredPoint(p.x * scale, p.y * scale, p.color) for p in ps.points],
             ps.num_colors,
         )
@@ -221,3 +208,28 @@ class TestColorGraphs:
                 e2 = g2.witness(e1.color_i, e1.color_j)
                 assert e2.distance == e1.distance * scale
                 assert (e2.point_a, e2.point_b) == (e1.point_a, e1.point_b)
+
+    @pytest.mark.parametrize("seed", [16, 26, 27])
+    def test_tiny_coordinates_keep_every_hull_vertex(self, seed):
+        # At 1e-250 the hull must run on rescaled coordinates, or Qhull
+        # drops true vertices and maxmin misses the optimum.
+        ps = generate_points(120, 4, seed=seed)
+        tiny = ColoredPointSet(ps.xs * 1e-250, ps.ys * 1e-250, ps.colors, ps.num_colors)
+        g = build_farthest_color_graph(tiny)
+        for (i, j), (d, a, b) in exhaustive_color_extremes(tiny, "farthest").items():
+            w = g.witness(i, j)
+            assert (w.distance, w.point_a, w.point_b) == (d, a, b)
+        solved = solve_maxmin(tiny).value(Objective.MAXMIN)
+        assert solved == brute_force_geometric(tiny, Objective.MAXMIN).value(Objective.MAXMIN)
+
+    def test_dedup_keeps_lowest_index_and_equates_zero_signs(self):
+        # 34 points on 17 coordinates, each first as (-0.0, y), then as
+        # (0.0, y); the collinear class stays unreduced by the hull.
+        pts = []
+        for k in range(17):
+            pts += [ColoredPoint(-0.0, float(k), 0), ColoredPoint(0.0, float(k), 0)]
+        pts.append(ColoredPoint(3.0, 0.0, 1))
+        ps = ColoredPointSet.from_points(pts, 2)
+        assert _FarthestPairFinder(ps)._rep_indices(0).tolist() == list(range(0, 34, 2))
+        w = build_farthest_color_graph(ps).witness(0, 1)
+        assert (w.point_a, w.point_b) == (32, 34)

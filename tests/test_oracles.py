@@ -72,7 +72,7 @@ class TestGeometricOracle:
         assert got.total_weight == pytest.approx(3.0, abs=1e-9)
 
     def test_two_points_every_objective(self):
-        ps = ColoredPointSet([ColoredPoint(0, 0, 0), ColoredPoint(3, 4, 1)], 2)
+        ps = ColoredPointSet.from_points([ColoredPoint(0, 0, 0), ColoredPoint(3, 4, 1)], 2)
         for objective in Objective:
             got = brute_force_geometric(ps, objective)
             assert got.value(objective) == 5.0
@@ -93,7 +93,7 @@ class TestGeometricOracle:
 
     def test_relabeling_invariance(self):
         ps = generate_matching_instance(2, 42)
-        relabeled = ColoredPointSet(
+        relabeled = ColoredPointSet.from_points(
             [ColoredPoint(p.x, p.y, ps.num_colors - 1 - p.color) for p in ps.points],
             ps.num_colors,
         )

@@ -82,14 +82,14 @@ class TestStackedRowsFixture:
 
 class TestGeometricSolvers:
     def test_two_colors_single_pair(self):
-        ps = ColoredPointSet([ColoredPoint(0, 0, 0), ColoredPoint(3, 4, 1)], 2)
+        ps = ColoredPointSet.from_points([ColoredPoint(0, 0, 0), ColoredPoint(3, 4, 1)], 2)
         for solver in SOLVERS.values():
             got = solver(ps)
             assert got.pairs == ((0, 1),)
             assert got.total_weight == 5.0
 
     def test_two_colors_extremes_differ(self):
-        ps = ColoredPointSet(
+        ps = ColoredPointSet.from_points(
             [
                 ColoredPoint(0, 0, 0),
                 ColoredPoint(1, 0, 1),
@@ -102,7 +102,7 @@ class TestGeometricSolvers:
         assert solve_maxmin(ps).min_edge_weight == 9.0
 
     def test_odd_color_count_rejected(self):
-        ps = ColoredPointSet(
+        ps = ColoredPointSet.from_points(
             [ColoredPoint(0, 0, 0), ColoredPoint(1, 0, 1), ColoredPoint(2, 0, 2)], 3
         )
         for solver in SOLVERS.values():
