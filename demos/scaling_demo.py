@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Timing of the closest color graph builder at increasing sizes.
 
-The builder queries each color class against the kd-trees of the others,
-so it stays fast far beyond what the exhaustive pair scan could handle;
-a small replica is verified against the scan for confidence.
+The builder bounds each color pair's closest distance from a sample of
+nearest-neighbour queries, then collects the pairs within that bound with
+one dual kd-tree range search per color pair, so it stays fast far beyond
+what the exhaustive pair scan could handle; a small replica is verified
+against the scan for confidence.
 """
 
 import time

@@ -232,6 +232,15 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if record.status == "solved" else EXIT_INFEASIBLE
 
 
+def _agrees(solved: float, expected: float, tolerance: float) -> bool:
+    """Whether ``solved`` is within ``tolerance`` of ``expected`` both
+    absolutely and relative to ``expected``; the relative bound keeps the
+    check meaningful at tiny coordinate scales, where any absolute
+    tolerance accepts every answer."""
+    gap = abs(solved - expected)
+    return gap <= tolerance and gap <= tolerance * abs(expected)
+
+
 def _check_points_instance(
     ps: ColoredPointSet, objectives, budget, tolerance, perturb
 ) -> list[str]:
@@ -239,7 +248,7 @@ def _check_points_instance(
     for objective in objectives:
         solved = _GEOMETRIC_SOLVERS[objective](ps).value(objective) + perturb
         expected = brute_force_geometric(ps, objective, budget).value(objective)
-        status = "ok" if abs(solved - expected) <= tolerance else "MISMATCH"
+        status = "ok" if _agrees(solved, expected, tolerance) else "MISMATCH"
         print(
             f"objective={objective.value} solver={solved!r} oracle={expected!r} status={status}"
         )
@@ -261,7 +270,7 @@ def _check_graph_instance(g: VertexColoredGraph, budget, tolerance, perturb) -> 
         print("objective=minsum solver=infeasible oracle=infeasible status=ok")
         return []
     value = solved.total_weight + perturb
-    status = "ok" if abs(value - expected.total_weight) <= tolerance else "MISMATCH"
+    status = "ok" if _agrees(value, expected.total_weight, tolerance) else "MISMATCH"
     print(
         f"objective=minsum solver={value!r} oracle={expected.total_weight!r} status={status}"
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInstanceError, ParseError
-from .geometry import ColoredPointSet
+from .geometry import ColoredPointSet, _never_used_message
 from .hardness import VertexColoredGraph
 from .matching import WeightedGraph
 
@@ -102,10 +102,12 @@ def parse_points(text: str) -> ColoredPointSet:
         except InvalidInstanceError:
             pass
     xs, ys, colors = _point_columns_by_line(_significant_lines(text)[1:], t)
+    # Checked before counting colors, so a huge t costs no O(t) work.
+    if t > n:
+        raise ParseError(head_no, f"{n} points cannot cover {t} colors")
     counts = np.bincount(np.array(colors, dtype=np.intp), minlength=max(t, 0))
-    missing = np.flatnonzero(counts == 0).tolist()
-    if missing:
-        raise ParseError(None, f"colors never used: {missing}")
+    if not counts.all():
+        raise ParseError(None, _never_used_message(counts))
     return ColoredPointSet(xs, ys, colors, t)
 
 

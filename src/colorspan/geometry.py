@@ -7,8 +7,10 @@ bichromatic farthest point pair of the two classes.  This module owns the
 point-set model and those two graph builders.
 
 Distances are Euclidean.  Every distance that ends up in a result comes
-from ``math.hypot`` on the original coordinates; the kd-tree and convex
-hull only narrow down candidates and an exact final pass picks the winner.
+from ``math.hypot`` on the original coordinates, and only that exact final
+pass decides.  The earlier passes just narrow down candidates: closest
+candidates come from a full scan of a small set, or from dual-tree range
+searches bounded per color pair; farthest candidates from the convex hulls.
 Builders are therefore exact and deterministic, with ties broken toward
 the lexicographically smallest pair of point indexes.
 """
@@ -35,6 +37,15 @@ _ABS_SLACK = 1e-12
 
 # Below this many distinct coordinates a full scan beats building a hull.
 _HULL_CUTOFF = 32
+
+# A "colors never used" message lists at most this many colors.
+_MISSING_SHOWN = 8
+
+# Up to this many points the closest builder takes every bichromatic pair
+# as a candidate; above it, per-pair bounds drive dual-tree range searches.
+_SCAN_CUTOFF = 256
+# Every this-many-th distinct point of a class seeds the per-pair bounds.
+_SAMPLE_STRIDE = 16
 
 
 @dataclass(frozen=True)
@@ -99,8 +110,7 @@ class ColoredPointSet:
             raise InvalidInstanceError(f"color {high} out of range [0, {num_colors})")
         counts = np.bincount(colors, minlength=num_colors)
         if not counts.all():
-            missing = np.flatnonzero(counts == 0).tolist()
-            raise InvalidInstanceError(f"colors never used: {missing}")
+            raise InvalidInstanceError(_never_used_message(counts))
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "colors", colors)
@@ -155,6 +165,15 @@ class ColoredPointSet:
     def color_indices(self, color: int) -> np.ndarray:
         """Indexes of the points of one color, in input order."""
         return self._classes[color]
+
+
+def _never_used_message(counts: np.ndarray) -> str:
+    """Names the first few colors whose count is zero, and how many more."""
+    missing = np.flatnonzero(counts == 0)
+    message = f"colors never used: {missing[:_MISSING_SHOWN].tolist()}"
+    if len(missing) > _MISSING_SHOWN:
+        message += f" and {len(missing) - _MISSING_SHOWN} more"
+    return message
 
 
 def _column(values, dtype, what: str) -> np.ndarray:
@@ -230,47 +249,123 @@ def _unit_scaled(point_set: ColoredPointSet) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(point_set.xs, exponent), np.ldexp(point_set.ys, exponent)
 
 
-class _ClosestPairFinder:
+def _distinct_indices(point_set: ColoredPointSet, idx: np.ndarray) -> np.ndarray:
+    """The lowest index of each distinct coordinate among ``idx``, sorted.
+
+    Coincident points are exactly as far from any other point, so the
+    higher indexes lose every ``(distance, a, b)`` tie-break and dropping
+    them changes no witness.
+    """
+    # lexsort is stable, so each run of equal coordinates (0.0 and -0.0
+    # compare equal) starts at its lowest index.
+    xs, ys = point_set.xs[idx], point_set.ys[idx]
+    order = np.lexsort((ys, xs))
+    xs, ys = xs[order], ys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+    return np.sort(idx[order[first]])
+
+
+def _scan_candidates(point_set: ColoredPointSet) -> tuple[np.ndarray, np.ndarray]:
+    """Every bichromatic pair ``(a, b)``, with ``a`` of the lower color."""
+    a, b = np.triu_indices(len(point_set), 1)
+    colors = point_set.colors
+    keep = colors[a] != colors[b]
+    a, b = a[keep], b[keep]
+    swap = colors[a] > colors[b]
+    return np.where(swap, b, a), np.where(swap, a, b)
+
+
+def _pair_bounds(
+    reps: list[np.ndarray], trees: list[cKDTree], sx: np.ndarray, sy: np.ndarray
+) -> np.ndarray:
+    """A ``t x t`` symmetric matrix of upper bounds on the scaled closest
+    distance of each color pair.
+
+    Every ``_SAMPLE_STRIDE``-th point of each class is queried against the
+    other classes' trees, one batched query per tree.  One alternating
+    step then queries each sample's best neighbour back against the
+    sample's own class, which can only shorten the bound.
+    """
+    t = len(reps)
+    samples = [r[::_SAMPLE_STRIDE] for r in reps]
+    bound = np.full((t, t), np.inf)
+    # near[c, j]: the point of class j nearest to class c's best sample.
+    near = np.zeros((t, t), dtype=np.intp)
+    for j, tree in enumerate(trees):
+        others = [c for c in range(t) if c != j]
+        idx = np.concatenate([samples[c] for c in others])
+        owner = np.repeat(others, [len(samples[c]) for c in others])
+        dist, pos = tree.query(np.column_stack((sx[idx], sy[idx])))
+        # The first entry of each owner's run, ordered by distance.
+        order = np.lexsort((dist, owner))
+        head = order[np.r_[True, owner[order[1:]] != owner[order[:-1]]]]
+        bound[others, j] = dist[head]
+        near[others, j] = reps[j][pos[head]]
+    for c, tree in enumerate(trees):
+        others = [j for j in range(t) if j != c]
+        idx = near[c, others]
+        dist, _ = tree.query(np.column_stack((sx[idx], sy[idx])))
+        bound[others, c] = np.minimum(bound[others, c], dist)
+    return np.minimum(bound, bound.T)
+
+
+def _dual_tree_candidates(
+    point_set: ColoredPointSet, sx: np.ndarray, sy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bichromatic pairs ``(a, b)`` within each color pair's bound, ``a``
+    of the lower color, among the distinct points of each class.
+
+    Each pair's bound is met by an actual pair, so the closest pair of
+    every color pair is among the candidates.
+    """
+    t = point_set.num_colors
+    reps = [_distinct_indices(point_set, point_set.color_indices(c)) for c in range(t)]
+    trees = [cKDTree(np.column_stack((sx[r], sy[r]))) for r in reps]
+    bound = _pair_bounds(reps, trees, sx, sy).tolist()
+    pieces_a, pieces_b = [], []
+    for i in range(t):
+        for j in range(i + 1, t):
+            u = bound[i][j]
+            found = trees[i].sparse_distance_matrix(
+                trees[j], u + max(u * _CANDIDATE_SLACK, _ABS_SLACK), output_type="ndarray"
+            )
+            pieces_a.append(reps[i][found["i"]])
+            pieces_b.append(reps[j][found["j"]])
+    return np.concatenate(pieces_a), np.concatenate(pieces_b)
+
+
+def _closest_edges(point_set: ColoredPointSet) -> tuple[ColorPairWitness, ...]:
     """Bichromatic closest pairs for all color pairs of one point set.
 
-    The kd-trees hold unit-scaled coordinates; the exact pass measures the
-    original ones.
+    Candidates come from the full scan of a small set or from bounded
+    dual-tree passes over unit-scaled coordinates.  A scaled distance cut
+    per color pair keeps the near-minimal ones, and the exact pass on the
+    original coordinates picks the winner.
     """
-
-    def __init__(self, point_set: ColoredPointSet):
-        self._ps = point_set
-        self._trees: dict[int, cKDTree] = {}
-        self._sx, self._sy = _unit_scaled(point_set)
-
-    def _tree(self, color: int) -> cKDTree:
-        tree = self._trees.get(color)
-        if tree is None:
-            idx = self._ps.color_indices(color)
-            tree = cKDTree(np.column_stack((self._sx[idx], self._sy[idx])))
-            self._trees[color] = tree
-        return tree
-
-    def witness(self, ci: int, cj: int) -> ColorPairWitness:
-        ps = self._ps
-        idx_i = ps.color_indices(ci)
-        idx_j = ps.color_indices(cj)
-        tree = self._tree(ci)
-        sx, sy = self._sx, self._sy
-        dist, _ = tree.query(np.column_stack((sx[idx_j], sy[idx_j])))
-        dist = np.atleast_1d(dist)
-        dmin = float(dist.min())
-        cut = dmin + max(dmin * _CANDIDATE_SLACK, _ABS_SLACK)
-        best: tuple[float, int, int] | None = None
-        for pos_j in np.nonzero(dist <= cut)[0]:
-            b = int(idx_j[pos_j])
-            for pos_i in tree.query_ball_point((sx[b], sy[b]), cut):
-                a = int(idx_i[pos_i])
-                key = (ps.distance(a, b), a, b)
-                if best is None or key < best:
-                    best = key
-        assert best is not None
-        d, a, b = best
-        return ColorPairWitness(ci, cj, a, b, d)
+    sx, sy = _unit_scaled(point_set)
+    if len(point_set) <= _SCAN_CUTOFF:
+        a, b = _scan_candidates(point_set)
+    else:
+        a, b = _dual_tree_candidates(point_set, sx, sy)
+    t = point_set.num_colors
+    code = point_set.colors[a] * t + point_set.colors[b]
+    dist = np.hypot(sx[a] - sx[b], sy[a] - sy[b])
+    dmin = np.full(t * t, np.inf)
+    np.minimum.at(dmin, code, dist)
+    cut = dmin + np.maximum(dmin * _CANDIDATE_SLACK, _ABS_SLACK)
+    keep = dist <= cut[code]
+    best: dict[int, tuple[float, int, int]] = {}
+    for k, p, q in zip(code[keep].tolist(), a[keep].tolist(), b[keep].tolist()):
+        key = (point_set.distance(p, q), p, q)
+        if k not in best or key < best[k]:
+            best[k] = key
+    edges = []
+    for i in range(t):
+        for j in range(i + 1, t):
+            d, p, q = best[i * t + j]
+            edges.append(ColorPairWitness(i, j, p, q, d))
+    return tuple(edges)
 
 
 class _FarthestPairFinder:
@@ -299,14 +394,7 @@ class _FarthestPairFinder:
         return reps
 
     def _hull_indices(self, idx: np.ndarray) -> np.ndarray:
-        # lexsort is stable, so each run of equal coordinates (0.0 and -0.0
-        # compare equal) starts at its lowest index.
-        xs, ys = self._ps.xs[idx], self._ps.ys[idx]
-        order = np.lexsort((ys, xs))
-        xs, ys = xs[order], ys[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-        reps = np.sort(idx[order[first]])
+        reps = _distinct_indices(self._ps, idx)
         if len(reps) <= _HULL_CUTOFF:
             return reps
         try:
@@ -337,13 +425,12 @@ class _FarthestPairFinder:
 
 
 def _build_color_graph(point_set: ColoredPointSet, mode: str) -> ColorGraph:
-    finder = (
-        _ClosestPairFinder(point_set) if mode == CLOSEST else _FarthestPairFinder(point_set)
-    )
     t = point_set.num_colors
-    edges = tuple(
-        finder.witness(i, j) for i in range(t) for j in range(i + 1, t)
-    )
+    if mode == CLOSEST:
+        edges = _closest_edges(point_set)
+    else:
+        finder = _FarthestPairFinder(point_set)
+        edges = tuple(finder.witness(i, j) for i in range(t) for j in range(i + 1, t))
     for e in edges:
         if math.isinf(e.distance):
             raise InvalidInstanceError(

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ from colorspan.cli import (
     EXIT_OK,
     main,
 )
-from colorspan.fileio import parse_graph, parse_points
+from colorspan import ColoredPointSet
+from colorspan.fileio import parse_graph, parse_points, serialize_points
+from colorspan.generate import generate_points
 
 from conftest import FIXTURE_DIR
 
@@ -141,6 +144,18 @@ class TestSolve:
         assert code == EXIT_INVALID
         assert "line 3" in err
 
+    def test_huge_color_count_fails_fast(self, capsys, tmp_path):
+        # Two points cannot cover ten million colors; the error must not
+        # list (or even count) the colors.
+        f = tmp_path / "colors.points"
+        f.write_text("2 10000000\n0 0 0\n1 1 1\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "solve", str(f))
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == "invalid input: line 1: 2 points cannot cover 10000000 colors\n"
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "solve", "no-such-file.points")
         assert code == EXIT_INVALID
@@ -201,6 +216,23 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(f), "--debug-perturb", "0.001")
         assert code == EXIT_MISMATCH
         assert "MISMATCH" in out
+
+    def test_tiny_perturbation_is_caught_at_tiny_scale(self, capsys, tmp_path):
+        # Values near 1e-250 sit far inside any absolute tolerance, so the
+        # check must also compare relative to the oracle's value.
+        ps = generate_points(10, 4, seed=2)
+        f = tmp_path / "tiny.points"
+        f.write_text(
+            serialize_points(
+                ColoredPointSet(ps.xs * 1e-250, ps.ys * 1e-250, ps.colors, ps.num_colors)
+            )
+        )
+        code, out, _ = run(capsys, "check", str(f))
+        assert code == EXIT_OK
+        assert out.count("status=ok") == 3
+        code, out, _ = run(capsys, "check", str(f), "--debug-perturb", "1e-255")
+        assert code == EXIT_MISMATCH
+        assert out.count("status=MISMATCH") == 3
 
     def test_budget_exit_code(self, capsys, tmp_path):
         f = tmp_path / "big.points"

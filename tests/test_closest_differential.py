@@ -1,0 +1,86 @@
+"""The closest color graph builder against the exhaustive pair scan.
+
+Inputs cover what the accelerated candidate passes could get wrong:
+coordinates scaled by 2^-1000 to 2^1000, integer lattices and duplicate
+points (exact ties that only the index tie-break settles), collinear and
+single-point classes, set sizes on both sides of the full-scan cutoff and
+class sizes on both sides of the bound sampling stride.
+"""
+
+import time
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from colorspan import ColoredPointSet, build_closest_color_graph
+from colorspan.geometry import _SAMPLE_STRIDE, _SCAN_CUTOFF
+
+from conftest import exhaustive_color_extremes
+
+CLASS_SIZES = st.sampled_from(
+    [1, 2, _SAMPLE_STRIDE - 1, _SAMPLE_STRIDE, _SAMPLE_STRIDE + 1, 3 * _SAMPLE_STRIDE + 5]
+)
+
+
+@st.composite
+def closest_instances(draw):
+    t = draw(st.integers(2, 5))
+    sizes = [draw(CLASS_SIZES) for _ in range(t - 1)]
+    total = draw(
+        st.one_of(
+            st.integers(len(sizes) + 1, _SCAN_CUTOFF),
+            st.integers(_SCAN_CUTOFF + 1, _SCAN_CUTOFF + 40),
+        )
+    )
+    sizes.append(max(1, total - sum(sizes)))
+    n = sum(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["uniform", "lattice", "collinear"]))
+    if layout == "uniform":
+        xs, ys = rng.random(n), rng.random(n)
+    elif layout == "lattice":
+        side = draw(st.integers(1, 12))
+        xs = rng.integers(0, side, n).astype(float)
+        ys = rng.integers(0, side, n).astype(float)
+    else:
+        xs = rng.integers(-50, 50, n).astype(float)
+        ys = 3.0 * xs
+    if draw(st.booleans()):
+        # Copy some points onto others, across classes as well.
+        dup = rng.integers(0, n, n // 4)
+        src = rng.integers(0, n, n // 4)
+        xs[dup], ys[dup] = xs[src], ys[src]
+    colors = rng.permutation(np.repeat(np.arange(t), sizes))
+    exponent = draw(st.integers(-1000, 1000))
+    return ColoredPointSet(np.ldexp(xs, exponent), np.ldexp(ys, exponent), colors, t)
+
+
+class TestClosestMatchesScan:
+    @settings(max_examples=300, deadline=None)
+    @given(closest_instances())
+    def test_witnesses_equal_the_scan(self, ps):
+        graph = build_closest_color_graph(ps)
+        for (i, j), (d, a, b) in exhaustive_color_extremes(ps, "closest").items():
+            w = graph.witness(i, j)
+            assert (w.distance, w.point_a, w.point_b) == (d, a, b)
+
+    def test_coincident_points_on_few_sites(self):
+        # 80000 points on 25 lattice sites, shared by two colors.  Without
+        # deduplicating each class, the candidate pairs at distance 0 grow
+        # with the square of the points per site.
+        n = 80_000
+        rng = np.random.default_rng(4)
+        site = rng.integers(0, 25, n)
+        colors = rng.integers(0, 2, n)
+        colors[:2] = 0, 1
+        ps = ColoredPointSet((site % 5).astype(float), (site // 5).astype(float), colors, 2)
+        start = time.perf_counter()
+        w = build_closest_color_graph(ps).witness(0, 1)
+        assert time.perf_counter() - start < 10.0
+        # The lowest color-0 index at a site that color 1 also occupies,
+        # then the lowest color-1 index at that site.
+        shared = set(site[colors == 0].tolist()) & set(site[colors == 1].tolist())
+        a = min(i for i in range(n) if colors[i] == 0 and site[i] in shared)
+        b = min(i for i in range(n) if colors[i] == 1 and site[i] == site[a])
+        assert (w.distance, w.point_a, w.point_b) == (0.0, a, b)

@@ -67,7 +67,18 @@ class TestPointsFormat:
 
     def test_missing_color_rejected(self):
         with pytest.raises(ParseError, match="never used"):
+            parse_points("3 3\n0 0 0\n1 1 1\n2 2 0\n")
+
+    def test_more_colors_than_points_rejected(self):
+        with pytest.raises(ParseError, match="line 1: 2 points cannot cover 3 colors$"):
             parse_points("2 3\n0 0 0\n1 1 1\n")
+
+    def test_many_missing_colors_are_counted_not_listed(self):
+        text = "40 40\n" + "0 0 0\n" * 39 + "1 1 1\n"
+        with pytest.raises(
+            ParseError, match=r"never used: \[2, 3, 4, 5, 6, 7, 8, 9\] and 30 more$"
+        ):
+            parse_points(text)
 
 
 class TestGraphFormat:

@@ -76,7 +76,11 @@ class TestColoredPointSet:
             ([0.0, 1.0], [float("-inf"), 1.0], [0, 1], 2, "non-finite"),
             ([0.0, 1.0], [0.0, 1.0], [0, -1], 2, "negative color"),
             ([0.0, 1.0], [0.0, 1.0], [0, 2], 2, "out of range"),
-            ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0, 0, 2], 3, r"never used: \[1\]"),
+            ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0, 0, 2], 3, r"never used: \[1\]$"),
+            (
+                [0.0] * 30, [0.0] * 30, [0] * 29 + [5], 30,
+                r"never used: \[1, 2, 3, 4, 6, 7, 8, 9\] and 20 more$",
+            ),
             ([0.0, 1.0], [0.0, 1.0], [0, 1], 3, "cannot cover"),
             ([0.0], [0.0], [0], 1, "at least two"),
             ([0.0, 1.0], [0.0], [0, 1], 2, "equal lengths"),

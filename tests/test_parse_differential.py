@@ -68,9 +68,12 @@ def reference_parse_points(text):
             raise ParseError(no, f"color {c} out of range [0, {t})")
         seen.add(c)
         points.append(ColoredPoint(x, y, c))
-    missing = set(range(t)) - seen
+    if t > n:
+        raise ParseError(head_no, f"{n} points cannot cover {t} colors")
+    missing = sorted(set(range(t)) - seen)
     if missing:
-        raise ParseError(None, f"colors never used: {sorted(missing)}")
+        more = f" and {len(missing) - 8} more" if len(missing) > 8 else ""
+        raise ParseError(None, f"colors never used: {missing[:8]}{more}")
     return ColoredPointSet.from_points(points, t)
 
 
