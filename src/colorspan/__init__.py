@@ -46,7 +46,6 @@ from .matching import (
     min_weight_perfect_matching,
 )
 from .oracles import (
-    OracleBudget,
     brute_force_colorful_graph_matching,
     brute_force_geometric,
     brute_force_graph_matching,
@@ -77,7 +76,6 @@ __all__ = [
     "InvalidInstanceError",
     "Matching",
     "Objective",
-    "OracleBudget",
     "ParseError",
     "ReductionArtifact",
     "VertexColoredGraph",

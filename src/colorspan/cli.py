@@ -28,17 +28,14 @@ from .fileio import (
 )
 from .geometry import ColoredPointSet
 from .hardness import (
+    DEFAULT_MAX_STATES,
     VertexColoredGraph,
     certify_equivalence,
     reduce_is_to_mcis,
     reduce_mcis_to_mcim,
 )
 from .matching import Matching, WeightedGraph
-from .oracles import (
-    OracleBudget,
-    brute_force_colorful_graph_matching,
-    brute_force_geometric,
-)
+from .oracles import brute_force_colorful_graph_matching, brute_force_geometric
 from .render import render_svg
 from .solvers import (
     ColorSpanningMatching,
@@ -208,7 +205,7 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if record.status == "solved" else EXIT_INFEASIBLE
 
 
-def _oracle_record(text: str, objective: Objective, budget: OracleBudget) -> ResultRecord:
+def _oracle_record(text: str, objective: Objective, budget: int) -> ResultRecord:
     if sniff_kind(text) == "points":
         ps = parse_points(text)
         start = time.perf_counter()
@@ -227,7 +224,7 @@ def _oracle_record(text: str, objective: Objective, budget: OracleBudget) -> Res
 def _cmd_oracle(args) -> int:
     text = _read_input(args.input)
     objective = Objective.from_string(args.objective)
-    record = _oracle_record(text, objective, OracleBudget(args.budget))
+    record = _oracle_record(text, objective, args.budget)
     _emit_record(record, args.json, args.out)
     return EXIT_OK if record.status == "solved" else EXIT_INFEASIBLE
 
@@ -278,7 +275,6 @@ def _check_graph_instance(g: VertexColoredGraph, budget, tolerance, perturb) -> 
 
 
 def _cmd_check(args) -> int:
-    budget = OracleBudget(args.budget)
     perturb = args.debug_perturb
     failures = 0
     if args.sweep is not None:
@@ -291,12 +287,12 @@ def _cmd_check(args) -> int:
                 ps = generate.generate_matching_instance(k, seed, args.max_class_size)
                 failures += len(
                     _check_points_instance(
-                        ps, tuple(_GEOMETRIC_SOLVERS), budget, args.tolerance, perturb
+                        ps, tuple(_GEOMETRIC_SOLVERS), args.budget, args.tolerance, perturb
                     )
                 )
             else:
                 g = generate.generate_colorful_matching_instance(k, seed)
-                failures += len(_check_graph_instance(g, budget, args.tolerance, perturb))
+                failures += len(_check_graph_instance(g, args.budget, args.tolerance, perturb))
         print(f"sweep={args.sweep} failures={failures}")
         return EXIT_OK if failures == 0 else EXIT_MISMATCH
     if args.input is None:
@@ -313,13 +309,13 @@ def _cmd_check(args) -> int:
             if objective not in _GEOMETRIC_SOLVERS:
                 raise InvalidInstanceError(f"objective {objective.value!r} has no solver")
         failures = len(
-            _check_points_instance(ps, objectives, budget, args.tolerance, perturb)
+            _check_points_instance(ps, objectives, args.budget, args.tolerance, perturb)
         )
     else:
         g = parse_graph(text)
         if not isinstance(g, VertexColoredGraph):
             raise InvalidInstanceError("check needs a colored graph (t > 0)")
-        failures = len(_check_graph_instance(g, budget, args.tolerance, perturb))
+        failures = len(_check_graph_instance(g, args.budget, args.tolerance, perturb))
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 
@@ -399,7 +395,7 @@ def _cmd_render(args) -> int:
             raise InvalidInstanceError("result pairs do not match this point file")
         objective = Objective.from_string(record.objective)
         recomputed = ColorSpanningMatching.from_pairs(ps, record.pairs).value(objective)
-        if abs(recomputed - record.value) > DEFAULT_TOLERANCE:
+        if not _agrees(record.value, recomputed, DEFAULT_TOLERANCE):
             raise InvalidInstanceError(
                 f"result value {record.value!r} does not match these points "
                 f"(recomputed {recomputed!r})"
@@ -444,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="run the exhaustive reference solver")
     oracle.add_argument("input")
     oracle.add_argument("--objective", default="minsum")
-    oracle.add_argument("--budget", type=int, default=OracleBudget().max_states)
+    oracle.add_argument("--budget", type=int, default=DEFAULT_MAX_STATES)
     oracle.add_argument("--json", action="store_true")
     oracle.add_argument("--out")
     oracle.set_defaults(func=_cmd_oracle)
@@ -452,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="compare solver against oracle")
     check.add_argument("input", nargs="?")
     check.add_argument("--objective", default="all")
-    check.add_argument("--budget", type=int, default=OracleBudget().max_states)
+    check.add_argument("--budget", type=int, default=DEFAULT_MAX_STATES)
     check.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     check.add_argument("--sweep", type=int, help="check this many generated instances")
     check.add_argument("--kind", choices=("points", "graph"), default="points")
@@ -477,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     certify = sub.add_parser("certify", help="certify the reduction chain on one instance")
     certify.add_argument("input")
     certify.add_argument("--k", type=int, required=True)
-    certify.add_argument("--budget", type=int, default=OracleBudget().max_states)
+    certify.add_argument("--budget", type=int, default=DEFAULT_MAX_STATES)
     certify.set_defaults(func=_cmd_certify)
 
     render = sub.add_parser("render", help="render a solved matching as SVG")

@@ -3,7 +3,8 @@
 All randomness flows through ``numpy.random.default_rng`` seeded with the
 caller's seed, i.e. the PCG64 generator with numpy's documented stream
 constants, so a given seed produces the same instance on every platform
-and every run.
+and every run.  Seeds must be non-negative; out-of-range arguments raise
+:class:`~colorspan.errors.InvalidInstanceError`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,16 @@ from .matching import WeightedGraph
 DISTRIBUTIONS = ("uniform", "clusters")
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidInstanceError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _color_assignment(rng, n: int, num_colors: int, max_class_size: int | None) -> np.ndarray:
     """Random colors covering every label, optionally capping class sizes."""
+    if num_colors < 1:
+        raise InvalidInstanceError(f"color count must be positive, got {num_colors}")
     if num_colors > n:
         raise InvalidInstanceError(f"cannot cover {num_colors} colors with {n} points")
     base = np.arange(num_colors)
@@ -51,7 +60,7 @@ def generate_points(
         raise InvalidInstanceError(
             f"unknown distribution {distribution!r}; expected one of {DISTRIBUTIONS}"
         )
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     colors = _color_assignment(rng, n, num_colors, max_class_size)
     if distribution == "uniform":
         coords = rng.random((n, 2))
@@ -69,7 +78,9 @@ def generate_matching_instance(k: int, seed: int, max_class_size: int = 5) -> Co
     """
     if k < 1:
         raise InvalidInstanceError("k must be positive")
-    rng = np.random.default_rng(seed)
+    if max_class_size < 1:
+        raise InvalidInstanceError(f"max class size must be positive, got {max_class_size}")
+    rng = _rng(seed)
     t = 2 * k
     sizes = rng.integers(1, max_class_size + 1, size=t)
     colors = rng.permutation(np.repeat(np.arange(t), sizes))
@@ -87,7 +98,7 @@ def generate_colored_graph(
     """Random simple vertex-colored graph, every color present."""
     if not 0.0 <= edge_prob <= 1.0:
         raise InvalidInstanceError(f"edge probability must be in [0, 1], got {edge_prob}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     colors = _color_assignment(rng, n, num_colors, None)
     edges = []
     for u in range(n):
@@ -107,7 +118,7 @@ def generate_colorful_matching_instance(
     t = 2 * k
     if max_vertices < t:
         raise InvalidInstanceError(f"need at least {t} vertices, got cap {max_vertices}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     n = int(rng.integers(t, max_vertices + 1))
     sub_seed = int(rng.integers(0, 2**63 - 1))
     return generate_colored_graph(n, t, sub_seed, edge_prob=edge_prob)
@@ -117,7 +128,7 @@ def generate_uncolored_graph(n: int, seed: int, edge_prob: float = 0.5) -> Weigh
     """Random simple uncolored graph with unit weights."""
     if not 0.0 <= edge_prob <= 1.0:
         raise InvalidInstanceError(f"edge probability must be in [0, 1], got {edge_prob}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -128,7 +139,7 @@ def generate_uncolored_graph(n: int, seed: int, edge_prob: float = 0.5) -> Weigh
 
 def generate_complete_weighted_graph(n: int, seed: int) -> WeightedGraph:
     """Complete graph on n vertices with uniform random weights."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     edges = [
         (u, v, float(rng.random())) for u in range(n) for v in range(u + 1, n)
     ]

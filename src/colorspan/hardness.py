@@ -16,6 +16,15 @@ Two constructions are implemented:
 ``certify_equivalence`` runs the chain end to end on one instance and
 checks that all three feasibility answers agree, lifting the colorful
 witnesses back to source vertices through the recorded provenance.
+
+This module also holds the exhaustive-search core shared with
+:mod:`colorspan.oracles`: the state budget (``DEFAULT_MAX_STATES`` and
+``check_budget``, which raises :class:`BudgetExceededError` before any
+enumeration whose predicted state count exceeds ``max_states``) and
+``colorful_edge_sets``, the enumerator of cross-color edge sets that cover
+every color once.  ``brute_force_mcim`` takes the first such set whose
+edges are pairwise independent; the colorful graph oracle takes the one of
+minimum total weight.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceededError, EquivalenceViolationError, InvalidInstanceError
 from .matching import WeightedGraph
@@ -189,6 +198,54 @@ def reduce_mcis_to_mcim(g: VertexColoredGraph) -> ReductionArtifact:
     return ReductionArtifact(graph=graph, provenance=provenance)
 
 
+def check_budget(states: int, max_states: int) -> None:
+    """Refuse an enumeration whose predicted state count exceeds the budget."""
+    if states > max_states:
+        raise BudgetExceededError(
+            f"{states} candidate states exceed the budget of {max_states}"
+        )
+
+
+def colorful_edge_sets(
+    g: VertexColoredGraph,
+    max_states: int,
+    fits: Callable[[int, list[int]], bool] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Every set of ``num_colors / 2`` cross-color edges covering each color
+    once, as positions into ``g.edges``; the color count must be even.
+
+    The search covers the lowest uncovered color first, taking its
+    cross-color edges in edge order.  ``fits(pos, chosen)``, when given,
+    prunes edge ``pos`` against the positions chosen so far.  The budget
+    is checked on the call, against the number of edge subsets of that
+    size.
+    """
+    colors, k = g.colors, g.num_colors // 2
+    by_color: list[list[tuple[int, int, int]]] = [[] for _ in range(g.num_colors)]
+    for pos, (u, v) in enumerate(g.edges):
+        cu, cv = colors[u], colors[v]
+        if cu != cv:
+            by_color[min(cu, cv)].append((pos, cu, cv))
+    check_budget(math.comb(sum(map(len, by_color)), k), max_states)
+    covered = [False] * g.num_colors
+    chosen: list[int] = []
+
+    def extend() -> Iterator[tuple[int, ...]]:
+        if len(chosen) == k:
+            yield tuple(chosen)
+            return
+        for pos, cu, cv in by_color[covered.index(False)]:
+            if covered[cu] or covered[cv] or (fits is not None and not fits(pos, chosen)):
+                continue
+            covered[cu] = covered[cv] = True
+            chosen.append(pos)
+            yield from extend()
+            chosen.pop()
+            covered[cu] = covered[cv] = False
+
+    return extend()
+
+
 def find_k_independent_set(
     g: WeightedGraph, k: int, max_states: int = DEFAULT_MAX_STATES
 ) -> tuple[int, ...] | None:
@@ -198,16 +255,9 @@ def find_k_independent_set(
     n = g.num_vertices
     if k > n:
         return None
-    if math.comb(n, k) > max_states:
-        raise BudgetExceededError(
-            f"{math.comb(n, k)} candidate subsets exceed the budget of {max_states}"
-        )
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v, _ in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    check_budget(math.comb(n, k), max_states)
     for subset in combinations(range(n), k):
-        if all(v not in adj[u] for u, v in combinations(subset, 2)):
+        if not any(g.has_edge(u, v) for u, v in combinations(subset, 2)):
             return subset
     return None
 
@@ -223,11 +273,7 @@ def brute_force_mcis(
     classes = g.color_classes
     if any(not cls for cls in classes):
         return None
-    states = math.prod(len(cls) for cls in classes)
-    if states > max_states:
-        raise BudgetExceededError(
-            f"{states} candidate selections exceed the budget of {max_states}"
-        )
+    check_budget(math.prod(len(cls) for cls in classes), max_states)
     adj = g.adjacency
     chosen: list[int] = []
 
@@ -254,51 +300,23 @@ def brute_force_mcim(
     carry pairwise distinct colors, with no graph edge joining endpoints
     of two different chosen edges.  The two endpoints of a single chosen
     edge are of course adjacent; only cross-edge adjacency is forbidden.
+    This is the first of :func:`colorful_edge_sets` whose edges are
+    pairwise independent.
     """
     t = g.num_colors
     if t % 2 or t < 2:
         raise InvalidInstanceError("colorful matching needs an even, positive color count")
-    k = t // 2
-    cross = [(u, v) for u, v in g.edges if g.colors[u] != g.colors[v]]
-    predicted = math.comb(len(cross), k) if len(cross) >= k else 0
-    if predicted > max_states:
-        raise BudgetExceededError(
-            f"{predicted} candidate edge subsets exceed the budget of {max_states}"
-        )
-    by_color: list[list[tuple[int, int]]] = [[] for _ in range(t)]
-    for u, v in cross:
-        low = min(g.colors[u], g.colors[v])
-        by_color[low].append((u, v))
-    adj = g.adjacency
-    chosen: list[tuple[int, int]] = []
-    covered = [False] * t
+    edges, adj = g.edges, g.adjacency
 
-    def independent_with_chosen(u: int, v: int) -> bool:
-        for x, y in chosen:
+    def independent_with_chosen(pos: int, chosen: list[int]) -> bool:
+        u, v = edges[pos]
+        for x, y in map(edges.__getitem__, chosen):
             if u in adj[x] or u in adj[y] or v in adj[x] or v in adj[y]:
                 return False
         return True
 
-    def extend() -> bool:
-        try:
-            c = covered.index(False)
-        except ValueError:
-            return True
-        for u, v in by_color[c]:
-            cu, cv = g.colors[u], g.colors[v]
-            if covered[cu] or covered[cv]:
-                continue
-            if not independent_with_chosen(u, v):
-                continue
-            chosen.append((u, v))
-            covered[cu] = covered[cv] = True
-            if extend():
-                return True
-            covered[cu] = covered[cv] = False
-            chosen.pop()
-        return False
-
-    return tuple(chosen) if extend() else None
+    found = next(colorful_edge_sets(g, max_states, independent_with_chosen), None)
+    return None if found is None else tuple(edges[pos] for pos in found)
 
 
 @dataclass(frozen=True)

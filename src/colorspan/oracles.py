@@ -9,33 +9,25 @@ colorful edge subset.  The geometric enumeration is evaluated in numpy
 chunks for speed, but the candidate space is exactly the stated one.
 
 Enumerations refuse to start when the predicted state count exceeds the
-budget, raising :class:`~colorspan.errors.BudgetExceededError`.
+``max_states`` budget, raising :class:`~colorspan.errors.BudgetExceededError`
+through the one check in :mod:`colorspan.hardness`, which also owns the
+colorful edge-set enumerator behind the colorful oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidInstanceError
+from .errors import InvalidInstanceError
 from .geometry import ColoredPointSet
-from .hardness import VertexColoredGraph
+from .hardness import DEFAULT_MAX_STATES, VertexColoredGraph, check_budget, colorful_edge_sets
 from .matching import Matching, WeightedGraph
 from .solvers import ColorSpanningMatching, Objective
 
-DEFAULT_MAX_STATES = 10_000_000
-
 _CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class OracleBudget:
-    """Cap on the number of candidates an oracle may enumerate."""
-
-    max_states: int = DEFAULT_MAX_STATES
 
 
 def perfect_pairings(items: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -67,24 +59,16 @@ def pairing_count(m: int) -> int:
     return out
 
 
-def _check_budget(states: int, budget: OracleBudget) -> None:
-    if states > budget.max_states:
-        raise BudgetExceededError(
-            f"{states} candidate states exceed the budget of {budget.max_states}"
-        )
-
-
 def brute_force_geometric(
     point_set: ColoredPointSet,
     objective: Objective,
-    budget: OracleBudget | None = None,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> ColorSpanningMatching:
     """Exact optimum over every color-spanning matching of the point set.
 
     Enumerates every choice of one representative per color and, for each
     choice, every perfect pairing of the representatives.
     """
-    budget = budget or OracleBudget()
     t = point_set.num_colors
     if t % 2:
         raise InvalidInstanceError(
@@ -93,7 +77,7 @@ def brute_force_geometric(
     classes = [point_set.color_indices(c) for c in range(t)]
     sizes = tuple(len(c) for c in classes)
     combos = math.prod(sizes)
-    _check_budget(combos * pairing_count(t), budget)
+    check_budget(combos * pairing_count(t), max_states)
 
     xs, ys = point_set.xs, point_set.ys
     dmat: dict[tuple[int, int], np.ndarray] = {}
@@ -136,48 +120,35 @@ def brute_force_geometric(
 def brute_force_graph_matching(
     g: WeightedGraph,
     objective: Objective,
-    budget: OracleBudget | None = None,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> Matching | None:
-    """Exact optimum over every perfect matching of ``g``, or None."""
-    budget = budget or OracleBudget()
+    """Exact optimum over every perfect matching of ``g``, or None.
+
+    Walks :func:`perfect_pairings` of all vertices and skips each pairing
+    that uses a missing edge.
+    """
     n = g.num_vertices
     if n == 0:
         return Matching.empty()
-    if n % 2:
-        return None
-    _check_budget(pairing_count(n), budget)
+    check_budget(pairing_count(n), max_states)
 
     wmap = g.weight_map
     maximize = objective in (Objective.MAXSUM, Objective.MAXMIN)
     summed = objective in (Objective.MINSUM, Objective.MAXSUM)
     best_val: float | None = None
     best_edges: tuple[tuple[int, int], ...] | None = None
-
-    def evaluate(chosen: list[tuple[int, int]]) -> float:
-        # chosen comes out sorted by construction, matching the canonical
-        # statistic order used by Matching, so sums compare bit-exactly.
-        ws = [wmap[e] for e in chosen]
+    for pairing in perfect_pairings(range(n)):
+        if not all(e in wmap for e in pairing):
+            continue
+        # Pairings come out sorted, the canonical statistic order used by
+        # Matching, so sums compare bit-exactly.
+        ws = [wmap[e] for e in pairing]
         if summed:
-            return sum(ws)
-        return max(ws) if objective is Objective.MINMAX else min(ws)
-
-    def extend(remaining: tuple[int, ...], chosen: list[tuple[int, int]]) -> None:
-        nonlocal best_val, best_edges
-        if not remaining:
-            v = evaluate(chosen)
-            if best_val is None or (v > best_val if maximize else v < best_val):
-                best_val = v
-                best_edges = tuple(chosen)
-            return
-        u = remaining[0]
-        rest = remaining[1:]
-        for i, v in enumerate(rest):
-            if (u, v) in wmap:
-                chosen.append((u, v))
-                extend(rest[:i] + rest[i + 1 :], chosen)
-                chosen.pop()
-
-    extend(tuple(range(n)), [])
+            v = sum(ws)
+        else:
+            v = max(ws) if objective is Objective.MINMAX else min(ws)
+        if best_val is None or (v > best_val if maximize else v < best_val):
+            best_val, best_edges = v, pairing
     if best_edges is None:
         return None
     return Matching.from_edges(g, best_edges)
@@ -185,56 +156,24 @@ def brute_force_graph_matching(
 
 def brute_force_colorful_graph_matching(
     g: VertexColoredGraph,
-    budget: OracleBudget | None = None,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> Matching | None:
     """Minimum-weight colorful perfect matching by exhaustive search.
 
-    Walks every set of cross-color edges whose endpoints cover each color
-    exactly once, or returns None when no such set exists (including when
-    the color count is odd).
+    Takes the minimum total over :func:`~colorspan.hardness.colorful_edge_sets`
+    (the first in enumeration order on ties), or returns None when no such
+    set exists (including when the color count is odd).
     """
-    budget = budget or OracleBudget()
     t = g.num_colors
     if t % 2 or t == 0:
         return None
-    k = t // 2
-    cross = [
-        (pos, u, v) for pos, (u, v) in enumerate(g.edges) if g.colors[u] != g.colors[v]
-    ]
-    _check_budget(math.comb(len(cross), k) if len(cross) >= k else 0, budget)
-
-    by_color: list[list[tuple[int, int, int]]] = [[] for _ in range(t)]
-    for pos, u, v in cross:
-        by_color[min(g.colors[u], g.colors[v])].append((pos, u, v))
-
+    weights = [g.weight(pos) for pos in range(len(g.edges))]
     best_val: float | None = None
-    best: tuple[tuple[int, int, float], ...] | None = None
-    covered = [False] * t
-    chosen: list[tuple[int, int, float]] = []
-
-    def evaluate() -> float:
-        return sum(w for _, _, w in sorted(chosen))
-
-    def extend() -> None:
-        nonlocal best_val, best
-        if len(chosen) == k:
-            v = evaluate()
-            if best_val is None or v < best_val:
-                best_val = v
-                best = tuple(chosen)
-            return
-        c = covered.index(False)
-        for pos, u, v in by_color[c]:
-            cu, cv = g.colors[u], g.colors[v]
-            if covered[cu] or covered[cv]:
-                continue
-            covered[cu] = covered[cv] = True
-            chosen.append((u, v, g.weight(pos)))
-            extend()
-            chosen.pop()
-            covered[cu] = covered[cv] = False
-
-    extend()
+    best: tuple[int, ...] | None = None
+    for chosen in colorful_edge_sets(g, max_states):
+        v = sum(weights[pos] for pos in sorted(chosen))
+        if best_val is None or v < best_val:
+            best_val, best = v, chosen
     if best is None:
         return None
-    return Matching.from_weighted_edges(best)
+    return Matching.from_weighted_edges((*g.edges[pos], weights[pos]) for pos in best)

@@ -3,6 +3,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from colorspan.cli import (
     EXIT_BUDGET,
@@ -67,6 +69,59 @@ class TestGen:
     def test_odd_t_without_flag_allowed(self, capsys):
         code, _, _ = run(capsys, "gen", "points", "--n", "9", "--t", "3", "--seed", "0")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "points", "--n", "4", "--t", "0"],
+            ["gen", "graph", "--n", "4", "--k", "0"],
+            ["gen", "graph", "--n", "4", "--k", "-1"],
+            ["check", "--sweep", "1", "--max-class-size", "0"],
+            ["check", "--sweep", "1", "--max-class-size", "-2"],
+            ["gen", "points", "--n", "4", "--t", "2", "--seed", "-1"],
+            ["gen", "graph", "--n", "4", "--k", "1", "--seed", "-1"],
+            ["check", "--sweep", "1", "--seed", "-1"],
+            ["check", "--sweep", "1", "--kind", "graph", "--seed", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_arguments_are_invalid_input(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_INVALID
+        assert err.startswith("invalid input:")
+        assert "Traceback" not in err
+
+
+SMALL_INTS = st.integers(-3, 6).map(str)
+
+
+@st.composite
+def generator_argvs(draw):
+    """``gen`` and ``check --sweep`` argument lists with small, possibly
+    out-of-range numbers."""
+    kind = draw(st.sampled_from(["points", "graph"]))
+    if draw(st.booleans()):
+        argv = ["gen", kind, "--n", draw(SMALL_INTS), "--seed", draw(SMALL_INTS)]
+        if kind == "points":
+            return argv + ["--t", draw(SMALL_INTS), "--max-class-size", draw(SMALL_INTS)]
+        return argv + ["--k", draw(SMALL_INTS), "--edge-prob", repr(draw(st.floats(-0.5, 1.5)))]
+    return [
+        "check", "--sweep", draw(SMALL_INTS), "--kind", kind,
+        "--seed", draw(SMALL_INTS), "--max-class-size", draw(SMALL_INTS),
+    ]
+
+
+class TestCliFuzz:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(generator_argvs())
+    def test_exit_code_is_documented(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_BUDGET, EXIT_MISMATCH)
+        assert "Traceback" not in err
 
 
 class TestSolve:
@@ -355,6 +410,27 @@ class TestRender:
         payload["value"] = payload["value"] + 0.5
         result.write_text(json.dumps(payload))
         code, _, err = run(capsys, "render", FIG1, "--result", str(result), "--out", str(tmp_path / "x.svg"))
+        assert code == EXIT_INVALID
+        assert "does not match" in err
+
+    def test_tiny_value_error_rejected_at_tiny_scale(self, capsys, tmp_path):
+        # At 1e-250 scale any absolute tolerance accepts every value; the
+        # recorded value must also agree relative to the recomputed one.
+        ps = generate_points(10, 4, seed=2)
+        f = tmp_path / "tiny.points"
+        f.write_text(
+            serialize_points(
+                ColoredPointSet(ps.xs * 1e-250, ps.ys * 1e-250, ps.colors, ps.num_colors)
+            )
+        )
+        result = tmp_path / "r.json"
+        run(capsys, "solve", str(f), "--objective", "minsum", "--json", "--out", str(result))
+        code, _, _ = run(capsys, "render", str(f), "--result", str(result), "--out", str(tmp_path / "ok.svg"))
+        assert code == EXIT_OK
+        payload = json.loads(result.read_text())
+        payload["value"] = payload["value"] + 1e-255
+        result.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "render", str(f), "--result", str(result), "--out", str(tmp_path / "x.svg"))
         assert code == EXIT_INVALID
         assert "does not match" in err
 

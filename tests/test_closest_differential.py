@@ -1,10 +1,12 @@
-"""The closest color graph builder against the exhaustive pair scan.
+"""The closest and farthest color graph builders against the exhaustive
+pair scan.
 
 Inputs cover what the accelerated candidate passes could get wrong:
 coordinates scaled by 2^-1000 to 2^1000, integer lattices and duplicate
 points (exact ties that only the index tie-break settles), collinear and
-single-point classes, set sizes on both sides of the full-scan cutoff and
-class sizes on both sides of the bound sampling stride.
+single-point classes, circles on which every point is a hull vertex, set
+sizes on both sides of the full-scan cutoff and class sizes on both sides
+of the bound sampling stride and of the hull cutoff.
 """
 
 import time
@@ -13,18 +15,28 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorspan import ColoredPointSet, build_closest_color_graph
-from colorspan.geometry import _SAMPLE_STRIDE, _SCAN_CUTOFF
+from colorspan import ColoredPointSet, build_closest_color_graph, build_farthest_color_graph
+from colorspan.geometry import _HULL_CUTOFF, _SAMPLE_STRIDE, _SCAN_CUTOFF
 
 from conftest import exhaustive_color_extremes
 
 CLASS_SIZES = st.sampled_from(
-    [1, 2, _SAMPLE_STRIDE - 1, _SAMPLE_STRIDE, _SAMPLE_STRIDE + 1, 3 * _SAMPLE_STRIDE + 5]
+    [
+        1,
+        2,
+        _SAMPLE_STRIDE - 1,
+        _SAMPLE_STRIDE,
+        _SAMPLE_STRIDE + 1,
+        _HULL_CUTOFF - 1,
+        _HULL_CUTOFF,
+        _HULL_CUTOFF + 1,
+        3 * _SAMPLE_STRIDE + 5,
+    ]
 )
 
 
 @st.composite
-def closest_instances(draw):
+def extreme_instances(draw):
     t = draw(st.integers(2, 5))
     sizes = [draw(CLASS_SIZES) for _ in range(t - 1)]
     total = draw(
@@ -36,16 +48,19 @@ def closest_instances(draw):
     sizes.append(max(1, total - sum(sizes)))
     n = sum(sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    layout = draw(st.sampled_from(["uniform", "lattice", "collinear"]))
+    layout = draw(st.sampled_from(["uniform", "lattice", "collinear", "circle"]))
     if layout == "uniform":
         xs, ys = rng.random(n), rng.random(n)
     elif layout == "lattice":
         side = draw(st.integers(1, 12))
         xs = rng.integers(0, side, n).astype(float)
         ys = rng.integers(0, side, n).astype(float)
-    else:
+    elif layout == "collinear":
         xs = rng.integers(-50, 50, n).astype(float)
         ys = 3.0 * xs
+    else:
+        angles = rng.random(n) * (2 * np.pi)
+        xs, ys = np.cos(angles), np.sin(angles)
     if draw(st.booleans()):
         # Copy some points onto others, across classes as well.
         dup = rng.integers(0, n, n // 4)
@@ -58,12 +73,16 @@ def closest_instances(draw):
 
 class TestClosestMatchesScan:
     @settings(max_examples=300, deadline=None)
-    @given(closest_instances())
+    @given(extreme_instances())
     def test_witnesses_equal_the_scan(self, ps):
-        graph = build_closest_color_graph(ps)
-        for (i, j), (d, a, b) in exhaustive_color_extremes(ps, "closest").items():
-            w = graph.witness(i, j)
-            assert (w.distance, w.point_a, w.point_b) == (d, a, b)
+        for build, mode in (
+            (build_closest_color_graph, "closest"),
+            (build_farthest_color_graph, "farthest"),
+        ):
+            graph = build(ps)
+            for (i, j), (d, a, b) in exhaustive_color_extremes(ps, mode).items():
+                w = graph.witness(i, j)
+                assert (mode, w.distance, w.point_a, w.point_b) == (mode, d, a, b)
 
     def test_coincident_points_on_few_sites(self):
         # 80000 points on 25 lattice sites, shared by two colors.  Without

@@ -8,7 +8,6 @@ from colorspan import (
     ColoredPoint,
     ColoredPointSet,
     Objective,
-    OracleBudget,
     VertexColoredGraph,
     WeightedGraph,
     brute_force_colorful_graph_matching,
@@ -89,7 +88,7 @@ class TestGeometricOracle:
     def test_budget_exceeded(self):
         ps = generate_points(50, 20, seed=1)
         with pytest.raises(BudgetExceededError):
-            brute_force_geometric(ps, Objective.MINSUM, OracleBudget(max_states=1000))
+            brute_force_geometric(ps, Objective.MINSUM, max_states=1000)
 
     def test_relabeling_invariance(self):
         ps = generate_matching_instance(2, 42)
@@ -126,7 +125,7 @@ class TestGraphOracle:
     def test_budget_exceeded(self):
         g = WeightedGraph(20, [(u, v, 1.0) for u in range(20) for v in range(u + 1, 20)])
         with pytest.raises(BudgetExceededError):
-            brute_force_graph_matching(g, Objective.MINSUM, OracleBudget(max_states=100))
+            brute_force_graph_matching(g, Objective.MINSUM, max_states=100)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_vertex_relabeling_invariance(self, seed):
@@ -171,4 +170,4 @@ class TestColorfulGraphOracle:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
         g = VertexColoredGraph(n, colors, edges, 4)
         with pytest.raises(BudgetExceededError):
-            brute_force_colorful_graph_matching(g, OracleBudget(max_states=10))
+            brute_force_colorful_graph_matching(g, max_states=10)
