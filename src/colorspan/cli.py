@@ -278,6 +278,10 @@ def _cmd_check(args) -> int:
     perturb = args.debug_perturb
     failures = 0
     if args.sweep is not None:
+        if args.sweep < 1:
+            raise InvalidInstanceError(f"sweep count must be positive, got {args.sweep}")
+        if args.seed < 0:
+            raise InvalidInstanceError(f"seed must be non-negative, got {args.seed}")
         k_values = _parse_k_list(args.k_list)
         for i in range(args.sweep):
             k = k_values[i % len(k_values)]

@@ -8,11 +8,12 @@ point-set model and those two graph builders.
 
 Distances are Euclidean.  Every distance that ends up in a result comes
 from ``math.hypot`` on the original coordinates, and only that exact final
-pass decides.  The earlier passes just narrow down candidates: closest
-candidates come from a full scan of a small set, or from dual-tree range
-searches bounded per color pair; farthest candidates from the convex hulls.
-Builders are therefore exact and deterministic, with ties broken toward
-the lexicographically smallest pair of point indexes.
+pass decides.  The earlier passes just narrow down candidates: a small set
+takes every bichromatic pair; in a larger one, closest candidates come from
+dual-tree range searches bounded per color pair, farthest candidates from
+the outer points of each class.  Builders are therefore exact and
+deterministic, with ties broken toward the lexicographically smallest pair
+of point indexes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import cKDTree
 
 from .errors import InvalidInstanceError
 
@@ -35,17 +36,18 @@ FARTHEST = "farthest"
 _CANDIDATE_SLACK = 1e-9
 _ABS_SLACK = 1e-12
 
-# Below this many distinct coordinates a full scan beats building a hull.
-_HULL_CUTOFF = 32
-
 # A "colors never used" message lists at most this many colors.
 _MISSING_SHOWN = 8
 
-# Up to this many points the closest builder takes every bichromatic pair
-# as a candidate; above it, per-pair bounds drive dual-tree range searches.
+# Up to this many points both builders take every bichromatic pair as a
+# candidate: below it, the per-class passes cost more than they save.
 _SCAN_CUTOFF = 256
 # Every this-many-th distinct point of a class seeds the per-pair bounds.
 _SAMPLE_STRIDE = 16
+
+# Directions, in angular order, whose extreme points span an inner polygon.
+_ANGLES = np.arange(2 * 16) * (np.pi / 16)
+_COS, _SIN = np.cos(_ANGLES), np.sin(_ANGLES)
 
 
 @dataclass(frozen=True)
@@ -241,8 +243,8 @@ def _unit_scaled(point_set: ColoredPointSet) -> tuple[np.ndarray, np.ndarray]:
 
     The scaling is exact (up to underflow far below any candidate slack),
     so the accelerated passes see well-scaled input at every coordinate
-    scale: kd-tree squared distances cannot overflow, hull and candidate
-    arithmetic cannot underflow, and no difference overflows.
+    scale: kd-tree squared distances cannot overflow, outer-point and
+    candidate arithmetic cannot underflow, and no difference overflows.
     """
     peak = max(float(np.abs(point_set.xs).max()), float(np.abs(point_set.ys).max()))
     exponent = -math.frexp(peak)[1]
@@ -335,109 +337,105 @@ def _dual_tree_candidates(
     return np.concatenate(pieces_a), np.concatenate(pieces_b)
 
 
-def _closest_edges(point_set: ColoredPointSet) -> tuple[ColorPairWitness, ...]:
-    """Bichromatic closest pairs for all color pairs of one point set.
-
-    Candidates come from the full scan of a small set or from bounded
-    dual-tree passes over unit-scaled coordinates.  A scaled distance cut
-    per color pair keeps the near-minimal ones, and the exact pass on the
-    original coordinates picks the winner.
+def _exact_edges(
+    point_set: ColoredPointSet, a: np.ndarray, b: np.ndarray,
+    sx: np.ndarray, sy: np.ndarray, sign: int,
+) -> tuple[ColorPairWitness, ...]:
+    """Each color pair's smallest ``(sign * distance, a, b)`` among the
+    candidate pairs ``(a, b)``, ``a`` of the lower color: the closest pair
+    for ``sign = 1``, the farthest for ``sign = -1``.  Only candidates
+    within a slack cut of their pair's extreme on the scaled distances
+    reach the exact pass on the original coordinates.
     """
-    sx, sy = _unit_scaled(point_set)
-    if len(point_set) <= _SCAN_CUTOFF:
-        a, b = _scan_candidates(point_set)
-    else:
-        a, b = _dual_tree_candidates(point_set, sx, sy)
     t = point_set.num_colors
     code = point_set.colors[a] * t + point_set.colors[b]
-    dist = np.hypot(sx[a] - sx[b], sy[a] - sy[b])
-    dmin = np.full(t * t, np.inf)
-    np.minimum.at(dmin, code, dist)
-    cut = dmin + np.maximum(dmin * _CANDIDATE_SLACK, _ABS_SLACK)
+    dist = sign * np.hypot(sx[a] - sx[b], sy[a] - sy[b])
+    extreme = np.full(t * t, np.inf)
+    np.minimum.at(extreme, code, dist)
+    cut = extreme + np.maximum(np.abs(extreme) * _CANDIDATE_SLACK, _ABS_SLACK)
     keep = dist <= cut[code]
     best: dict[int, tuple[float, int, int]] = {}
     for k, p, q in zip(code[keep].tolist(), a[keep].tolist(), b[keep].tolist()):
-        key = (point_set.distance(p, q), p, q)
+        key = (sign * point_set.distance(p, q), p, q)
         if k not in best or key < best[k]:
             best[k] = key
-    edges = []
-    for i in range(t):
-        for j in range(i + 1, t):
-            d, p, q = best[i * t + j]
-            edges.append(ColorPairWitness(i, j, p, q, d))
-    return tuple(edges)
+    # Codes i * t + j sort in (i, j) order.
+    return tuple(
+        ColorPairWitness(k // t, k % t, p, q, sign * d) for k, (d, p, q) in sorted(best.items())
+    )
 
 
-class _FarthestPairFinder:
-    """Bichromatic farthest pairs for all color pairs of one point set.
+def _outer_indices(
+    point_set: ColoredPointSet, idx: np.ndarray, sx: np.ndarray, sy: np.ndarray
+) -> np.ndarray:
+    """The distinct points among ``idx`` that can end a farthest pair, sorted.
 
-    A class larger than ``_HULL_CUTOFF`` is deduplicated to the lowest
-    point index of each coordinate and then, if still that large, reduced
-    to its convex hull vertices: a farthest pair always has both endpoints
-    on the hulls, so the reduction is lossless.  Hull and candidate pass
-    run on unit-scaled coordinates, the exact pass on the original ones.
-    Degenerate classes (collinear, tiny) fall back to the full scan.
+    The extreme points in the ``_ANGLES`` directions span a polygon inside
+    the hull (Akl & Toussaint 1978).  A point is dropped only if an
+    orientation test, with a rounding bound after Shewchuk (1997) and
+    ``tiny`` for underflow, puts it over ``_ABS_SLACK`` inside every edge
+    line.  Then some point of the class is at least ``_ABS_SLACK`` farther
+    from any point than it is, far above distance rounding at unit scale.
     """
-
-    def __init__(self, point_set: ColoredPointSet):
-        self._ps = point_set
-        self._reps: dict[int, np.ndarray] = {}
-        self._sx, self._sy = _unit_scaled(point_set)
-
-    def _rep_indices(self, color: int) -> np.ndarray:
-        reps = self._reps.get(color)
-        if reps is None:
-            reps = self._ps.color_indices(color)
-            if len(reps) > _HULL_CUTOFF:
-                reps = self._hull_indices(reps)
-            self._reps[color] = reps
+    reps = _distinct_indices(point_set, idx)
+    xs, ys = sx[reps], sy[reps]
+    ring = np.argmax(np.multiply.outer(xs, _COS) + np.multiply.outer(ys, _SIN), axis=0)
+    ring = ring[ring != np.concatenate((ring[-1:], ring[:-1]))]
+    if len(ring) < 3:
         return reps
+    ux, uy = xs[ring], ys[ring]
+    ahead = np.concatenate((ring[1:], ring[:1]))
+    ex, ey = xs[ahead] - ux, ys[ahead] - uy
+    t1 = ex * (ys[:, None] - uy)
+    t2 = ey * (xs[:, None] - ux)
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    margin = 8 * eps * (np.abs(t1) + np.abs(t2)) + _ABS_SLACK * np.hypot(ex, ey) + tiny
+    return reps[~(t1 - t2 > margin).all(axis=1)]
 
-    def _hull_indices(self, idx: np.ndarray) -> np.ndarray:
-        reps = _distinct_indices(self._ps, idx)
-        if len(reps) <= _HULL_CUTOFF:
-            return reps
-        try:
-            hull = ConvexHull(np.column_stack((self._sx[reps], self._sy[reps])))
-        except QhullError:
-            return reps
-        return reps[np.sort(hull.vertices)]
 
-    def witness(self, ci: int, cj: int) -> ColorPairWitness:
-        ps = self._ps
-        ai = self._rep_indices(ci)
-        bj = self._rep_indices(cj)
-        sx, sy = self._sx, self._sy
-        dd = np.hypot(
-            sx[ai][:, None] - sx[bj][None, :], sy[ai][:, None] - sy[bj][None, :]
-        )
-        dmax = float(dd.max())
-        cut = dmax - max(dmax * _CANDIDATE_SLACK, _ABS_SLACK)
-        best: tuple[float, int, int] | None = None
-        for pos_i, pos_j in zip(*np.nonzero(dd >= cut)):
-            a, b = int(ai[pos_i]), int(bj[pos_j])
-            key = (-ps.distance(a, b), a, b)
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        d, a, b = best
-        return ColorPairWitness(ci, cj, a, b, -d)
+def _outer_candidates(
+    point_set: ColoredPointSet, sx: np.ndarray, sy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bichromatic pairs ``(a, b)`` within slack of their color pair's
+    farthest distance, ``a`` of the lower color, among the outer points.
+
+    Each color's outer points meet those of all higher colors in one
+    block of unit-scaled distances, cut at each color pair's maximum.
+    """
+    t = point_set.num_colors
+    classes = [_outer_indices(point_set, point_set.color_indices(c), sx, sy) for c in range(t)]
+    sizes = [len(o) for o in classes]
+    ends = np.cumsum(sizes)
+    outer = np.concatenate(classes)
+    ox, oy = sx[outer], sy[outer]
+    pieces_a, pieces_b = [], []
+    for i in range(t - 1):
+        lo, hi = ends[i] - sizes[i], ends[i]
+        block = np.hypot(ox[lo:hi, None] - ox[hi:], oy[lo:hi, None] - oy[hi:])
+        dmax = np.maximum.reduceat(block.max(axis=0), ends[i:-1] - hi)
+        cut = dmax - np.maximum(dmax * _CANDIDATE_SLACK, _ABS_SLACK)
+        rows, cols = np.nonzero(block >= np.repeat(cut, sizes[i + 1 :]))
+        pieces_a.append(outer[lo + rows])
+        pieces_b.append(outer[hi + cols])
+    return np.concatenate(pieces_a), np.concatenate(pieces_b)
 
 
 def _build_color_graph(point_set: ColoredPointSet, mode: str) -> ColorGraph:
-    t = point_set.num_colors
-    if mode == CLOSEST:
-        edges = _closest_edges(point_set)
+    sx, sy = _unit_scaled(point_set)
+    if len(point_set) <= _SCAN_CUTOFF:
+        a, b = _scan_candidates(point_set)
+    elif mode == CLOSEST:
+        a, b = _dual_tree_candidates(point_set, sx, sy)
     else:
-        finder = _FarthestPairFinder(point_set)
-        edges = tuple(finder.witness(i, j) for i in range(t) for j in range(i + 1, t))
+        a, b = _outer_candidates(point_set, sx, sy)
+    edges = _exact_edges(point_set, a, b, sx, sy, 1 if mode == CLOSEST else -1)
     for e in edges:
         if math.isinf(e.distance):
             raise InvalidInstanceError(
                 f"the distance between colors {e.color_i} and {e.color_j} "
                 "exceeds the float range"
             )
-    return ColorGraph(num_colors=t, mode=mode, edges=edges)
+    return ColorGraph(num_colors=point_set.num_colors, mode=mode, edges=edges)
 
 
 def build_closest_color_graph(point_set: ColoredPointSet) -> ColorGraph:

@@ -3,6 +3,13 @@ from pathlib import Path
 import pytest
 
 from colorspan import ColoredPointSet, distance
+from colorspan.geometry import (
+    FARTHEST,
+    ColorGraph,
+    _exact_edges,
+    _outer_candidates,
+    _unit_scaled,
+)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -38,3 +45,10 @@ def exhaustive_color_extremes(ps: ColoredPointSet, mode: str):
             out[(i, j)] = (abs(d) if mode == "closest" else -d, a, b)
     return out
 
+
+def outer_farthest_graph(ps: ColoredPointSet) -> ColorGraph:
+    """The farthest color graph from the outer-point candidates, which the
+    builder uses only above its full-scan cutoff, at any set size."""
+    sx, sy = _unit_scaled(ps)
+    edges = _exact_edges(ps, *_outer_candidates(ps, sx, sy), sx, sy, -1)
+    return ColorGraph(ps.num_colors, FARTHEST, edges)

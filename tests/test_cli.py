@@ -82,6 +82,8 @@ class TestGen:
             ["gen", "graph", "--n", "4", "--k", "1", "--seed", "-1"],
             ["check", "--sweep", "1", "--seed", "-1"],
             ["check", "--sweep", "1", "--kind", "graph", "--seed", "-1"],
+            ["check", "--sweep", "0"],
+            ["check", "--sweep", "-3"],
         ],
         ids=" ".join,
     )
@@ -90,6 +92,11 @@ class TestGen:
         assert code == EXIT_INVALID
         assert err.startswith("invalid input:")
         assert "Traceback" not in err
+
+    def test_sweep_seed_error_names_the_given_seed(self, capsys):
+        code, out, err = run(capsys, "check", "--sweep", "1", "--seed", "-1")
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == "invalid input: seed must be non-negative, got -1\n"
 
 
 SMALL_INTS = st.integers(-3, 6).map(str)

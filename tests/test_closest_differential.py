@@ -4,9 +4,12 @@ pair scan.
 Inputs cover what the accelerated candidate passes could get wrong:
 coordinates scaled by 2^-1000 to 2^1000, integer lattices and duplicate
 points (exact ties that only the index tie-break settles), collinear and
-single-point classes, circles on which every point is a hull vertex, set
-sizes on both sides of the full-scan cutoff and class sizes on both sides
-of the bound sampling stride and of the hull cutoff.
+single-point classes, circles on which every point is a hull vertex,
+classes at scales up to 2^1000 apart (float ties that exact distances
+would break), set sizes on both sides of the full-scan cutoff and class
+sizes on both sides of the bound sampling stride and of the 32 outer-point
+filter directions.  The farthest graph is also built from the outer-point
+candidates at every set size, so the filter meets every input as well.
 """
 
 import time
@@ -16,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorspan import ColoredPointSet, build_closest_color_graph, build_farthest_color_graph
-from colorspan.geometry import _HULL_CUTOFF, _SAMPLE_STRIDE, _SCAN_CUTOFF
+from colorspan.geometry import _SAMPLE_STRIDE, _SCAN_CUTOFF
 
-from conftest import exhaustive_color_extremes
+from conftest import exhaustive_color_extremes, outer_farthest_graph
 
 CLASS_SIZES = st.sampled_from(
     [
@@ -27,9 +30,9 @@ CLASS_SIZES = st.sampled_from(
         _SAMPLE_STRIDE - 1,
         _SAMPLE_STRIDE,
         _SAMPLE_STRIDE + 1,
-        _HULL_CUTOFF - 1,
-        _HULL_CUTOFF,
-        _HULL_CUTOFF + 1,
+        31,
+        32,
+        33,
         3 * _SAMPLE_STRIDE + 5,
     ]
 )
@@ -68,6 +71,10 @@ def extreme_instances(draw):
         xs[dup], ys[dup] = xs[src], ys[src]
     colors = rng.permutation(np.repeat(np.arange(t), sizes))
     exponent = draw(st.integers(-1000, 1000))
+    if draw(st.booleans()):
+        # One scale per class instead: from a large class, the points of a
+        # small one are often at exactly the same float distance.
+        exponent = np.array([draw(st.integers(-500, 500)) for _ in range(t)])[colors]
     return ColoredPointSet(np.ldexp(xs, exponent), np.ldexp(ys, exponent), colors, t)
 
 
@@ -75,11 +82,11 @@ class TestClosestMatchesScan:
     @settings(max_examples=300, deadline=None)
     @given(extreme_instances())
     def test_witnesses_equal_the_scan(self, ps):
-        for build, mode in (
-            (build_closest_color_graph, "closest"),
-            (build_farthest_color_graph, "farthest"),
+        for graph, mode in (
+            (build_closest_color_graph(ps), "closest"),
+            (build_farthest_color_graph(ps), "farthest"),
+            (outer_farthest_graph(ps), "farthest"),
         ):
-            graph = build(ps)
             for (i, j), (d, a, b) in exhaustive_color_extremes(ps, mode).items():
                 w = graph.witness(i, j)
                 assert (mode, w.distance, w.point_a, w.point_b) == (mode, d, a, b)

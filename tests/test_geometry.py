@@ -17,9 +17,9 @@ from colorspan import (
     solve_minsum,
 )
 from colorspan.generate import generate_points
-from colorspan.geometry import _FarthestPairFinder
+from colorspan.geometry import _outer_indices, _unit_scaled
 
-from conftest import exhaustive_color_extremes
+from conftest import exhaustive_color_extremes, outer_farthest_graph
 
 
 def random_point_set(seed, n=30, t=6):
@@ -146,32 +146,32 @@ class TestColorGraphs:
             w = g.witness(i, j)
             assert (w.distance, w.point_a, w.point_b) == (d, a, b)
 
-    def test_hull_reduction_agrees_with_scan(self):
-        # Large two-color classes force the convex-hull path.
+    def test_outer_point_filter_agrees_with_scan(self):
         ps = generate_points(500, 2, seed=11)
         g = build_farthest_color_graph(ps)
         (d, a, b) = exhaustive_color_extremes(ps, "farthest")[(0, 1)]
         w = g.witness(0, 1)
         assert (w.distance, w.point_a, w.point_b) == (d, a, b)
 
-    def test_hull_path_with_duplicate_points(self):
+    def test_outer_point_filter_with_duplicate_points(self):
         rng = np.random.default_rng(3)
         pts = [ColoredPoint(float(x), float(y), 0) for x, y in rng.random((60, 2))]
         pts += [ColoredPoint(p.x, p.y, 0) for p in pts[:10]]
         pts += [ColoredPoint(float(x), float(y), 1) for x, y in rng.random((60, 2))]
         ps = ColoredPointSet.from_points(pts, 2)
-        g = build_farthest_color_graph(ps)
         (d, a, b) = exhaustive_color_extremes(ps, "farthest")[(0, 1)]
-        w = g.witness(0, 1)
-        assert (w.distance, w.point_a, w.point_b) == (d, a, b)
+        for g in (build_farthest_color_graph(ps), outer_farthest_graph(ps)):
+            w = g.witness(0, 1)
+            assert (w.distance, w.point_a, w.point_b) == (d, a, b)
 
-    def test_collinear_class_falls_back_to_scan(self):
+    def test_collinear_class_keeps_every_point(self):
         pts = [ColoredPoint(float(i), 0.0, 0) for i in range(40)]
         pts.append(ColoredPoint(5.0, 7.0, 1))
         ps = ColoredPointSet.from_points(pts, 2)
-        w = build_farthest_color_graph(ps).witness(0, 1)
-        assert w.distance == distance(pts[39], pts[40])
-        assert (w.point_a, w.point_b) == (39, 40)
+        for g in (build_farthest_color_graph(ps), outer_farthest_graph(ps)):
+            w = g.witness(0, 1)
+            assert w.distance == distance(pts[39], pts[40])
+            assert (w.point_a, w.point_b) == (39, 40)
 
     def test_closest_never_exceeds_farthest(self):
         for seed in range(5):
@@ -215,25 +215,48 @@ class TestColorGraphs:
 
     @pytest.mark.parametrize("seed", [16, 26, 27])
     def test_tiny_coordinates_keep_every_hull_vertex(self, seed):
-        # At 1e-250 the hull must run on rescaled coordinates, or Qhull
-        # drops true vertices and maxmin misses the optimum.
+        # At 1e-250 the outer-point filter must run on rescaled coordinates,
+        # or it drops true hull vertices and maxmin misses the optimum.
         ps = generate_points(120, 4, seed=seed)
         tiny = ColoredPointSet(ps.xs * 1e-250, ps.ys * 1e-250, ps.colors, ps.num_colors)
-        g = build_farthest_color_graph(tiny)
-        for (i, j), (d, a, b) in exhaustive_color_extremes(tiny, "farthest").items():
-            w = g.witness(i, j)
-            assert (w.distance, w.point_a, w.point_b) == (d, a, b)
+        for g in (build_farthest_color_graph(tiny), outer_farthest_graph(tiny)):
+            for (i, j), (d, a, b) in exhaustive_color_extremes(tiny, "farthest").items():
+                w = g.witness(i, j)
+                assert (w.distance, w.point_a, w.point_b) == (d, a, b)
         solved = solve_maxmin(tiny).value(Objective.MAXMIN)
         assert solved == brute_force_geometric(tiny, Objective.MAXMIN).value(Objective.MAXMIN)
 
     def test_dedup_keeps_lowest_index_and_equates_zero_signs(self):
         # 34 points on 17 coordinates, each first as (-0.0, y), then as
-        # (0.0, y); the collinear class stays unreduced by the hull.
+        # (0.0, y); the collinear class keeps every distinct point.
         pts = []
         for k in range(17):
             pts += [ColoredPoint(-0.0, float(k), 0), ColoredPoint(0.0, float(k), 0)]
         pts.append(ColoredPoint(3.0, 0.0, 1))
         ps = ColoredPointSet.from_points(pts, 2)
-        assert _FarthestPairFinder(ps)._rep_indices(0).tolist() == list(range(0, 34, 2))
+        outer = _outer_indices(ps, ps.color_indices(0), *_unit_scaled(ps))
+        assert outer.tolist() == list(range(0, 34, 2))
         w = build_farthest_color_graph(ps).witness(0, 1)
         assert (w.point_a, w.point_b) == (32, 34)
+
+    def test_outer_point_filter_drops_interior_points(self):
+        # A filter that kept every point would pass every other test.
+        g = generate_points(500, 2, seed=11)
+        ps = ColoredPointSet(np.append(g.xs, 2.0), np.append(g.ys, 2.0), [0] * 500 + [1], 2)
+        assert len(_outer_indices(ps, ps.color_indices(0), *_unit_scaled(ps))) < 100
+
+    def test_mixed_scale_classes_tie_inside_the_hull(self):
+        # Color 0 is 2^60 times smaller than color 1, so from each color-1
+        # point many color-0 points are at exactly the same float distance,
+        # and the tie's lowest index, point 0, lies inside color 0's hull.
+        rng = np.random.default_rng(0)
+        big = rng.random((40, 2))
+        small = np.ldexp(rng.random((120, 2)), -60)
+        small[0] = 2**-61
+        pts = np.concatenate((small, big))
+        ps = ColoredPointSet(pts[:, 0], pts[:, 1], [0] * 120 + [1] * 40, 2)
+        expected = (1.398737151086295, 0, 133)
+        assert exhaustive_color_extremes(ps, "farthest")[(0, 1)] == expected
+        for g in (build_farthest_color_graph(ps), outer_farthest_graph(ps)):
+            w = g.witness(0, 1)
+            assert (w.distance, w.point_a, w.point_b) == expected
