@@ -11,6 +11,7 @@ usage and parse errors), 4 enumeration budget exceeded, 5 check mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -286,9 +287,11 @@ def _cmd_check(args) -> int:
         for i in range(args.sweep):
             k = k_values[i % len(k_values)]
             seed = args.seed * 1_000_003 + i
-            print(f"instance={i} k={k}")
+            # Each instance is generated before its header line, so an
+            # argument the generator rejects leaves no partial report.
             if args.kind == "points":
                 ps = generate.generate_matching_instance(k, seed, args.max_class_size)
+                print(f"instance={i} k={k}")
                 failures += len(
                     _check_points_instance(
                         ps, tuple(_GEOMETRIC_SOLVERS), args.budget, args.tolerance, perturb
@@ -296,6 +299,7 @@ def _cmd_check(args) -> int:
                 )
             else:
                 g = generate.generate_colorful_matching_instance(k, seed)
+                print(f"instance={i} k={k}")
                 failures += len(_check_graph_instance(g, args.budget, args.tolerance, perturb))
         print(f"sweep={args.sweep} failures={failures}")
         return EXIT_OK if failures == 0 else EXIT_MISMATCH
@@ -490,10 +494,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares, built on first use.
+
+    Sharing is safe: argument defaults are immutable, and ``parse_args``
+    writes only to the fresh namespace it returns (``_Parser.error`` raises
+    without touching the parser).
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,6 +35,10 @@ FARTHEST = "farthest"
 # passes; generous because the exact pass filters false positives anyway.
 _CANDIDATE_SLACK = 1e-9
 _ABS_SLACK = 1e-12
+# Subnormal spacings (2^-1074 each) added to the absolute slack: exact
+# distances between subnormal coordinates round to that grid and tie
+# where the unit-scaled ones do not.
+_SUBNORMAL_SPACINGS = 4
 
 # A "colors never used" message lists at most this many colors.
 _MISSING_SHOWN = 8
@@ -237,18 +241,26 @@ class ColorGraph:
         return self.witness(color_a, color_b).distance
 
 
-def _unit_scaled(point_set: ColoredPointSet) -> tuple[np.ndarray, np.ndarray]:
+def _unit_scaled(point_set: ColoredPointSet) -> tuple[np.ndarray, np.ndarray, float]:
     """The coordinates times the one power of two that brings the largest
-    magnitude into ``[0.5, 1)``.
+    magnitude into ``[0.5, 1)``, and the absolute candidate slack at that
+    scale.
 
     The scaling is exact (up to underflow far below any candidate slack),
     so the accelerated passes see well-scaled input at every coordinate
     scale: kd-tree squared distances cannot overflow, outer-point and
     candidate arithmetic cannot underflow, and no difference overflows.
+    The slack is ``_ABS_SLACK`` plus a few subnormal spacings taken to
+    unit scale, so pairs whose exact distances tie on the subnormal grid
+    stay candidates; at normal scales the spacings add under 1e-15.
     """
     peak = max(float(np.abs(point_set.xs).max()), float(np.abs(point_set.ys).max()))
     exponent = -math.frexp(peak)[1]
-    return np.ldexp(point_set.xs, exponent), np.ldexp(point_set.ys, exponent)
+    return (
+        np.ldexp(point_set.xs, exponent),
+        np.ldexp(point_set.ys, exponent),
+        _ABS_SLACK + math.ldexp(_SUBNORMAL_SPACINGS * 5e-324, exponent),
+    )
 
 
 def _distinct_indices(point_set: ColoredPointSet, idx: np.ndarray) -> np.ndarray:
@@ -313,7 +325,7 @@ def _pair_bounds(
 
 
 def _dual_tree_candidates(
-    point_set: ColoredPointSet, sx: np.ndarray, sy: np.ndarray
+    point_set: ColoredPointSet, sx: np.ndarray, sy: np.ndarray, slack: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bichromatic pairs ``(a, b)`` within each color pair's bound, ``a``
     of the lower color, among the distinct points of each class.
@@ -330,7 +342,7 @@ def _dual_tree_candidates(
         for j in range(i + 1, t):
             u = bound[i][j]
             found = trees[i].sparse_distance_matrix(
-                trees[j], u + max(u * _CANDIDATE_SLACK, _ABS_SLACK), output_type="ndarray"
+                trees[j], u + max(u * _CANDIDATE_SLACK, slack), output_type="ndarray"
             )
             pieces_a.append(reps[i][found["i"]])
             pieces_b.append(reps[j][found["j"]])
@@ -339,7 +351,7 @@ def _dual_tree_candidates(
 
 def _exact_edges(
     point_set: ColoredPointSet, a: np.ndarray, b: np.ndarray,
-    sx: np.ndarray, sy: np.ndarray, sign: int,
+    sx: np.ndarray, sy: np.ndarray, slack: float, sign: int,
 ) -> tuple[ColorPairWitness, ...]:
     """Each color pair's smallest ``(sign * distance, a, b)`` among the
     candidate pairs ``(a, b)``, ``a`` of the lower color: the closest pair
@@ -352,7 +364,7 @@ def _exact_edges(
     dist = sign * np.hypot(sx[a] - sx[b], sy[a] - sy[b])
     extreme = np.full(t * t, np.inf)
     np.minimum.at(extreme, code, dist)
-    cut = extreme + np.maximum(np.abs(extreme) * _CANDIDATE_SLACK, _ABS_SLACK)
+    cut = extreme + np.maximum(np.abs(extreme) * _CANDIDATE_SLACK, slack)
     keep = dist <= cut[code]
     best: dict[int, tuple[float, int, int]] = {}
     for k, p, q in zip(code[keep].tolist(), a[keep].tolist(), b[keep].tolist()):
@@ -366,16 +378,17 @@ def _exact_edges(
 
 
 def _outer_indices(
-    point_set: ColoredPointSet, idx: np.ndarray, sx: np.ndarray, sy: np.ndarray
+    point_set: ColoredPointSet, idx: np.ndarray, sx: np.ndarray, sy: np.ndarray, slack: float
 ) -> np.ndarray:
     """The distinct points among ``idx`` that can end a farthest pair, sorted.
 
     The extreme points in the ``_ANGLES`` directions span a polygon inside
     the hull (Akl & Toussaint 1978).  A point is dropped only if an
     orientation test, with a rounding bound after Shewchuk (1997) and
-    ``tiny`` for underflow, puts it over ``_ABS_SLACK`` inside every edge
-    line.  Then some point of the class is at least ``_ABS_SLACK`` farther
-    from any point than it is, far above distance rounding at unit scale.
+    ``tiny`` for underflow, puts it over ``slack`` inside every edge line.
+    Then some point of the class is at least ``slack`` farther from any
+    point than it is, above distance rounding at unit scale and on the
+    subnormal grid.
     """
     reps = _distinct_indices(point_set, idx)
     xs, ys = sx[reps], sy[reps]
@@ -389,12 +402,12 @@ def _outer_indices(
     t1 = ex * (ys[:, None] - uy)
     t2 = ey * (xs[:, None] - ux)
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
-    margin = 8 * eps * (np.abs(t1) + np.abs(t2)) + _ABS_SLACK * np.hypot(ex, ey) + tiny
+    margin = 8 * eps * (np.abs(t1) + np.abs(t2)) + slack * np.hypot(ex, ey) + tiny
     return reps[~(t1 - t2 > margin).all(axis=1)]
 
 
 def _outer_candidates(
-    point_set: ColoredPointSet, sx: np.ndarray, sy: np.ndarray
+    point_set: ColoredPointSet, sx: np.ndarray, sy: np.ndarray, slack: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bichromatic pairs ``(a, b)`` within slack of their color pair's
     farthest distance, ``a`` of the lower color, among the outer points.
@@ -403,7 +416,9 @@ def _outer_candidates(
     block of unit-scaled distances, cut at each color pair's maximum.
     """
     t = point_set.num_colors
-    classes = [_outer_indices(point_set, point_set.color_indices(c), sx, sy) for c in range(t)]
+    classes = [
+        _outer_indices(point_set, point_set.color_indices(c), sx, sy, slack) for c in range(t)
+    ]
     sizes = [len(o) for o in classes]
     ends = np.cumsum(sizes)
     outer = np.concatenate(classes)
@@ -413,7 +428,7 @@ def _outer_candidates(
         lo, hi = ends[i] - sizes[i], ends[i]
         block = np.hypot(ox[lo:hi, None] - ox[hi:], oy[lo:hi, None] - oy[hi:])
         dmax = np.maximum.reduceat(block.max(axis=0), ends[i:-1] - hi)
-        cut = dmax - np.maximum(dmax * _CANDIDATE_SLACK, _ABS_SLACK)
+        cut = dmax - np.maximum(dmax * _CANDIDATE_SLACK, slack)
         rows, cols = np.nonzero(block >= np.repeat(cut, sizes[i + 1 :]))
         pieces_a.append(outer[lo + rows])
         pieces_b.append(outer[hi + cols])
@@ -421,14 +436,14 @@ def _outer_candidates(
 
 
 def _build_color_graph(point_set: ColoredPointSet, mode: str) -> ColorGraph:
-    sx, sy = _unit_scaled(point_set)
+    sx, sy, slack = _unit_scaled(point_set)
     if len(point_set) <= _SCAN_CUTOFF:
         a, b = _scan_candidates(point_set)
     elif mode == CLOSEST:
-        a, b = _dual_tree_candidates(point_set, sx, sy)
+        a, b = _dual_tree_candidates(point_set, sx, sy, slack)
     else:
-        a, b = _outer_candidates(point_set, sx, sy)
-    edges = _exact_edges(point_set, a, b, sx, sy, 1 if mode == CLOSEST else -1)
+        a, b = _outer_candidates(point_set, sx, sy, slack)
+    edges = _exact_edges(point_set, a, b, sx, sy, slack, 1 if mode == CLOSEST else -1)
     for e in edges:
         if math.isinf(e.distance):
             raise InvalidInstanceError(

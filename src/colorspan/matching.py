@@ -14,7 +14,9 @@ arithmetic anywhere.  The bottleneck and threshold variants share one
 binary search over the sorted distinct edge weights, testing
 perfect-matching existence on the subgraph of edges at most
 (respectively at least) the probed threshold; the search rests on the
-monotonicity of existence in the edge set.
+monotonicity of existence in the edge set.  An existence test on a graph
+with a vertex on no edge fails before the blossom runs, since an isolated
+vertex is an odd component in Tutte's condition.
 
 Infeasibility (no perfect matching) is reported by returning ``None``;
 malformed graphs raise :class:`~colorspan.errors.InvalidInstanceError`.
@@ -143,7 +145,9 @@ def _perfect_matching_pairs(g: WeightedGraph) -> list[tuple[int, int]] | None:
     n = g.num_vertices
     if n == 0:
         return []
-    if n % 2 or len(g.edges) < n // 2:
+    # A vertex on no edge is an odd component, so no perfect matching
+    # exists (Tutte 1947); n covered vertices need at least n / 2 edges.
+    if n % 2 or len({x for u, v, _ in g.edges for x in (u, v)}) < n:
         return None
     unit = {(u, v): 1 for u, v, _ in g.edges}
     mate = maximum_weight_matching(n, unit, max_cardinality=True)

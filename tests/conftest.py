@@ -49,6 +49,6 @@ def exhaustive_color_extremes(ps: ColoredPointSet, mode: str):
 def outer_farthest_graph(ps: ColoredPointSet) -> ColorGraph:
     """The farthest color graph from the outer-point candidates, which the
     builder uses only above its full-scan cutoff, at any set size."""
-    sx, sy = _unit_scaled(ps)
-    edges = _exact_edges(ps, *_outer_candidates(ps, sx, sy), sx, sy, -1)
+    sx, sy, slack = _unit_scaled(ps)
+    edges = _exact_edges(ps, *_outer_candidates(ps, sx, sy, slack), sx, sy, slack, -1)
     return ColorGraph(ps.num_colors, FARTHEST, edges)

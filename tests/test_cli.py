@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from colorspan import cli
 from colorspan.cli import (
     EXIT_BUDGET,
     EXIT_INFEASIBLE,
@@ -88,8 +91,9 @@ class TestGen:
         ids=" ".join,
     )
     def test_out_of_range_arguments_are_invalid_input(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_INVALID
+        assert out == ""
         assert err.startswith("invalid input:")
         assert "Traceback" not in err
 
@@ -466,3 +470,41 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == EXIT_INVALID
+
+
+class TestParserReuse:
+    """``main`` shares one parser across calls; no call may leak options,
+    defaults or error state into the next."""
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        assert run(capsys, "solve", FIG1)[0] == EXIT_OK
+        assert run(capsys, "solve", FIG2, "--objective", "minmax")[0] == EXIT_OK
+        assert built == [1]
+
+    def test_flag_does_not_stick(self, capsys):
+        code, out, _ = run(capsys, "solve", FIG1, "--json")
+        assert code == EXIT_OK and json.loads(out)["status"] == "solved"
+        code, out, _ = run(capsys, "solve", FIG1)
+        assert code == EXIT_OK
+        assert out.startswith("kind=points\n") and "status=solved" in out
+
+    def test_option_value_does_not_stick(self, capsys):
+        code, _, _ = run(capsys, "check", FIG1, "--tolerance", "0.5", "--debug-perturb", "1e-3")
+        assert code == EXIT_OK
+        code, out, _ = run(capsys, "check", FIG1, "--debug-perturb", "1e-3")
+        assert code == EXIT_MISMATCH and "status=MISMATCH" in out
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys):
+        assert run(capsys, "solve", FIG1, "--no-such-option")[0] == EXIT_INVALID
+        code, out, err = run(capsys, "solve", FIG1)
+        assert (code, err) == (EXIT_OK, "")
+        src = Path(cli.__file__).resolve().parents[1]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "colorspan", "solve", FIG1],
+            capture_output=True, text=True, env={"PYTHONPATH": str(src)}, check=True,
+        )
+        assert record_lines(out) == record_lines(fresh.stdout)

@@ -10,11 +10,16 @@ would break), set sizes on both sides of the full-scan cutoff and class
 sizes on both sides of the bound sampling stride and of the 32 outer-point
 filter directions.  The farthest graph is also built from the outer-point
 candidates at every set size, so the filter meets every input as well.
+All-subnormal sets, whose exact distances tie on the 2^-1074 grid, get
+seeded cases of their own on both sides of the cutoff.
 """
 
+import math
+import random
 import time
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,3 +115,36 @@ class TestClosestMatchesScan:
         a = min(i for i in range(n) if colors[i] == 0 and site[i] in shared)
         b = min(i for i in range(n) if colors[i] == 1 and site[i] == site[a])
         assert (w.distance, w.point_a, w.point_b) == (0.0, a, b)
+
+
+def subnormal_instance(seed: int, low: int, high: int) -> ColoredPointSet:
+    """Every coordinate below 2^-1039, most of them subnormal."""
+    rng = random.Random(seed)
+    n = rng.randint(low, high)
+    t = rng.randint(2, 4)
+    e = rng.randint(-1074, -1040)
+    xs = [math.ldexp(rng.random(), e) for _ in range(n)]
+    ys = [math.ldexp(rng.random(), e) for _ in range(n)]
+    colors = list(range(t)) + [rng.randrange(t) for _ in range(n - t)]
+    return ColoredPointSet(xs, ys, colors, t)
+
+
+class TestSubnormalTies:
+    # Exact distances round to the subnormal grid and tie where the
+    # unit-scaled candidate distances differ, so a cut without subnormal
+    # slack drops the tied pair with the lower indexes.
+    @pytest.mark.parametrize(
+        "seed, low, high",
+        [(s, 8, 40) for s in range(60)]
+        + [(s, _SCAN_CUTOFF + 4, _SCAN_CUTOFF + 144) for s in range(30)],
+    )
+    def test_witnesses_equal_the_scan(self, seed, low, high):
+        ps = subnormal_instance(seed, low, high)
+        for graph, mode in (
+            (build_closest_color_graph(ps), "closest"),
+            (build_farthest_color_graph(ps), "farthest"),
+            (outer_farthest_graph(ps), "farthest"),
+        ):
+            for (i, j), (d, a, b) in exhaustive_color_extremes(ps, mode).items():
+                w = graph.witness(i, j)
+                assert (mode, w.distance, w.point_a, w.point_b) == (mode, d, a, b)

@@ -13,6 +13,7 @@ from colorspan import (
     bottleneck_perfect_matching,
     brute_force_graph_matching,
     has_perfect_matching,
+    matching,
     maxmin_perfect_matching,
     min_weight_perfect_matching,
 )
@@ -71,14 +72,26 @@ class TestHasPerfectMatching:
     def test_isolated_pair(self):
         assert not has_perfect_matching(WeightedGraph(2))
 
+    def test_isolated_vertex_fails_before_the_blossom(self, monkeypatch):
+        # K5 plus vertex 5 on no edge: 10 edges, more than n / 2 = 3.
+        k5 = [(u, v, 1.0) for u in range(5) for v in range(u + 1, 5)]
+
+        def blossom(*_, **__):
+            raise AssertionError("the blossom ran on a graph with an isolated vertex")
+
+        monkeypatch.setattr(matching, "maximum_weight_matching", blossom)
+        assert not has_perfect_matching(WeightedGraph(6, k5))
+
     @pytest.mark.parametrize("seed", range(50))
     def test_agrees_with_pairing_enumeration(self, seed):
-        g = generate_uncolored_graph(8, 1000 + seed, 0.5)
-        expected = any(
-            all(g.has_edge(u, v) for u, v in pairing)
-            for pairing in perfect_pairings(range(8))
-        )
-        assert has_perfect_matching(g) == expected
+        # At edge probability 0.25 isolated vertices are common.
+        for edge_prob in (0.5, 0.25):
+            g = generate_uncolored_graph(8, 1000 + seed, edge_prob)
+            expected = any(
+                all(g.has_edge(u, v) for u, v in pairing)
+                for pairing in perfect_pairings(range(8))
+            )
+            assert has_perfect_matching(g) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(graphs, st.data())
@@ -213,6 +226,28 @@ class TestTiedWeights:
         m = min_weight_perfect_matching(g)
         assert m.total_weight == 0.0
         assert maxmin_perfect_matching(g).min_edge_weight == 0.0
+
+
+class TestSparseThresholds:
+    # Random weights on a quarter of K8's edges: many probe subgraphs, and
+    # some whole graphs, leave a vertex on no edge.
+    @pytest.mark.parametrize("seed", range(30))
+    def test_match_enumeration_on_sparse_graphs(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        dense = generate_complete_weighted_graph(8, 4600 + seed)
+        g = WeightedGraph(8, [e for e in dense.edges if rng.random() < 0.25])
+        for solver, objective, stat in (
+            (bottleneck_perfect_matching, Objective.MINMAX, "max_edge_weight"),
+            (maxmin_perfect_matching, Objective.MAXMIN, "min_edge_weight"),
+        ):
+            got = solver(g)
+            expected = brute_force_graph_matching(g, objective)
+            if expected is None:
+                assert got is None
+            else:
+                assert getattr(got, stat) == getattr(expected, stat)
 
 
 class TestThresholdMonotonicity:
