@@ -284,23 +284,28 @@ def _cmd_check(args) -> int:
         if args.seed < 0:
             raise InvalidInstanceError(f"seed must be non-negative, got {args.seed}")
         k_values = _parse_k_list(args.k_list)
-        for i in range(args.sweep):
-            k = k_values[i % len(k_values)]
-            seed = args.seed * 1_000_003 + i
-            # Each instance is generated before its header line, so an
-            # argument the generator rejects leaves no partial report.
+        ks = [k_values[i % len(k_values)] for i in range(args.sweep)]
+        seeds = range(args.seed * 1_000_003, args.seed * 1_000_003 + args.sweep)
+        # Every instance is generated before the first line is printed, so
+        # an argument a generator rejects for any k leaves no partial report.
+        if args.kind == "points":
+            instances = [
+                generate.generate_matching_instance(k, seed, args.max_class_size)
+                for k, seed in zip(ks, seeds)
+            ]
+        else:
+            instances = [
+                generate.generate_colorful_matching_instance(k, seed) for k, seed in zip(ks, seeds)
+            ]
+        for i, (k, instance) in enumerate(zip(ks, instances)):
+            print(f"instance={i} k={k}")
             if args.kind == "points":
-                ps = generate.generate_matching_instance(k, seed, args.max_class_size)
-                print(f"instance={i} k={k}")
-                failures += len(
-                    _check_points_instance(
-                        ps, tuple(_GEOMETRIC_SOLVERS), args.budget, args.tolerance, perturb
-                    )
+                found = _check_points_instance(
+                    instance, tuple(_GEOMETRIC_SOLVERS), args.budget, args.tolerance, perturb
                 )
             else:
-                g = generate.generate_colorful_matching_instance(k, seed)
-                print(f"instance={i} k={k}")
-                failures += len(_check_graph_instance(g, args.budget, args.tolerance, perturb))
+                found = _check_graph_instance(instance, args.budget, args.tolerance, perturb)
+            failures += len(found)
         print(f"sweep={args.sweep} failures={failures}")
         return EXIT_OK if failures == 0 else EXIT_MISMATCH
     if args.input is None:

@@ -15,12 +15,23 @@ Graph file::
 Floats serialize with ``repr`` so every format round-trips exactly:
 ``parse(serialize(x)) == x``.  Parse failures raise
 :class:`~colorspan.errors.ParseError` carrying the offending line number.
+
+A point file's body is read in one ``np.loadtxt`` call when the text is
+ASCII with "\\n" as its only line break and a non-blank body; loadtxt
+converts each token in full as ``float`` and ``int`` do, and any error or
+warning from it falls back.  Every text that path does not finish with a
+valid point set is parsed line by line instead.  That per-line pass stays
+the reference: it accepts the same texts with the same values (and also
+``1_0``, non-ASCII digits and CRLF files, which the loadtxt read leaves to
+it), and it is the only source of error messages.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,10 +89,13 @@ def _parse_float(token: str, line: int, what: str) -> float:
 def parse_points(text: str) -> ColoredPointSet:
     """Parse a point file into a validated point set.
 
-    The body converts column by column, in bulk, with Python's own
-    ``float`` and ``int``, and the point set validates the columns.  Input
-    that fails either step is parsed again line by line, which accepts
-    exactly the same lines and names the first bad one.
+    The body is read in one ``np.loadtxt`` call, and the point set
+    validates the columns.  Input that the guards of
+    :func:`_point_columns` turn away, that loadtxt rejects or whose
+    columns the point set rejects is parsed again line by line with
+    Python's own ``float`` and ``int``.  That per-line pass is the
+    reference: it accepts exactly the texts the bulk read accepts, with
+    the same values, and it alone names the first bad line.
     """
     first = _first_significant_line(text)
     if first is None:
@@ -92,16 +106,16 @@ def parse_points(text: str) -> ColoredPointSet:
         raise ParseError(head_no, f"header must be 'n t', got {head!r}")
     n = _parse_int(tokens[0], head_no, "point count")
     t = _parse_int(tokens[1], head_no, "color count")
-    sizes = [k for k in map(len, map(str.split, text.splitlines())) if k]
-    if len(sizes) - 1 != n:
-        raise ParseError(head_no, f"expected {n} point lines, found {len(sizes) - 1}")
-    columns = _point_columns(text, sizes)
+    columns = _point_columns(text, head_no, n)
     if columns is not None:
         try:
             return ColoredPointSet(*columns, t)
         except InvalidInstanceError:
             pass
-    xs, ys, colors = _point_columns_by_line(_significant_lines(text)[1:], t)
+    lines = _significant_lines(text)
+    if len(lines) - 1 != n:
+        raise ParseError(head_no, f"expected {n} point lines, found {len(lines) - 1}")
+    xs, ys, colors = _point_columns_by_line(lines[1:], t)
     # Checked before counting colors, so a huge t costs no O(t) work.
     if t > n:
         raise ParseError(head_no, f"{n} points cannot cover {t} colors")
@@ -111,26 +125,43 @@ def parse_points(text: str) -> ColoredPointSet:
     return ColoredPointSet(xs, ys, colors, t)
 
 
-def _point_columns(text: str, sizes: list[int]):
-    """``(xs, ys, colors)`` lists of the point lines' tokens, or None if a
-    line has other than three tokens or a token does not convert.
+# Line breaks to ``str.splitlines`` that loadtxt reads as a space ("\x0b",
+# "\x0c", "\x1c"-"\x1e") or as a break of its own ("\r").
+_OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+_POINT_ROW = np.dtype([("x", np.float64), ("y", np.float64), ("c", np.intp)])
 
-    ``sizes`` are the token counts of the significant lines, header first.
-    Every line break is whitespace to ``str.split``, so once each point
-    line has three tokens, the text's tokens after the header's two are the
-    point lines' tokens in order.
+
+def _point_columns(text: str, head_no: int, n: int):
+    """``(xs, ys, colors)`` arrays of the ``n`` point lines after the header
+    on line ``head_no``, or None if the text is not read here.
+
+    Only ASCII text whose one line break is "\\n" is read, so loadtxt and
+    ``str.splitlines`` see the same lines and ``str.split`` the same
+    tokens.  loadtxt skips blank lines, needs three tokens on every other
+    line, converts floats with ``PyOS_string_to_double`` (the routine
+    behind ``float``) and ints as a sign and digits, always consuming the
+    whole token.  A token that ``float`` or ``int`` would take but loadtxt
+    does not (``1_0``) makes it fail, and a failure or any warning sends
+    the text to the per-line pass; none decides an answer.
     """
-    if any(k != 3 for k in sizes[1:]):
+    if not text.isascii() or any(brk in text for brk in _OTHER_LINE_BREAKS):
         return None
-    tokens = text.split()
-    try:
-        return (
-            list(map(float, tokens[2::3])),
-            list(map(float, tokens[3::3])),
-            list(map(int, tokens[4::3])),
-        )
-    except ValueError:
+    parts = text.split("\n", head_no)
+    if len(parts) <= head_no:
         return None
+    # A blank body makes loadtxt warn "input contained no data", which
+    # falls back like any other warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(
+                io.StringIO(parts[head_no]), dtype=_POINT_ROW, comments=None, ndmin=1
+            )
+        except (ValueError, Warning):
+            return None
+    if len(rows) != n:
+        return None
+    return rows["x"], rows["y"], rows["c"]
 
 
 def _point_columns_by_line(lines: list[tuple[int, str]], t: int):

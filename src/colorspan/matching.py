@@ -14,9 +14,10 @@ arithmetic anywhere.  The bottleneck and threshold variants share one
 binary search over the sorted distinct edge weights, testing
 perfect-matching existence on the subgraph of edges at most
 (respectively at least) the probed threshold; the search rests on the
-monotonicity of existence in the edge set.  An existence test on a graph
-with a vertex on no edge fails before the blossom runs, since an isolated
-vertex is an odd component in Tutte's condition.
+monotonicity of existence in the edge set.  An existence test or a
+minimum-weight solve on a graph with a vertex on no edge fails before the
+blossom runs, since an isolated vertex is an odd component in Tutte's
+condition.
 
 Infeasibility (no perfect matching) is reported by returning ``None``;
 malformed graphs raise :class:`~colorspan.errors.InvalidInstanceError`.
@@ -140,14 +141,21 @@ def _mate_to_pairs(mate: dict[int, int]) -> list[tuple[int, int]]:
     return sorted((u, v) for u, v in mate.items() if u < v)
 
 
+def _has_uncovered_vertex(g: WeightedGraph) -> bool:
+    """True iff some vertex is on no edge.
+
+    Such a vertex is an odd component, so g has no perfect matching
+    (Tutte 1947); this subsumes "fewer than n / 2 edges".
+    """
+    return len({x for u, v, _ in g.edges for x in (u, v)}) < g.num_vertices
+
+
 def _perfect_matching_pairs(g: WeightedGraph) -> list[tuple[int, int]] | None:
     """A perfect matching of g as vertex pairs, or None if none exists."""
     n = g.num_vertices
     if n == 0:
         return []
-    # A vertex on no edge is an odd component, so no perfect matching
-    # exists (Tutte 1947); n covered vertices need at least n / 2 edges.
-    if n % 2 or len({x for u, v, _ in g.edges for x in (u, v)}) < n:
+    if n % 2 or _has_uncovered_vertex(g):
         return None
     unit = {(u, v): 1 for u, v, _ in g.edges}
     mate = maximum_weight_matching(n, unit, max_cardinality=True)
@@ -166,7 +174,7 @@ def min_weight_perfect_matching(g: WeightedGraph) -> Matching | None:
     n = g.num_vertices
     if n == 0:
         return Matching.empty()
-    if n % 2 or len(g.edges) < n // 2:
+    if n % 2 or _has_uncovered_vertex(g):
         return None
     # Scale to ints exactly: each weight is num / den with den a power of
     # two, so den divides the largest denominator and num * (scale // den)

@@ -87,6 +87,8 @@ class TestGen:
             ["check", "--sweep", "1", "--kind", "graph", "--seed", "-1"],
             ["check", "--sweep", "0"],
             ["check", "--sweep", "-3"],
+            # k=8 needs 16 vertices; the graph generator caps at 14.
+            ["check", "--sweep", "2", "--kind", "graph", "--k-list", "2,8"],
         ],
         ids=" ".join,
     )

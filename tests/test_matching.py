@@ -122,6 +122,16 @@ class TestMinWeight:
         k3 = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         assert min_weight_perfect_matching(k3) is None
 
+    def test_isolated_vertex_fails_before_the_blossom(self, monkeypatch):
+        # K5 plus vertex 5 on no edge: 10 edges, more than n / 2 = 3.
+        k5 = [(u, v, 1.0) for u in range(5) for v in range(u + 1, 5)]
+
+        def blossom(*_, **__):
+            raise AssertionError("the blossom ran on a graph with an isolated vertex")
+
+        monkeypatch.setattr(matching, "maximum_weight_matching", blossom)
+        assert min_weight_perfect_matching(WeightedGraph(6, k5)) is None
+
     def test_empty_graph_gives_empty_matching(self):
         m = min_weight_perfect_matching(WeightedGraph(0))
         assert m.edges == () and m.total_weight == 0.0

@@ -3,16 +3,20 @@
 The reference functions below are the straightforward line-by-line point
 file parser and the per-point formatter that the bulk versions replace.
 Both sides must accept the same texts, build the same columns and raise
-the same error with the same line number and message.
+the same error with the same line number and message.  ``point_texts``
+mixes every line break ``str.splitlines`` knows; ``newline_texts`` keeps
+to ASCII and "\\n", the texts that reach the loadtxt read.
 """
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorspan import ColoredPoint, ColoredPointSet, ParseError
+from colorspan import ColoredPoint, ColoredPointSet, ParseError, fileio
 from colorspan.fileio import (
     _first_significant_line,
     _significant_lines,
@@ -156,10 +160,55 @@ def point_texts(draw):
     return text if draw(st.booleans()) else text.rstrip("\n")
 
 
+# Tokens that float or int treat differently from loadtxt, or that only
+# one of them accepts.
+ODD_TOKENS = st.sampled_from(
+    ["\x00", "1\x00", "\x1f", "2\x1f3", "1_0", "3.0", "1e0", "+1", "-0", "-1",
+     "9223372036854775808", "-9223372036854775809", "0x10", "nan", "inf", "1e999",
+     ".5", "5.", "00", "#1", '"1"']
+)
+
+
+@st.composite
+def newline_lines(draw, t):
+    """One body line of ASCII tokens: mostly 'x y c', sometimes odd tokens,
+    another token count or blank."""
+    kind = draw(st.sampled_from(["good", "good", "good", "good", "odd", "tokens", "blank"]))
+    if kind == "blank":
+        return draw(PADDING)
+    tokens = [
+        repr(draw(st.floats(-10, 10))),
+        repr(draw(st.floats(-10, 10))),
+        str(draw(st.integers(0, max(t - 1, 0)))),
+    ]
+    if kind == "odd":
+        tokens[draw(st.integers(0, 2))] = draw(ODD_TOKENS)
+    elif kind == "tokens":
+        tokens = tokens[: draw(st.sampled_from([1, 2]))] if draw(st.booleans()) else tokens * 2
+    gap = draw(st.sampled_from([" ", "\t", "  "]))
+    return draw(PADDING) + gap.join(tokens) + draw(PADDING)
+
+
+@st.composite
+def newline_texts(draw):
+    t = draw(st.integers(1, 4))
+    body = draw(st.lists(newline_lines(t), max_size=12))
+    counted = sum(1 for line in body if line.strip())
+    n = draw(st.sampled_from([counted, counted, counted, counted + 1, counted - 1]))
+    lines = [draw(PADDING) for _ in range(draw(st.integers(0, 2)))]
+    text = "\n".join([*lines, f"{n} {t}", *body])
+    return text + "\n" if draw(st.booleans()) else text
+
+
 class TestParseMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(point_texts())
     def test_random_texts(self, text):
+        assert outcome(parse_points, text) == outcome(reference_parse_points, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(newline_texts())
+    def test_random_newline_texts(self, text):
         assert outcome(parse_points, text) == outcome(reference_parse_points, text)
 
     @pytest.mark.parametrize(
@@ -185,10 +234,60 @@ class TestParseMatchesReference:
             "-1 2\n",
             "2 2\n0 0 0\n",
             "  \n\n 2 2 \n 0 0 0 \n\x0c1 1 1",
+            # loadtxt reads \x1c as a space, splitlines as a line break.
+            "2 2\n1\x1c2 3\n1 1 1\n",
+            "2 2\n0 0 0\r1 1 1\n",
+            "2 2\n0 0 0\n1 1 1\r",
+            "\n  \n\t\n2 2\n0 0 0\n1 1 1\n",
+            "3 2",
+            "3 2\n",
+            "3 2\n \n\t\n",
+            "2 2\n0 0 0\n  \t \n\n1 1 1\n \n",
+            "2 2\n0 0 3.0\n1 1 1\n",
+            "2 2\n0 0 0\n1 1 9223372036854775808\n",
+            "2 2\n0 0 0\n1_0 1 1\n",
+            "2 2\n0 0 0\n1 1 1\x00\n",
+            "2 2\n0\x1f0 0\n1 1 1\n",
+            "2 3\n0 0 0\n1 1 1\n",
+            "2 2\n0 0 0\nnan 1 1\n",
+            "3 2\n0 0 0\n1 1 1\n",
         ],
     )
     def test_edge_cases(self, text):
         assert outcome(parse_points, text) == outcome(reference_parse_points, text)
+
+    @pytest.mark.parametrize(
+        "brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_line_breaks_loadtxt_reads_as_spaces(self, brk):
+        # loadtxt would read two valid rows; splitlines sees three lines.
+        text = f"2 2\n0{brk}0 0\n1 1 1\n"
+        assert outcome(parse_points, text) == outcome(reference_parse_points, text)
+
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_generated_files_take_the_loadtxt_read(self, monkeypatch, distribution, seed):
+        def by_line(*_):
+            raise AssertionError("the per-line pass ran on a generated file")
+
+        monkeypatch.setattr(fileio, "_point_columns_by_line", by_line)
+        ps = generate_points(2000, 20, seed, distribution=distribution)
+        assert parse_points(serialize_points(ps)) == ps
+
+    def test_a_loadtxt_warning_falls_back(self, monkeypatch):
+        # numpy 1.23-1.x parses "3.0" in an int column with a
+        # DeprecationWarning; whatever loadtxt returns then is not used,
+        # even where the caller ignores warnings.
+        def loadtxt(*_, **__):
+            warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+            return np.array([(9.0, 9.0, 0), (9.0, 9.0, 1)], dtype=fileio._POINT_ROW)
+
+        monkeypatch.setattr(fileio.np, "loadtxt", loadtxt)
+        for text in ["2 2\n0 0 3.0\n1 1 1\n", "2 2\n0.5 2 0\n1 1 1\n"]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = outcome(parse_points, text)
+            assert got == outcome(reference_parse_points, text)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(PADDING, SEPARATORS, st.sampled_from(["", "2 3", "x"]))))
