@@ -17,13 +17,13 @@ Floats serialize with ``repr`` so every format round-trips exactly:
 :class:`~colorspan.errors.ParseError` carrying the offending line number.
 
 A point file's body is read in one ``np.loadtxt`` call when the text is
-ASCII with "\\n" as its only line break and a non-blank body; loadtxt
-converts each token in full as ``float`` and ``int`` do, and any error or
-warning from it falls back.  Every text that path does not finish with a
+ASCII with "\\n" or "\\r\\n" as its only line break and a non-blank
+body; loadtxt converts each token in full as ``float`` and ``int`` do, and
+any error or warning from it falls back.  Every text that path does not finish with a
 valid point set is parsed line by line instead.  That per-line pass stays
 the reference: it accepts the same texts with the same values (and also
-``1_0``, non-ASCII digits and CRLF files, which the loadtxt read leaves to
-it), and it is the only source of error messages.
+``1_0``, non-ASCII digits and lone "\\r" breaks, which the loadtxt read
+leaves to it), and it is the only source of error messages.
 """
 
 from __future__ import annotations
@@ -135,15 +135,19 @@ def _point_columns(text: str, head_no: int, n: int):
     """``(xs, ys, colors)`` arrays of the ``n`` point lines after the header
     on line ``head_no``, or None if the text is not read here.
 
-    Only ASCII text whose one line break is "\\n" is read, so loadtxt and
-    ``str.splitlines`` see the same lines and ``str.split`` the same
-    tokens.  loadtxt skips blank lines, needs three tokens on every other
+    Only ASCII text whose one line break is "\\n" (or "\\r\\n", rewritten
+    to "\\n" first) is read, so loadtxt and ``str.splitlines`` see the
+    same lines and ``str.split`` the same tokens.  loadtxt skips blank lines, needs three tokens on every other
     line, converts floats with ``PyOS_string_to_double`` (the routine
     behind ``float``) and ints as a sign and digits, always consuming the
     whole token.  A token that ``float`` or ``int`` would take but loadtxt
     does not (``1_0``) makes it fail, and a failure or any warning sends
     the text to the per-line pass; none decides an answer.
     """
+    if "\r" in text:
+        # Same lines and tokens unless a lone "\r" remains, which the
+        # guard below turns away.
+        text = text.replace("\r\n", "\n")
     if not text.isascii() or any(brk in text for brk in _OTHER_LINE_BREAKS):
         return None
     parts = text.split("\n", head_no)

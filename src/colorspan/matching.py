@@ -10,12 +10,22 @@ weight is an integer over a power-of-two denominator, so multiplying by
 the largest such denominator turns all weights into ints without
 rounding, and negating and shifting them makes minimizing total weight
 maximizing it.  The answer is exactly the float optimum, with no rational
-arithmetic anywhere.  The bottleneck and threshold variants share one
-binary search over the sorted distinct edge weights, testing
-perfect-matching existence on the subgraph of edges at most
-(respectively at least) the probed threshold; the search rests on the
-monotonicity of existence in the edge set.  An existence test or a
-minimum-weight solve on a graph with a vertex on no edge fails before the
+arithmetic anywhere.
+
+Perfect-matching existence is Edmonds' cardinality search (1965) on
+adjacency lists, with no weights and no duals: a greedy start, then one
+alternating tree with blossom shrinking from each vertex left free,
+stopping at the first tree that finds no augmenting path.  The bottleneck
+and threshold variants share one binary search over the distinct edge
+weights (the threshold problems of Gabow and Tarjan, 1988).  The edges are
+sorted once in threshold order, so the subgraph within a probed level is a
+prefix of that order, and each probe runs the cardinality search on a
+prefix; the search rests on the monotonicity of existence in the edge set.
+Only the witness comes from the blossom engine: one unit-weight,
+maximum-cardinality run on the graph of the prefix found.  That graph
+normalizes to the same edge tuple as the subgraph filtered from the input
+by weight, so the witness is the one a blossom-probed search would return.
+A minimum-weight solve on a graph with a vertex on no edge fails before the
 blossom runs, since an isolated vertex is an odd component in Tutte's
 condition.
 
@@ -28,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable
 
 from ._blossom import maximum_weight_matching
@@ -80,16 +91,6 @@ class WeightedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         key = (u, v) if u < v else (v, u)
         return key in self.weight_map
-
-    def filtered(self, min_weight: float | None = None, max_weight: float | None = None) -> "WeightedGraph":
-        """Subgraph keeping edges with weight inside the given bounds."""
-        kept = [
-            (u, v, w)
-            for u, v, w in self.edges
-            if (min_weight is None or w >= min_weight)
-            and (max_weight is None or w <= max_weight)
-        ]
-        return WeightedGraph(self.num_vertices, kept)
 
 
 @dataclass(frozen=True)
@@ -150,23 +151,110 @@ def _has_uncovered_vertex(g: WeightedGraph) -> bool:
     return len({x for u, v, _ in g.edges for x in (u, v)}) < g.num_vertices
 
 
-def _perfect_matching_pairs(g: WeightedGraph) -> list[tuple[int, int]] | None:
-    """A perfect matching of g as vertex pairs, or None if none exists."""
-    n = g.num_vertices
-    if n == 0:
-        return []
-    if n % 2 or _has_uncovered_vertex(g):
-        return None
+def _perfect_matching_pairs(g: WeightedGraph) -> list[tuple[int, int]]:
+    """A perfect matching of g, which must have one, as vertex pairs."""
     unit = {(u, v): 1 for u, v, _ in g.edges}
-    mate = maximum_weight_matching(n, unit, max_cardinality=True)
-    if len(mate) < n:
-        return None
+    mate = maximum_weight_matching(g.num_vertices, unit, max_cardinality=True)
+    assert len(mate) == g.num_vertices
     return _mate_to_pairs(mate)
 
 
 def has_perfect_matching(g: WeightedGraph) -> bool:
     """True iff some matching covers every vertex (vacuously true for 0)."""
-    return _perfect_matching_pairs(g) is not None
+    return _perfect_matching_exists(g.num_vertices, g.edges)
+
+
+def _perfect_matching_exists(n: int, edges: Iterable[tuple[int, int, float]]) -> bool:
+    """Edmonds' cardinality search for a perfect matching of the simple
+    graph on ``n`` vertices with these edges (weights are ignored).
+
+    A greedy pass over the edges starts the matching; then one
+    alternating tree is grown from each vertex it leaves free.  If a tree
+    finds no augmenting path, no perfect matching exists: in the symmetric
+    difference with a perfect matching, the path from that root would be
+    one.
+    """
+    if n % 2:
+        return False
+    adj: list[list[int]] = [[] for _ in range(n)]
+    mate = [-1] * n
+    for u, v, _ in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+        if mate[u] < 0 and mate[v] < 0:
+            mate[u] = v
+            mate[v] = u
+    if not all(adj):
+        return False
+    return all(mate[r] >= 0 or _augment(r, adj, mate) for r in range(n))
+
+
+def _augment(root: int, adj: list[list[int]], mate: list[int]) -> bool:
+    """Grow an alternating tree from the free vertex ``root``, shrinking
+    each blossom (odd cycle) it closes into its base.  At the first free
+    vertex reached, flip the path to it in ``mate`` and return True;
+    return False if the tree stops growing first.
+
+    ``parent`` links each inner (odd) vertex to the outer vertex that
+    reached it, and each outer vertex inside a blossom to the vertex that
+    leads back to the base along the other side of the cycle, so
+    ``parent[mate[x]]`` steps two levels up from an outer vertex ``x``.
+    """
+    n = len(adj)
+    parent = [-1] * n
+    base = list(range(n))
+    outer = [False] * n
+    outer[root] = True
+    queue = [root]
+
+    def common_base(a: int, b: int) -> int:
+        on_path = [False] * n
+        while True:
+            a = base[a]
+            on_path[a] = True
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while not on_path[base[b]]:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark_path(v: int, b: int, child: int, shrunk: list[bool]) -> None:
+        while base[v] != b:
+            shrunk[base[v]] = shrunk[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    for v in queue:  # the loop also visits vertices appended below
+        for w in adj[v]:
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or (mate[w] >= 0 and parent[mate[w]] >= 0):
+                # w is outer too: the edge closes a blossom.
+                b = common_base(v, w)
+                shrunk = [False] * n
+                mark_path(v, b, w, shrunk)
+                mark_path(w, b, v, shrunk)
+                for x in range(n):
+                    if shrunk[base[x]]:
+                        base[x] = b
+                        if not outer[x]:
+                            outer[x] = True
+                            queue.append(x)
+            elif parent[w] < 0:
+                parent[w] = v
+                if mate[w] < 0:
+                    while w >= 0:
+                        v = parent[w]
+                        after = mate[v]
+                        mate[w] = v
+                        mate[v] = w
+                        w = after
+                    return True
+                outer[mate[w]] = True
+                queue.append(mate[w])
+    return False
 
 
 def min_weight_perfect_matching(g: WeightedGraph) -> Matching | None:
@@ -196,32 +284,30 @@ def _threshold_perfect_matching(g: WeightedGraph, minimize_max: bool) -> Matchin
     """A perfect matching optimizing its extreme edge weight.
 
     With ``minimize_max`` the largest edge is minimized, otherwise the
-    smallest edge is maximized.  The distinct weights are sorted from the
-    most to the least restrictive threshold (ascending, respectively
-    descending), and a binary search finds the first threshold whose
-    subgraph of edges on the permitted side still has a perfect matching.
+    smallest edge is maximized.  The edges are sorted once from the most
+    to the least restrictive threshold (ascending, respectively
+    descending weight), so the subgraph within each distinct weight level
+    is a prefix of that order.  A binary search with cardinality probes
+    finds the shortest such prefix that still has a perfect matching, and
+    one blossom run on it gives the witness.
     """
-    if g.num_vertices == 0:
+    n = g.num_vertices
+    if n == 0:
         return Matching.empty()
-    levels = sorted({w for _, _, w in g.edges}, reverse=not minimize_max)
-    if not levels or not has_perfect_matching(g):
+    if not g.edges or not has_perfect_matching(g):
         return None
-
-    def within(level: float) -> WeightedGraph:
-        if minimize_max:
-            return g.filtered(max_weight=level)
-        return g.filtered(min_weight=level)
-
-    lo, hi = 0, len(levels) - 1
+    order = sorted(g.edges, key=itemgetter(2), reverse=not minimize_max)
+    # ends[i] is the length of the prefix within the i-th distinct level.
+    ends = [i for i in range(1, len(order)) if order[i][2] != order[i - 1][2]]
+    ends.append(len(order))
+    lo, hi = 0, len(ends) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if has_perfect_matching(within(levels[mid])):
+        if _perfect_matching_exists(n, order[: ends[mid]]):
             hi = mid
         else:
             lo = mid + 1
-    pairs = _perfect_matching_pairs(within(levels[lo]))
-    assert pairs is not None
-    return Matching.from_edges(g, pairs)
+    return Matching.from_edges(g, _perfect_matching_pairs(WeightedGraph(n, order[: ends[lo]])))
 
 
 def bottleneck_perfect_matching(g: WeightedGraph) -> Matching | None:

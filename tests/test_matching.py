@@ -29,6 +29,26 @@ def k4_canonical():
     )
 
 
+# Outer 5-cycle 0-4, inner pentagram 5-9 and the spokes i-(i + 5).
+PETERSEN = (
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+)
+TRIANGLE_OF_TRIANGLES = [
+    (0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7), (7, 8), (6, 8),
+    (2, 3), (5, 6), (0, 8),
+]  # fmt: skip
+
+
+def has_perfect_pairing(g: WeightedGraph) -> bool:
+    """Perfect-matching existence by enumerating every pairing."""
+    return any(
+        all(g.has_edge(u, v) for u, v in pairing)
+        for pairing in perfect_pairings(range(g.num_vertices))
+    )
+
+
 graphs = st.integers(min_value=0, max_value=4).flatmap(
     lambda seed: st.integers(min_value=2, max_value=8).map(
         lambda n: generate_uncolored_graph(n, seed, 0.5)
@@ -84,14 +104,52 @@ class TestHasPerfectMatching:
 
     @pytest.mark.parametrize("seed", range(50))
     def test_agrees_with_pairing_enumeration(self, seed):
-        # At edge probability 0.25 isolated vertices are common.
-        for edge_prob in (0.5, 0.25):
-            g = generate_uncolored_graph(8, 1000 + seed, edge_prob)
-            expected = any(
-                all(g.has_edge(u, v) for u, v in pairing)
-                for pairing in perfect_pairings(range(8))
-            )
-            assert has_perfect_matching(g) == expected
+        # At low edge probability isolated vertices are common.
+        for n in (4, 6, 8, 10, 12):
+            for edge_prob in (0.5, 0.35, 0.2):
+                g = generate_uncolored_graph(n, 1000 + seed, edge_prob)
+                assert has_perfect_matching(g) == has_perfect_pairing(g)
+
+    # Each case is checked as given, whose sorted edge order the greedy
+    # start takes, and in shuffled orders passed to the search directly.
+    @pytest.mark.parametrize(
+        "n, edges, expected",
+        [
+            # Triangles {6, 0, 1} and {4, 5, 7} joined by the path 1-2-3-4.
+            # Greedy takes 0-1, 2-3 and 4-5; the one augmenting path from 6
+            # leaves through the blossom {6, 0, 1}.
+            (8, [(0, 1), (0, 6), (1, 6), (1, 2), (2, 3), (3, 4), (4, 5), (4, 7), (5, 7)], True),
+            # Vertex 7 hangs off the middle of the path 2-3-4 between two
+            # triangles, which then have three vertices each left.
+            (8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6), (3, 7)], False),
+            # A triangle of triangles, {0, 1, 2}, {3, 4, 5} and {6, 7, 8},
+            # linked by 2-3, 5-6 and 8-0, with vertex 9 hanging off 1:
+            # blossoms nest inside the outer odd cycle.
+            (10, TRIANGLE_OF_TRIANGLES + [(1, 9)], True),
+            # One pendant vertex per triangle leaves the 6-cycle
+            # 0-2-3-5-6-8 to match.
+            (12, TRIANGLE_OF_TRIANGLES + [(1, 9), (4, 10), (7, 11)], True),
+            # Beside a separate triangle, the nine vertices are odd.
+            (12, TRIANGLE_OF_TRIANGLES + [(9, 10), (10, 11), (9, 11)], False),
+            (10, PETERSEN, True),
+            # The Petersen graph without its spokes is two 5-cycles.
+            (10, [(u, v) for u, v in PETERSEN if v != u + 5], False),
+            # The path 2-0-1-3: greedy takes 0-1, which is maximal but
+            # not maximum.
+            (4, [(0, 1), (0, 2), (1, 3)], True),
+        ],
+    )
+    def test_blossom_cases(self, n, edges, expected):
+        import random
+
+        g = WeightedGraph(n, [(u, v, 1.0) for u, v in edges])
+        assert has_perfect_pairing(g) == expected
+        assert has_perfect_matching(g) == expected
+        rng = random.Random(n)
+        order = list(g.edges)
+        for _ in range(30):
+            rng.shuffle(order)
+            assert matching._perfect_matching_exists(n, order) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(graphs, st.data())
@@ -265,10 +323,17 @@ class TestThresholdMonotonicity:
     def test_feasibility_is_monotone_in_the_threshold(self, seed):
         g = generate_complete_weighted_graph(8, 4300 + seed)
         levels = sorted({w for _, _, w in g.edges})
-        above = [has_perfect_matching(g.filtered(min_weight=w)) for w in levels]
+        n = g.num_vertices
+        above = [
+            has_perfect_matching(WeightedGraph(n, [e for e in g.edges if e[2] >= w]))
+            for w in levels
+        ]
         # True..True..False..False going up.
         assert all(a or not b for a, b in zip(above, above[1:]))
-        below = [has_perfect_matching(g.filtered(max_weight=w)) for w in levels]
+        below = [
+            has_perfect_matching(WeightedGraph(n, [e for e in g.edges if e[2] <= w]))
+            for w in levels
+        ]
         # False..False..True..True going up.
         assert all(b or not a for a, b in zip(below, below[1:]))
 

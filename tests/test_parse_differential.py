@@ -274,6 +274,15 @@ class TestParseMatchesReference:
         ps = generate_points(2000, 20, seed, distribution=distribution)
         assert parse_points(serialize_points(ps)) == ps
 
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    def test_crlf_files_take_the_loadtxt_read(self, monkeypatch, distribution):
+        def by_line(*_):
+            raise AssertionError("the per-line pass ran on a CRLF file")
+
+        monkeypatch.setattr(fileio, "_point_columns_by_line", by_line)
+        ps = generate_points(2000, 20, 3, distribution=distribution)
+        assert parse_points(serialize_points(ps).replace("\n", "\r\n")) == ps
+
     def test_a_loadtxt_warning_falls_back(self, monkeypatch):
         # numpy 1.23-1.x parses "3.0" in an int column with a
         # DeprecationWarning; whatever loadtxt returns then is not used,
