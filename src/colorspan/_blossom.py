@@ -14,10 +14,9 @@ dictionary-based form.  Two implementation choices matter here:
   yields ints without rounding.  A positive common factor scales every
   slack and every dual change alike, so all comparisons, tie-breaks and
   hence the returned matching are the same as for the unscaled weights.
-* ``max_cardinality=True`` restricts the search to maximum-cardinality
-  matchings (maximum weight among those).  Perfect-matching queries are
-  answered by running in this mode and checking that every vertex got a
-  mate.
+* The search is restricted to maximum-cardinality matchings (maximum
+  weight among those).  Perfect-matching queries are answered by
+  checking that every vertex got a mate.
 
 The running time is cubic in the vertex count with small constants, which
 is plenty for the matching instances produced by the solvers.
@@ -50,9 +49,9 @@ class _Blossom:
 def maximum_weight_matching(
     num_vertices: int,
     edge_weights: Mapping[tuple[int, int], int],
-    max_cardinality: bool = False,
 ) -> dict[int, int]:
-    """Compute a maximum-weight matching and return its mate map.
+    """Compute a maximum-weight maximum-cardinality matching and return
+    its mate map.
 
     ``edge_weights`` maps vertex pairs ``(u, v)`` with ``u != v`` to int
     weights (see the module docstring for scaling floats).  The result
@@ -434,10 +433,6 @@ def maximum_weight_matching(
             deltatype = -1
             delta = deltaedge = deltablossom = None
 
-            if not max_cardinality:
-                deltatype = 1
-                delta = min(dualvar.values())
-
             for v in gnodes:
                 if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
                     d = slack(*bestedge[v])
@@ -471,10 +466,8 @@ def maximum_weight_matching(
                     deltablossom = b
 
             if deltatype == -1:
-                # Only possible in max-cardinality mode: the matching is
-                # already of maximum cardinality.  Make a final update so
-                # the duals certify optimality, then stop.
-                assert max_cardinality
+                # The matching is already of maximum cardinality.  Make a
+                # final update so the duals certify optimality, then stop.
                 deltatype = 1
                 delta = max(0, min(dualvar.values()))
 

@@ -4,8 +4,11 @@ Subcommands: ``gen`` (instances), ``solve`` (pipelines), ``oracle``
 (exhaustive reference), ``check`` (solver vs oracle), ``reduce`` and
 ``certify`` (hardness constructions), ``render`` (SVG).
 
+``check`` on a graph file takes ``--objective minsum`` or ``all`` only.
+
 Exit codes: 0 solved/passed, 2 infeasible, 3 invalid input (including
-usage and parse errors), 4 enumeration budget exceeded, 5 check mismatch.
+usage and parse errors and unwritable output paths), 4 enumeration
+budget exceeded, 5 check mismatch.
 """
 
 from __future__ import annotations
@@ -62,6 +65,9 @@ _GEOMETRIC_SOLVERS = {
 }
 
 
+_Instance = ColoredPointSet | VertexColoredGraph
+
+
 class _UsageError(Exception):
     pass
 
@@ -73,11 +79,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _write_file(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InvalidInstanceError(f"cannot write {path}: {exc}") from None
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        _write_file(out, text)
 
 
 def _read_input(path: str) -> str:
@@ -87,26 +100,26 @@ def _read_input(path: str) -> str:
         raise InvalidInstanceError(f"cannot read {path}: {exc}") from None
 
 
-def _record_for_points(
-    objective: Objective, solution: ColorSpanningMatching, elapsed_ms: float
-) -> ResultRecord:
-    return ResultRecord(
-        kind="points",
-        objective=objective.value,
-        status="solved",
-        value=solution.value(objective),
-        pairs=solution.pairs,
-        total_weight=solution.total_weight,
-        min_edge_weight=solution.min_edge_weight,
-        max_edge_weight=solution.max_edge_weight,
-        time_ms=elapsed_ms,
-    )
+def _read_instance(path: str, who: str) -> _Instance:
+    """The point set or colored graph in ``path``; ``who`` names the
+    command in the error for an uncolored graph."""
+    text = _read_input(path)
+    if sniff_kind(text) == "points":
+        return parse_points(text)
+    g = parse_graph(text)
+    if not isinstance(g, VertexColoredGraph):
+        raise InvalidInstanceError(f"{who} needs a colored graph (t > 0)")
+    return g
 
 
-def _record_for_graph(
-    objective: Objective, matching: Matching | None, elapsed_ms: float
+def _record(
+    objective: Objective,
+    solution: ColorSpanningMatching | Matching | None,
+    elapsed_ms: float,
 ) -> ResultRecord:
-    if matching is None:
+    """The record of one solver or oracle answer; ``None`` is an
+    infeasible graph instance."""
+    if solution is None:
         return ResultRecord(
             kind="graph",
             objective=objective.value,
@@ -118,21 +131,47 @@ def _record_for_graph(
             max_edge_weight=None,
             time_ms=elapsed_ms,
         )
+    points = isinstance(solution, ColorSpanningMatching)
     return ResultRecord(
-        kind="graph",
+        kind="points" if points else "graph",
         objective=objective.value,
         status="solved",
-        value=matching.total_weight,
-        pairs=matching.edges,
-        total_weight=matching.total_weight,
-        min_edge_weight=matching.min_edge_weight,
-        max_edge_weight=matching.max_edge_weight,
+        value=solution.value(objective) if points else solution.total_weight,
+        pairs=solution.pairs if points else solution.edges,
+        total_weight=solution.total_weight,
+        min_edge_weight=solution.min_edge_weight,
+        max_edge_weight=solution.max_edge_weight,
         time_ms=elapsed_ms,
     )
 
 
-def _emit_record(record: ResultRecord, as_json: bool, out: str | None) -> None:
-    _write_output(record.to_json() if as_json else record.to_text(), out)
+def _require_minsum(objective: Objective) -> None:
+    if objective is not Objective.MINSUM:
+        raise InvalidInstanceError("graph instances only support the minsum objective")
+
+
+def _solve(instance: _Instance, objective: Objective) -> ResultRecord:
+    start = time.perf_counter()
+    if isinstance(instance, VertexColoredGraph):
+        _require_minsum(objective)
+        solution = solve_k_multicolored_matching(instance)
+    elif objective in _GEOMETRIC_SOLVERS:
+        solution = _GEOMETRIC_SOLVERS[objective](instance)
+    else:
+        raise InvalidInstanceError(
+            f"objective {objective.value!r} has no solver; use the oracle for it"
+        )
+    return _record(objective, solution, (time.perf_counter() - start) * 1e3)
+
+
+def _oracle(instance: _Instance, objective: Objective, budget: int) -> ResultRecord:
+    start = time.perf_counter()
+    if isinstance(instance, VertexColoredGraph):
+        _require_minsum(objective)
+        solution = brute_force_colorful_graph_matching(instance, budget)
+    else:
+        solution = brute_force_geometric(instance, objective, budget)
+    return _record(objective, solution, (time.perf_counter() - start) * 1e3)
 
 
 def _cmd_gen(args) -> int:
@@ -150,83 +189,40 @@ def _cmd_gen(args) -> int:
             distribution=args.distribution,
             max_class_size=args.max_class_size,
         )
-        _write_output(serialize_points(ps), args.out)
+        text = serialize_points(ps)
+    elif args.uncolored:
+        g = generate.generate_uncolored_graph(args.n, args.seed, args.edge_prob)
+        text = serialize_graph(g)
     else:
-        if args.uncolored:
-            g = generate.generate_uncolored_graph(args.n, args.seed, args.edge_prob)
-            _write_output(serialize_graph(g), args.out)
-        else:
-            if args.k is None:
-                raise InvalidInstanceError("gen graph requires --k (or --uncolored)")
-            t = 2 * args.k
-            if t > args.n:
-                raise InvalidInstanceError(f"2k = {t} colors exceed --n {args.n}")
-            g = generate.generate_colored_graph(
-                args.n, t, args.seed, edge_prob=args.edge_prob, weighted=not args.unweighted
-            )
-            _write_output(serialize_graph(g), args.out)
+        if args.k is None:
+            raise InvalidInstanceError("gen graph requires --k (or --uncolored)")
+        t = 2 * args.k
+        if t > args.n:
+            raise InvalidInstanceError(f"2k = {t} colors exceed --n {args.n}")
+        g = generate.generate_colored_graph(
+            args.n, t, args.seed, edge_prob=args.edge_prob, weighted=not args.unweighted
+        )
+        text = serialize_graph(g)
+    _write_output(text, args.out)
     return EXIT_OK
 
 
-def _solve_points(ps: ColoredPointSet, objective: Objective) -> ResultRecord:
-    if objective not in _GEOMETRIC_SOLVERS:
-        raise InvalidInstanceError(
-            f"objective {objective.value!r} has no solver; use the oracle for it"
-        )
-    start = time.perf_counter()
-    solution = _GEOMETRIC_SOLVERS[objective](ps)
-    return _record_for_points(objective, solution, (time.perf_counter() - start) * 1e3)
-
-
-def _solve_graph(g: VertexColoredGraph, objective: Objective) -> ResultRecord:
-    if objective is not Objective.MINSUM:
-        raise InvalidInstanceError("graph instances only support the minsum objective")
-    start = time.perf_counter()
-    matching = solve_k_multicolored_matching(g)
-    return _record_for_graph(objective, matching, (time.perf_counter() - start) * 1e3)
-
-
 def _cmd_solve(args) -> int:
-    text = _read_input(args.input)
-    objective = Objective.from_string(args.objective)
-    if sniff_kind(text) == "points":
-        ps = parse_points(text)
-        record = _solve_points(ps, objective)
-        if args.render_out is not None:
-            svg = render_svg(ps, record.pairs, objective.value, record.value)
-            Path(args.render_out).write_text(svg)
-    else:
-        g = parse_graph(text)
-        if not isinstance(g, VertexColoredGraph):
-            raise InvalidInstanceError("solve needs a colored graph (t > 0)")
-        record = _solve_graph(g, objective)
-        if args.render_out is not None:
+    instance = _read_instance(args.input, "solve")
+    record = _solve(instance, Objective.from_string(args.objective))
+    if args.render_out is not None:
+        if isinstance(instance, VertexColoredGraph):
             raise InvalidInstanceError("--render-out only applies to point instances")
-    _emit_record(record, args.json, args.out)
+        svg = render_svg(instance, record.pairs, record.objective, record.value)
+        _write_file(args.render_out, svg)
+    _write_output(record.to_json() if args.json else record.to_text(), args.out)
     return EXIT_OK if record.status == "solved" else EXIT_INFEASIBLE
 
 
-def _oracle_record(text: str, objective: Objective, budget: int) -> ResultRecord:
-    if sniff_kind(text) == "points":
-        ps = parse_points(text)
-        start = time.perf_counter()
-        solution = brute_force_geometric(ps, objective, budget)
-        return _record_for_points(objective, solution, (time.perf_counter() - start) * 1e3)
-    g = parse_graph(text)
-    if not isinstance(g, VertexColoredGraph):
-        raise InvalidInstanceError("the graph oracle needs a colored graph (t > 0)")
-    if objective is not Objective.MINSUM:
-        raise InvalidInstanceError("graph instances only support the minsum objective")
-    start = time.perf_counter()
-    matching = brute_force_colorful_graph_matching(g, budget)
-    return _record_for_graph(objective, matching, (time.perf_counter() - start) * 1e3)
-
-
 def _cmd_oracle(args) -> int:
-    text = _read_input(args.input)
-    objective = Objective.from_string(args.objective)
-    record = _oracle_record(text, objective, args.budget)
-    _emit_record(record, args.json, args.out)
+    instance = _read_instance(args.input, "the graph oracle")
+    record = _oracle(instance, Objective.from_string(args.objective), args.budget)
+    _write_output(record.to_json() if args.json else record.to_text(), args.out)
     return EXIT_OK if record.status == "solved" else EXIT_INFEASIBLE
 
 
@@ -239,96 +235,66 @@ def _agrees(solved: float, expected: float, tolerance: float) -> bool:
     return gap <= tolerance and gap <= tolerance * abs(expected)
 
 
-def _check_points_instance(
-    ps: ColoredPointSet, objectives, budget, tolerance, perturb
-) -> list[str]:
-    failures = []
-    for objective in objectives:
-        solved = _GEOMETRIC_SOLVERS[objective](ps).value(objective) + perturb
-        expected = brute_force_geometric(ps, objective, budget).value(objective)
-        status = "ok" if _agrees(solved, expected, tolerance) else "MISMATCH"
+def _check_objectives(name: str, instance: _Instance) -> tuple[Objective, ...]:
+    """The objectives ``check`` compares: for ``all``, every one the
+    instance's solver has."""
+    if name == "all":
+        if isinstance(instance, VertexColoredGraph):
+            return (Objective.MINSUM,)
+        return tuple(_GEOMETRIC_SOLVERS)
+    objective = Objective.from_string(name)
+    if isinstance(instance, ColoredPointSet) and objective not in _GEOMETRIC_SOLVERS:
+        raise InvalidInstanceError(f"objective {objective.value!r} has no solver")
+    return (objective,)
+
+
+def _check_instance(instance: _Instance, name: str, args) -> int:
+    """Print one solver-vs-oracle line per objective; return the mismatch count."""
+    failures = 0
+    for objective in _check_objectives(name, instance):
+        solved = _solve(instance, objective).value
+        expected = _oracle(instance, objective, args.budget).value
+        if solved is None or expected is None:
+            ok = solved is expected
+        else:
+            solved += args.debug_perturb
+            ok = _agrees(solved, expected, args.tolerance)
+        shown = ["infeasible" if v is None else repr(v) for v in (solved, expected)]
         print(
-            f"objective={objective.value} solver={solved!r} oracle={expected!r} status={status}"
+            f"objective={objective.value} solver={shown[0]} oracle={shown[1]} "
+            f"status={'ok' if ok else 'MISMATCH'}"
         )
-        if status != "ok":
-            failures.append(objective.value)
+        failures += not ok
     return failures
 
 
-def _check_graph_instance(g: VertexColoredGraph, budget, tolerance, perturb) -> list[str]:
-    solved = solve_k_multicolored_matching(g)
-    expected = brute_force_colorful_graph_matching(g, budget)
-    if (solved is None) != (expected is None):
-        print(
-            f"objective=minsum solver={'infeasible' if solved is None else solved.total_weight!r} "
-            f"oracle={'infeasible' if expected is None else expected.total_weight!r} status=MISMATCH"
-        )
-        return ["minsum"]
-    if solved is None:
-        print("objective=minsum solver=infeasible oracle=infeasible status=ok")
-        return []
-    value = solved.total_weight + perturb
-    status = "ok" if _agrees(value, expected.total_weight, tolerance) else "MISMATCH"
-    print(
-        f"objective=minsum solver={value!r} oracle={expected.total_weight!r} status={status}"
-    )
-    return [] if status == "ok" else ["minsum"]
-
-
 def _cmd_check(args) -> int:
-    perturb = args.debug_perturb
-    failures = 0
-    if args.sweep is not None:
-        if args.sweep < 1:
-            raise InvalidInstanceError(f"sweep count must be positive, got {args.sweep}")
-        if args.seed < 0:
-            raise InvalidInstanceError(f"seed must be non-negative, got {args.seed}")
-        k_values = _parse_k_list(args.k_list)
-        ks = [k_values[i % len(k_values)] for i in range(args.sweep)]
-        seeds = range(args.seed * 1_000_003, args.seed * 1_000_003 + args.sweep)
-        # Every instance is generated before the first line is printed, so
-        # an argument a generator rejects for any k leaves no partial report.
-        if args.kind == "points":
-            instances = [
-                generate.generate_matching_instance(k, seed, args.max_class_size)
-                for k, seed in zip(ks, seeds)
-            ]
-        else:
-            instances = [
-                generate.generate_colorful_matching_instance(k, seed) for k, seed in zip(ks, seeds)
-            ]
-        for i, (k, instance) in enumerate(zip(ks, instances)):
-            print(f"instance={i} k={k}")
-            if args.kind == "points":
-                found = _check_points_instance(
-                    instance, tuple(_GEOMETRIC_SOLVERS), args.budget, args.tolerance, perturb
-                )
-            else:
-                found = _check_graph_instance(instance, args.budget, args.tolerance, perturb)
-            failures += len(found)
-        print(f"sweep={args.sweep} failures={failures}")
+    if args.sweep is None:
+        if args.input is None:
+            raise InvalidInstanceError("check needs an input file or --sweep")
+        failures = _check_instance(_read_instance(args.input, "check"), args.objective, args)
         return EXIT_OK if failures == 0 else EXIT_MISMATCH
-    if args.input is None:
-        raise InvalidInstanceError("check needs an input file or --sweep")
-    text = _read_input(args.input)
-    if sniff_kind(text) == "points":
-        ps = parse_points(text)
-        objectives = (
-            tuple(_GEOMETRIC_SOLVERS)
-            if args.objective == "all"
-            else (Objective.from_string(args.objective),)
-        )
-        for objective in objectives:
-            if objective not in _GEOMETRIC_SOLVERS:
-                raise InvalidInstanceError(f"objective {objective.value!r} has no solver")
-        failures = len(
-            _check_points_instance(ps, objectives, args.budget, args.tolerance, perturb)
+    if args.sweep < 1:
+        raise InvalidInstanceError(f"sweep count must be positive, got {args.sweep}")
+    if args.seed < 0:
+        raise InvalidInstanceError(f"seed must be non-negative, got {args.seed}")
+    k_values = _parse_k_list(args.k_list)
+    ks = [k_values[i % len(k_values)] for i in range(args.sweep)]
+    seeds = range(args.seed * 1_000_003, args.seed * 1_000_003 + args.sweep)
+    # Every instance is generated before the first line is printed, so
+    # an argument a generator rejects for any k leaves no partial report.
+    if args.kind == "points":
+        make = functools.partial(
+            generate.generate_matching_instance, max_class_size=args.max_class_size
         )
     else:
-        g = parse_graph(text)
-        if not isinstance(g, VertexColoredGraph):
-            raise InvalidInstanceError("check needs a colored graph (t > 0)")
-        failures = len(_check_graph_instance(g, args.budget, args.tolerance, perturb))
+        make = generate.generate_colorful_matching_instance
+    instances = [make(k, seed) for k, seed in zip(ks, seeds)]
+    failures = 0
+    for i, (k, instance) in enumerate(zip(ks, instances)):
+        print(f"instance={i} k={k}")
+        failures += _check_instance(instance, "all", args)
+    print(f"sweep={args.sweep} failures={failures}")
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 
@@ -360,9 +326,9 @@ def _cmd_reduce(args) -> int:
             )
         artifact = reduce_mcis_to_mcim(g)
     out = Path(args.out)
-    out.write_text(serialize_graph(artifact.graph))
+    _write_file(out, serialize_graph(artifact.graph))
     sidecar = Path(str(out) + ".prov")
-    sidecar.write_text(serialize_provenance(artifact.provenance))
+    _write_file(sidecar, serialize_provenance(artifact.provenance))
     print(
         f"vertices={artifact.graph.num_vertices} edges={len(artifact.graph.edges)} "
         f"colors={artifact.graph.num_colors} out={out} provenance={sidecar}"
@@ -413,13 +379,11 @@ def _cmd_render(args) -> int:
                 f"result value {record.value!r} does not match these points "
                 f"(recomputed {recomputed!r})"
             )
-        svg = render_svg(ps, record.pairs, record.objective, record.value)
     elif args.objective is not None:
-        record = _solve_points(ps, Objective.from_string(args.objective))
-        svg = render_svg(ps, record.pairs, record.objective, record.value)
+        record = _solve(ps, Objective.from_string(args.objective))
     else:
         raise InvalidInstanceError("render needs --result or --objective")
-    _write_output(svg, args.out)
+    _write_output(render_svg(ps, record.pairs, record.objective, record.value), args.out)
     return EXIT_OK
 
 

@@ -154,7 +154,7 @@ def _has_uncovered_vertex(g: WeightedGraph) -> bool:
 def _perfect_matching_pairs(g: WeightedGraph) -> list[tuple[int, int]]:
     """A perfect matching of g, which must have one, as vertex pairs."""
     unit = {(u, v): 1 for u, v, _ in g.edges}
-    mate = maximum_weight_matching(g.num_vertices, unit, max_cardinality=True)
+    mate = maximum_weight_matching(g.num_vertices, unit)
     assert len(mate) == g.num_vertices
     return _mate_to_pairs(mate)
 
@@ -274,7 +274,7 @@ def min_weight_perfect_matching(g: WeightedGraph) -> Matching | None:
     scaled = [num * (scale // den) for num, den in ratios]
     top = max(scaled)
     transformed = {(u, v): top - iw for (u, v, _), iw in zip(g.edges, scaled)}
-    mate = maximum_weight_matching(n, transformed, max_cardinality=True)
+    mate = maximum_weight_matching(n, transformed)
     if len(mate) < n:
         return None
     return Matching.from_edges(g, _mate_to_pairs(mate))

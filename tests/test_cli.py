@@ -124,6 +124,17 @@ def generator_argvs(draw):
     ]
 
 
+@pytest.fixture(scope="module")
+def instance_files(tmp_path_factory):
+    """The figure 1 points, a colored and an uncolored graph, and a
+    directory for outputs."""
+    d = tmp_path_factory.mktemp("instances")
+    colored, uncolored = d / "colored.graph", d / "uncolored.graph"
+    assert main(["gen", "graph", "--n", "8", "--k", "2", "--seed", "1", "--out", str(colored)]) == EXIT_OK
+    assert main(["gen", "graph", "--n", "8", "--seed", "3", "--uncolored", "--out", str(uncolored)]) == EXIT_OK
+    return {"points": FIG1, "colored": str(colored), "uncolored": str(uncolored), "dir": d}
+
+
 class TestCliFuzz:
     @settings(
         max_examples=150,
@@ -132,6 +143,27 @@ class TestCliFuzz:
     )
     @given(generator_argvs())
     def test_exit_code_is_documented(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_BUDGET, EXIT_MISMATCH)
+        assert "Traceback" not in err
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(["solve", "oracle", "check"]),
+        kind=st.sampled_from(["points", "colored", "uncolored"]),
+        objective=st.sampled_from(["minsum", "maxmin", "minmax", "maxsum", "all", "bogus"]),
+        out=st.sampled_from([None, "out.txt", "missing/out.txt"]),
+    )
+    def test_pipeline_exit_code_is_documented(
+        self, capsys, instance_files, command, kind, objective, out
+    ):
+        argv = [command, instance_files[kind], "--objective", objective]
+        if out is not None and command != "check":
+            argv += ["--out", str(instance_files["dir"] / out)]
         code, _, err = run(capsys, *argv)
         assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_BUDGET, EXIT_MISMATCH)
         assert "Traceback" not in err
@@ -332,6 +364,25 @@ class TestCheck:
         assert code == EXIT_OK
         assert "status=ok" in out
 
+    def test_graph_instance_takes_minsum_only(self, capsys, instance_files):
+        graph = instance_files["colored"]
+        code, out, err = run(capsys, "check", graph, "--objective", "minsum")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("objective=minsum ") and out.endswith(" status=ok\n")
+        assert run(capsys, "check", graph, "--objective", "all") == (EXIT_OK, out, "")
+        for objective in ("maxmin", "minmax", "maxsum"):
+            assert run(capsys, "check", graph, "--objective", objective) == (
+                EXIT_INVALID,
+                "",
+                "invalid input: graph instances only support the minsum objective\n",
+            )
+        assert run(capsys, "check", graph, "--objective", "bogus") == (
+            EXIT_INVALID,
+            "",
+            "invalid input: unknown objective 'bogus'; "
+            "expected one of minsum, maxmin, minmax, maxsum\n",
+        )
+
     def test_infeasible_on_both_sides_passes(self, capsys, tmp_path):
         f = tmp_path / "mono.graph"
         f.write_text("4 2 2\n0\n0\n1\n1\n0 1\n2 3\n")
@@ -472,6 +523,42 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == EXIT_INVALID
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "points", "--n", "6", "--t", "3", "--out", "{missing}"],
+            ["gen", "graph", "--n", "6", "--k", "1", "--out", "{missing}"],
+            ["solve", FIG1, "--out", "{missing}"],
+            ["solve", FIG1, "--render-out", "{missing}"],
+            ["oracle", FIG1, "--out", "{missing}"],
+            ["render", FIG1, "--objective", "minsum", "--out", "{missing}"],
+            ["reduce", "{uncolored}", "--step", "is2mcis", "--k", "2", "--out", "{missing}"],
+        ],
+        ids=[
+            "gen points", "gen graph", "solve --out", "solve --render-out", "oracle --out",
+            "render --out", "reduce --out",
+        ],
+    )
+    def test_missing_directory_is_invalid_input(self, capsys, instance_files, tmp_path, argv):
+        missing = str(tmp_path / "missing" / "dir" / "x")
+        argv = [a.format(missing=missing, **instance_files) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith(f"invalid input: cannot write {missing}: ")
+        assert "Traceback" not in err
+
+    def test_unwritable_provenance_sidecar(self, capsys, instance_files, tmp_path):
+        out = tmp_path / "reduced.graph"
+        Path(str(out) + ".prov").mkdir()
+        code, text, err = run(
+            capsys, "reduce", instance_files["uncolored"], "--step", "is2mcis", "--k", "2",
+            "--out", str(out),
+        )
+        assert (code, text) == (EXIT_INVALID, "")
+        assert err.startswith(f"invalid input: cannot write {out}.prov: ")
 
 
 class TestParserReuse:

@@ -31,7 +31,7 @@ from colorspan.solvers import _color_graph_to_weighted
 
 def reference_pairs(g: WeightedGraph) -> list[tuple[int, int]] | None:
     unit = {(u, v): 1 for u, v, _ in g.edges}
-    mate = maximum_weight_matching(g.num_vertices, unit, max_cardinality=True)
+    mate = maximum_weight_matching(g.num_vertices, unit)
     if len(mate) < g.num_vertices:
         return None
     return sorted((u, v) for u, v in mate.items() if u < v)
