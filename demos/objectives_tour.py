@@ -28,8 +28,9 @@ NAMES = "abcdef"
 
 def show(title, ps):
     print(f"\n{title}")
+    rows = zip(NAMES, ps.xs.tolist(), ps.ys.tolist(), ps.colors.tolist())
     print("  points:", ", ".join(
-        f"{NAMES[i]}=({p.x:g},{p.y:g}) c{p.color}" for i, p in enumerate(ps.points)
+        f"{name}=({x:g},{y:g}) c{color}" for name, x, y, color in rows
     ))
     for objective, solver in SOLVERS.items():
         got = solver(ps)

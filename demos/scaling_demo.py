@@ -8,17 +8,19 @@ what the exhaustive pair scan could handle; a small replica is verified
 against the scan for confidence.
 """
 
+import math
 import time
 
-from colorspan import build_closest_color_graph, distance
+from colorspan import build_closest_color_graph
 from colorspan.generate import generate_points
 
 
 def exhaustive_weight(ps, ci, cj):
+    xs, ys = ps.xs.tolist(), ps.ys.tolist()
     return min(
-        distance(ps.points[int(a)], ps.points[int(b)])
-        for a in ps.color_indices(ci)
-        for b in ps.color_indices(cj)
+        math.hypot(xs[a] - xs[b], ys[a] - ys[b])
+        for a in ps.color_indices(ci).tolist()
+        for b in ps.color_indices(cj).tolist()
     )
 
 

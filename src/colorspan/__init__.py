@@ -18,13 +18,11 @@ from .errors import (
 )
 from .fixtures import stacked_rows_point_set, two_squares_point_set
 from .geometry import (
-    ColoredPoint,
     ColoredPointSet,
     ColorGraph,
     ColorPairWitness,
     build_closest_color_graph,
     build_farthest_color_graph,
-    distance,
 )
 from .hardness import (
     EquivalenceCertificate,
@@ -69,7 +67,6 @@ __all__ = [
     "ColorGraph",
     "ColorPairWitness",
     "ColorSpanningMatching",
-    "ColoredPoint",
     "ColoredPointSet",
     "EquivalenceCertificate",
     "EquivalenceViolationError",
@@ -89,7 +86,6 @@ __all__ = [
     "build_closest_color_graph",
     "build_farthest_color_graph",
     "certify_equivalence",
-    "distance",
     "find_k_independent_set",
     "has_perfect_matching",
     "maxmin_perfect_matching",

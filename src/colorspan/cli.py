@@ -4,7 +4,8 @@ Subcommands: ``gen`` (instances), ``solve`` (pipelines), ``oracle``
 (exhaustive reference), ``check`` (solver vs oracle), ``reduce`` and
 ``certify`` (hardness constructions), ``render`` (SVG).
 
-``check`` on a graph file takes ``--objective minsum`` or ``all`` only.
+``check`` on a graph file, or a ``--sweep --kind graph``, takes
+``--objective minsum`` or ``all`` only.
 
 Exit codes: 0 solved/passed, 2 infeasible, 3 invalid input (including
 usage and parse errors and unwritable output paths), 4 enumeration
@@ -238,20 +239,21 @@ def _agrees(solved: float, expected: float, tolerance: float) -> bool:
 def _check_objectives(name: str, instance: _Instance) -> tuple[Objective, ...]:
     """The objectives ``check`` compares: for ``all``, every one the
     instance's solver has."""
+    graph = isinstance(instance, VertexColoredGraph)
     if name == "all":
-        if isinstance(instance, VertexColoredGraph):
-            return (Objective.MINSUM,)
-        return tuple(_GEOMETRIC_SOLVERS)
+        return (Objective.MINSUM,) if graph else tuple(_GEOMETRIC_SOLVERS)
     objective = Objective.from_string(name)
-    if isinstance(instance, ColoredPointSet) and objective not in _GEOMETRIC_SOLVERS:
+    if graph:
+        _require_minsum(objective)
+    elif objective not in _GEOMETRIC_SOLVERS:
         raise InvalidInstanceError(f"objective {objective.value!r} has no solver")
     return (objective,)
 
 
-def _check_instance(instance: _Instance, name: str, args) -> int:
+def _check_instance(instance: _Instance, objectives: tuple[Objective, ...], args) -> int:
     """Print one solver-vs-oracle line per objective; return the mismatch count."""
     failures = 0
-    for objective in _check_objectives(name, instance):
+    for objective in objectives:
         solved = _solve(instance, objective).value
         expected = _oracle(instance, objective, args.budget).value
         if solved is None or expected is None:
@@ -272,7 +274,8 @@ def _cmd_check(args) -> int:
     if args.sweep is None:
         if args.input is None:
             raise InvalidInstanceError("check needs an input file or --sweep")
-        failures = _check_instance(_read_instance(args.input, "check"), args.objective, args)
+        instance = _read_instance(args.input, "check")
+        failures = _check_instance(instance, _check_objectives(args.objective, instance), args)
         return EXIT_OK if failures == 0 else EXIT_MISMATCH
     if args.sweep < 1:
         raise InvalidInstanceError(f"sweep count must be positive, got {args.sweep}")
@@ -281,8 +284,8 @@ def _cmd_check(args) -> int:
     k_values = _parse_k_list(args.k_list)
     ks = [k_values[i % len(k_values)] for i in range(args.sweep)]
     seeds = range(args.seed * 1_000_003, args.seed * 1_000_003 + args.sweep)
-    # Every instance is generated before the first line is printed, so
-    # an argument a generator rejects for any k leaves no partial report.
+    # Every instance is generated and the objectives resolved before the
+    # first line is printed, so a rejected argument leaves no partial report.
     if args.kind == "points":
         make = functools.partial(
             generate.generate_matching_instance, max_class_size=args.max_class_size
@@ -290,10 +293,11 @@ def _cmd_check(args) -> int:
     else:
         make = generate.generate_colorful_matching_instance
     instances = [make(k, seed) for k, seed in zip(ks, seeds)]
+    objectives = _check_objectives(args.objective, instances[0])
     failures = 0
     for i, (k, instance) in enumerate(zip(ks, instances)):
         print(f"instance={i} k={k}")
-        failures += _check_instance(instance, "all", args)
+        failures += _check_instance(instance, objectives, args)
     print(f"sweep={args.sweep} failures={failures}")
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 

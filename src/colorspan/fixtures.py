@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidInstanceError
-from .geometry import ColoredPoint, ColoredPointSet
+from .geometry import ColoredPointSet
 
 DEFAULT_EPS = 0.1
 
@@ -48,15 +48,13 @@ def _check_eps(eps: float) -> float:
 def two_squares_point_set(eps: float = DEFAULT_EPS) -> ColoredPointSet:
     """The six-point, four-color arrangement on two unit squares."""
     eps = _check_eps(eps)
-    points = [
-        ColoredPoint(1.0, 0.0, 0),        # a
-        ColoredPoint(1.0, 1.0, 1),        # b
-        ColoredPoint(eps, 0.0, 2),        # c
-        ColoredPoint(0.0, 1.0, 2),        # d
-        ColoredPoint(2.0, 0.0, 3),        # e
-        ColoredPoint(2.0 - eps, 1.0, 3),  # f
-    ]
-    return ColoredPointSet.from_points(points, 4)
+    return ColoredPointSet(
+        # a    b    c    d    e    f
+        [1.0, 1.0, eps, 0.0, 2.0, 2.0 - eps],  # x
+        [0.0, 1.0, 0.0, 1.0, 0.0, 1.0],        # y
+        [0,   1,   2,   2,   3,   3],          # color
+        4,
+    )
 
 
 def stacked_rows_point_set(eps: float = DEFAULT_EPS) -> ColoredPointSet:
@@ -67,12 +65,10 @@ def stacked_rows_point_set(eps: float = DEFAULT_EPS) -> ColoredPointSet:
     # Row height making the a-c and b-d distances exactly 2 + eps.
     rise = math.sqrt((2.0 + eps) ** 2 - (half_cd - half_ab) ** 2)
     top = rise + 1.5 + eps
-    points = [
-        ColoredPoint(-half_ab, 0.0, 0),   # a
-        ColoredPoint(half_ab, 0.0, 1),    # b
-        ColoredPoint(-half_cd, rise, 2),  # c
-        ColoredPoint(half_cd, rise, 3),   # d
-        ColoredPoint(-half_cd, top, 0),   # e
-        ColoredPoint(half_cd, top, 1),    # f
-    ]
-    return ColoredPointSet.from_points(points, 4)
+    return ColoredPointSet(
+        # a        b        c         d        e         f
+        [-half_ab, half_ab, -half_cd, half_cd, -half_cd, half_cd],  # x
+        [0.0,      0.0,     rise,     rise,    top,      top],      # y
+        [0,        1,       2,        3,       0,        1],        # color
+        4,
+    )

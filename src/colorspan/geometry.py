@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -54,27 +54,12 @@ _ANGLES = np.arange(2 * 16) * (np.pi / 16)
 _COS, _SIN = np.cos(_ANGLES), np.sin(_ANGLES)
 
 
-@dataclass(frozen=True)
-class ColoredPoint:
-    """A planar point carrying one integer color label."""
+class ColoredPoint(NamedTuple):
+    """One row of a ``ColoredPointSet``; see ``ColoredPointSet.points``."""
 
     x: float
     y: float
     color: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "color", int(self.color))
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidInstanceError(f"non-finite coordinates ({self.x}, {self.y})")
-        if self.color < 0:
-            raise InvalidInstanceError(f"negative color id {self.color}")
-
-
-def distance(p: ColoredPoint, q: ColoredPoint) -> float:
-    """Euclidean distance between two points."""
-    return math.hypot(p.x - q.x, p.y - q.y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,16 +107,6 @@ class ColoredPointSet:
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "num_colors", num_colors)
 
-    @classmethod
-    def from_points(
-        cls, points: Iterable[ColoredPoint], num_colors: int
-    ) -> "ColoredPointSet":
-        """The set of the given points, in order."""
-        pts = tuple(points)
-        return cls(
-            [p.x for p in pts], [p.y for p in pts], [p.color for p in pts], num_colors
-        )
-
     def __len__(self) -> int:
         return len(self.xs)
 
@@ -147,10 +122,13 @@ class ColoredPointSet:
 
     @cached_property
     def points(self) -> tuple[ColoredPoint, ...]:
-        """The points as objects; built on first use, never by a solver."""
-        return tuple(
-            map(ColoredPoint, self.xs.tolist(), self.ys.tolist(), self.colors.tolist())
-        )
+        """The rows as ``(x, y, color)`` tuples, built on first use.
+
+        No code in this package reads it: everything works on the
+        columns.  It stays only because the benchmark tracer counts class
+        sizes from it.
+        """
+        return tuple(map(ColoredPoint, self.xs.tolist(), self.ys.tolist(), self.colors.tolist()))
 
     def distance(self, a: int, b: int) -> float:
         """Exact Euclidean distance between points ``a`` and ``b``.

@@ -39,8 +39,7 @@ def render_svg(
         if not (0 <= a < n and 0 <= b < n):
             raise InvalidInstanceError(f"pair ({a}, {b}) references a missing point")
 
-    xs = [p.x for p in point_set.points]
-    ys = [p.y for p in point_set.points]
+    xs, ys = point_set.xs.tolist(), point_set.ys.tolist()
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     span = max(xmax - xmin, ymax - ymin, 1e-9)
@@ -59,15 +58,14 @@ def render_svg(
         f'<rect width="{_CANVAS:.0f}" height="{_CANVAS:.0f}" fill="#ffffff"/>',
     ]
     for a, b in pairs:
-        pa, pb = point_set.points[a], point_set.points[b]
         parts.append(
-            f'<line x1="{sx(pa.x)}" y1="{sy(pa.y)}" x2="{sx(pb.x)}" y2="{sy(pb.y)}" '
+            f'<line x1="{sx(xs[a])}" y1="{sy(ys[a])}" x2="{sx(xs[b])}" y2="{sy(ys[b])}" '
             'stroke="#333333" stroke-width="2"/>'
         )
-    for p in point_set.points:
-        fill = PALETTE[p.color % len(PALETTE)]
+    for x, y, color in zip(xs, ys, point_set.colors.tolist()):
+        fill = PALETTE[color % len(PALETTE)]
         parts.append(
-            f'<circle cx="{sx(p.x)}" cy="{sy(p.y)}" r="6" fill="{fill}" '
+            f'<circle cx="{sx(x)}" cy="{sy(y)}" r="6" fill="{fill}" '
             'stroke="#000000" stroke-width="1"/>'
         )
     parts.append(

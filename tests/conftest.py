@@ -1,8 +1,9 @@
+import math
 from pathlib import Path
 
 import pytest
 
-from colorspan import ColoredPointSet, distance
+from colorspan import ColoredPointSet
 from colorspan.geometry import (
     FARTHEST,
     ColorGraph,
@@ -37,7 +38,9 @@ def exhaustive_color_extremes(ps: ColoredPointSet, mode: str):
             for a in ps.color_indices(i):
                 for b in ps.color_indices(j):
                     a, b = int(a), int(b)
-                    d = distance(ps.points[a], ps.points[b])
+                    d = math.hypot(
+                        float(ps.xs[a]) - float(ps.xs[b]), float(ps.ys[a]) - float(ps.ys[b])
+                    )
                     key = (d, a, b) if mode == "closest" else (-d, a, b)
                     if best is None or key < best:
                         best = key

@@ -18,7 +18,6 @@ from colorspan import (
     build_closest_color_graph,
     build_farthest_color_graph,
     certify_equivalence,
-    distance,
     has_perfect_matching,
     bottleneck_perfect_matching,
     maxmin_perfect_matching,
@@ -153,8 +152,11 @@ def test_criterion_5_structural_extreme_pair_property(geometric_sweep):
         for objective, solution in solutions.items():
             graph = farthest if objective is Objective.MAXMIN else closest
             for a, b in solution.pairs:
-                ca, cb = ps.points[a].color, ps.points[b].color
-                if distance(ps.points[a], ps.points[b]) != graph.weight(ca, cb):
+                ca, cb = int(ps.colors[a]), int(ps.colors[b])
+                d = math.hypot(
+                    float(ps.xs[a]) - float(ps.xs[b]), float(ps.ys[a]) - float(ps.ys[b])
+                )
+                if d != graph.weight(ca, cb):
                     violations += 1
     report(
         5,
@@ -233,12 +235,14 @@ def test_criterion_8_closest_graph_scale_smoke():
     rng = np.random.default_rng(960_001)
     keep = sorted(int(i) for i in rng.choice(len(ps), size=2000, replace=False))
     keep_set = set(keep)
+    colors = ps.colors.tolist()
     for c in range(20):  # keep every color present in the replica
-        if not any(ps.points[i].color == c for i in keep):
+        if not any(colors[i] == c for i in keep):
             extra = int(ps.color_indices(c)[0])
             keep.append(extra)
             keep_set.add(extra)
-    replica = ColoredPointSet.from_points([ps.points[i] for i in sorted(keep_set)], 20)
+    rows = sorted(keep_set)
+    replica = ColoredPointSet(ps.xs[rows], ps.ys[rows], ps.colors[rows], 20)
     got = build_closest_color_graph(replica)
     expected = exhaustive_color_extremes(replica, "closest")
     exact = all(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -49,7 +50,7 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "points", "--n", "8", "--t", "4", "--seed", "5")
         assert code == EXIT_OK
         ps = parse_points(out)
-        assert {p.color for p in ps.points} == {0, 1, 2, 3}
+        assert set(ps.colors.tolist()) == {0, 1, 2, 3}
 
     def test_graph_round_trips(self, capsys):
         code, out, _ = run(capsys, "gen", "graph", "--n", "10", "--k", "2", "--seed", "7")
@@ -383,6 +384,35 @@ class TestCheck:
             "expected one of minsum, maxmin, minmax, maxsum\n",
         )
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--objective", "bogus"],
+                "unknown objective 'bogus'; expected one of minsum, maxmin, minmax, maxsum",
+            ),
+            (["--objective", "maxsum"], "objective 'maxsum' has no solver"),
+            (
+                ["--kind", "graph", "--objective", "maxmin"],
+                "graph instances only support the minsum objective",
+            ),
+        ],
+        ids=["unknown", "no-solver", "graph-maxmin"],
+    )
+    def test_sweep_rejects_objective_before_output(self, capsys, argv, message):
+        assert run(capsys, "check", "--sweep", "1", *argv) == (
+            EXIT_INVALID,
+            "",
+            f"invalid input: {message}\n",
+        )
+
+    @pytest.mark.parametrize("objective", ["maxmin", "MinMax"])
+    def test_sweep_checks_the_given_objective_only(self, capsys, objective):
+        code, out, _ = run(capsys, "check", "--sweep", "2", "--objective", objective)
+        assert code == EXIT_OK
+        checked = [line.split()[0] for line in out.splitlines() if line.startswith("objective=")]
+        assert checked == [f"objective={objective.lower()}"] * 2
+
     def test_infeasible_on_both_sides_passes(self, capsys, tmp_path):
         f = tmp_path / "mono.graph"
         f.write_text("4 2 2\n0\n0\n1\n1\n0 1\n2 3\n")
@@ -458,6 +488,25 @@ class TestRender:
         run(capsys, "render", FIG1, "--objective", "minsum", "--out", str(a))
         run(capsys, "render", FIG1, "--objective", "minsum", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    # SHA-256 of the SVG on stdout; a rewrite of the renderer must keep
+    # every byte, which two runs of one build cannot show.
+    @pytest.mark.parametrize(
+        "figure, objective, digest",
+        [
+            ("figure1", "minsum", "50d17aee9151348e292ec9df59c06fd02dff12b143b5b9046cdd83725921844e"),
+            ("figure1", "maxmin", "bceaf6dd3bedc6e7d7a4d502ca9b14140cf7b08a39cd5e08d8c2e793fbc1a083"),
+            ("figure1", "minmax", "c3ffb6ee40aa30e7e4486a3ccefaf5f441e8efba5218354c4e2851c329907599"),
+            ("figure2", "minsum", "78827dac468f7958e3bc83c1927175f3a1e77d19bc362dd414df98a20ec33179"),
+            ("figure2", "maxmin", "010444d375448224c6414a08a503eb25ea32329e2b899368d2e51dcc730b403d"),
+            ("figure2", "minmax", "812e31fb0a41e41f3de03a29315c7512c8eb567108122be149d39dafa78b2ac1"),
+        ],
+    )
+    def test_pinned_bytes(self, capsys, figure, objective, digest):
+        path = str(FIXTURE_DIR / f"{figure}.points")
+        code, out, _ = run(capsys, "render", path, "--objective", objective)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_result_file_accepted(self, capsys, tmp_path):
         result = tmp_path / "r.json"

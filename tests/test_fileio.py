@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorspan import (
-    ColoredPoint,
     ColoredPointSet,
     ParseError,
     VertexColoredGraph,
@@ -27,9 +26,7 @@ coords = st.floats(
 
 class TestPointsFormat:
     def test_round_trip_simple(self):
-        ps = ColoredPointSet.from_points(
-            [ColoredPoint(0.25, -1.5, 0), ColoredPoint(1e-3, 2.0, 1)], 2
-        )
+        ps = ColoredPointSet([0.25, 1e-3], [-1.5, 2.0], [0, 1], 2)
         assert parse_points(serialize_points(ps)) == ps
 
     @pytest.mark.parametrize("seed", range(5))
@@ -44,9 +41,9 @@ class TestPointsFormat:
         extra = data.draw(
             st.lists(st.tuples(coords, coords, st.integers(0, t - 1)), max_size=10)
         )
-        pts = [ColoredPoint(data.draw(coords), data.draw(coords), c) for c in range(t)]
-        pts += [ColoredPoint(x, y, c) for x, y, c in extra]
-        ps = ColoredPointSet.from_points(pts, t)
+        rows = [(data.draw(coords), data.draw(coords), c) for c in range(t)] + extra
+        xs, ys, colors = zip(*rows)
+        ps = ColoredPointSet(xs, ys, colors, t)
         assert parse_points(serialize_points(ps)) == ps
 
     def test_bad_header(self):

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from colorspan import (
-    ColoredPoint,
     ColoredPointSet,
     InvalidInstanceError,
     Objective,
     brute_force_geometric,
     build_closest_color_graph,
     build_farthest_color_graph,
-    distance,
     solve_maxmin,
     solve_minmax,
     solve_minsum,
 )
 from colorspan.generate import generate_points
 from colorspan.geometry import _outer_indices, _unit_scaled
+from colorspan.render import render_svg
 
 from conftest import exhaustive_color_extremes, outer_farthest_graph
 
@@ -26,47 +25,25 @@ def random_point_set(seed, n=30, t=6):
     return generate_points(n, t, seed)
 
 
-class TestDistance:
-    def test_three_four_five(self):
-        assert distance(ColoredPoint(0, 0, 0), ColoredPoint(3, 4, 1)) == 5.0
-
-    def test_identity(self):
-        assert distance(ColoredPoint(1, 1, 0), ColoredPoint(1, 1, 1)) == 0.0
-
-    def test_unit_diagonal(self):
-        d = distance(ColoredPoint(0, 0, 0), ColoredPoint(1, 1, 0))
-        assert d == pytest.approx(math.sqrt(2), abs=1e-12)
-
-    def test_symmetric(self):
-        p, q = ColoredPoint(0.3, -1.7, 0), ColoredPoint(2.5, 0.9, 1)
-        assert distance(p, q) == distance(q, p)
-
-
 class TestColoredPointSet:
     def test_rejects_missing_color(self):
         with pytest.raises(InvalidInstanceError):
-            ColoredPointSet.from_points([ColoredPoint(0, 0, 0), ColoredPoint(1, 1, 0)], 2)
+            ColoredPointSet([0, 1], [0, 1], [0, 0], 2)
 
     def test_rejects_out_of_range_color(self):
         with pytest.raises(InvalidInstanceError):
-            ColoredPointSet.from_points([ColoredPoint(0, 0, 0), ColoredPoint(1, 1, 2)], 2)
+            ColoredPointSet([0, 1], [0, 1], [0, 2], 2)
 
     def test_rejects_single_color(self):
         with pytest.raises(InvalidInstanceError):
-            ColoredPointSet.from_points([ColoredPoint(0, 0, 0)], 1)
+            ColoredPointSet([0], [0], [0], 1)
 
     def test_rejects_fewer_points_than_colors(self):
         with pytest.raises(InvalidInstanceError):
-            ColoredPointSet.from_points([ColoredPoint(0, 0, 0), ColoredPoint(1, 0, 1)], 3)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInstanceError):
-            ColoredPoint(float("nan"), 0.0, 0)
-        with pytest.raises(InvalidInstanceError):
-            ColoredPoint(0.0, float("inf"), 0)
+            ColoredPointSet([0, 1], [0, 0], [0, 1], 3)
 
     def test_coincident_points_of_different_colors_are_legal(self):
-        ps = ColoredPointSet.from_points([ColoredPoint(1, 1, 0), ColoredPoint(1, 1, 1)], 2)
+        ps = ColoredPointSet([1, 1], [1, 1], [0, 1], 2)
         assert build_closest_color_graph(ps).weight(0, 1) == 0.0
 
     @pytest.mark.parametrize(
@@ -104,7 +81,6 @@ class TestColoredPointSet:
 
     def test_points_view_matches_columns(self):
         ps = random_point_set(4, n=12, t=3)
-        assert ColoredPointSet.from_points(ps.points, ps.num_colors) == ps
         assert [(p.x, p.y, p.color) for p in ps.points] == list(
             zip(ps.xs.tolist(), ps.ys.tolist(), ps.colors.tolist())
         )
@@ -112,22 +88,21 @@ class TestColoredPointSet:
     @pytest.mark.parametrize("solve", [solve_minsum, solve_minmax, solve_maxmin])
     def test_solvers_never_build_point_objects(self, solve):
         ps = generate_points(400, 4, seed=8, distribution="clusters")
-        solve(ps)
+        got = solve(ps)
+        render_svg(ps, got.pairs, "value", 1.0)
         assert "points" not in vars(ps)
 
 
 class TestColorGraphs:
     def test_two_color_closest_trivial(self):
-        ps = ColoredPointSet.from_points([ColoredPoint(0, 0, 0), ColoredPoint(3, 4, 1)], 2)
+        ps = ColoredPointSet([0, 3], [0, 4], [0, 1], 2)
         g = build_closest_color_graph(ps)
         assert g.weight(0, 1) == 5.0
         w = g.witness(0, 1)
         assert (w.point_a, w.point_b) == (0, 1)
 
     def test_three_point_farthest_trivial(self):
-        ps = ColoredPointSet.from_points(
-            [ColoredPoint(0, 0, 0), ColoredPoint(1, 0, 0), ColoredPoint(5, 0, 1)], 2
-        )
+        ps = ColoredPointSet([0, 1, 5], [0, 0, 0], [0, 0, 1], 2)
         assert build_farthest_color_graph(ps).weight(0, 1) == 5.0
 
     @pytest.mark.parametrize("seed", range(6))
@@ -155,22 +130,19 @@ class TestColorGraphs:
 
     def test_outer_point_filter_with_duplicate_points(self):
         rng = np.random.default_rng(3)
-        pts = [ColoredPoint(float(x), float(y), 0) for x, y in rng.random((60, 2))]
-        pts += [ColoredPoint(p.x, p.y, 0) for p in pts[:10]]
-        pts += [ColoredPoint(float(x), float(y), 1) for x, y in rng.random((60, 2))]
-        ps = ColoredPointSet.from_points(pts, 2)
+        first = rng.random((60, 2))
+        pts = np.concatenate((first, first[:10], rng.random((60, 2))))
+        ps = ColoredPointSet(pts[:, 0], pts[:, 1], [0] * 70 + [1] * 60, 2)
         (d, a, b) = exhaustive_color_extremes(ps, "farthest")[(0, 1)]
         for g in (build_farthest_color_graph(ps), outer_farthest_graph(ps)):
             w = g.witness(0, 1)
             assert (w.distance, w.point_a, w.point_b) == (d, a, b)
 
     def test_collinear_class_keeps_every_point(self):
-        pts = [ColoredPoint(float(i), 0.0, 0) for i in range(40)]
-        pts.append(ColoredPoint(5.0, 7.0, 1))
-        ps = ColoredPointSet.from_points(pts, 2)
+        ps = ColoredPointSet([*range(40), 5], [0] * 40 + [7], [0] * 40 + [1], 2)
         for g in (build_farthest_color_graph(ps), outer_farthest_graph(ps)):
             w = g.witness(0, 1)
-            assert w.distance == distance(pts[39], pts[40])
+            assert w.distance == math.hypot(39.0 - 5.0, 0.0 - 7.0)
             assert (w.point_a, w.point_b) == (39, 40)
 
     def test_closest_never_exceeds_farthest(self):
@@ -183,7 +155,7 @@ class TestColorGraphs:
                     assert close.weight(i, j) <= far.weight(i, j)
 
     def test_closest_equals_farthest_iff_single_cross_distance(self):
-        ps = ColoredPointSet.from_points([ColoredPoint(0, 0, 0), ColoredPoint(3, 4, 1)], 2)
+        ps = ColoredPointSet([0, 3], [0, 4], [0, 1], 2)
         assert build_closest_color_graph(ps).weight(0, 1) == build_farthest_color_graph(
             ps
         ).weight(0, 1)
@@ -192,7 +164,7 @@ class TestColorGraphs:
         ps = random_point_set(21)
         rng = np.random.default_rng(5)
         perm = rng.permutation(len(ps))
-        shuffled = ColoredPointSet.from_points([ps.points[int(i)] for i in perm], ps.num_colors)
+        shuffled = ColoredPointSet(ps.xs[perm], ps.ys[perm], ps.colors[perm], ps.num_colors)
         for builder in (build_closest_color_graph, build_farthest_color_graph):
             g1, g2 = builder(ps), builder(shuffled)
             for i in range(ps.num_colors):
@@ -202,10 +174,7 @@ class TestColorGraphs:
     @pytest.mark.parametrize("scale", [0.25, 2.0, 1024.0])
     def test_power_of_two_scaling_is_exact(self, scale):
         ps = random_point_set(33, n=20, t=4)
-        scaled = ColoredPointSet.from_points(
-            [ColoredPoint(p.x * scale, p.y * scale, p.color) for p in ps.points],
-            ps.num_colors,
-        )
+        scaled = ColoredPointSet(ps.xs * scale, ps.ys * scale, ps.colors, ps.num_colors)
         for builder in (build_closest_color_graph, build_farthest_color_graph):
             g1, g2 = builder(ps), builder(scaled)
             for e1 in g1.edges:
@@ -229,11 +198,9 @@ class TestColorGraphs:
     def test_dedup_keeps_lowest_index_and_equates_zero_signs(self):
         # 34 points on 17 coordinates, each first as (-0.0, y), then as
         # (0.0, y); the collinear class keeps every distinct point.
-        pts = []
-        for k in range(17):
-            pts += [ColoredPoint(-0.0, float(k), 0), ColoredPoint(0.0, float(k), 0)]
-        pts.append(ColoredPoint(3.0, 0.0, 1))
-        ps = ColoredPointSet.from_points(pts, 2)
+        xs = [-0.0, 0.0] * 17 + [3.0]
+        ys = [float(k) for k in range(17) for _ in range(2)] + [0.0]
+        ps = ColoredPointSet(xs, ys, [0] * 34 + [1], 2)
         outer = _outer_indices(ps, ps.color_indices(0), *_unit_scaled(ps))
         assert outer.tolist() == list(range(0, 34, 2))
         w = build_farthest_color_graph(ps).witness(0, 1)

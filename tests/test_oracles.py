@@ -5,7 +5,6 @@ import pytest
 
 from colorspan import (
     BudgetExceededError,
-    ColoredPoint,
     ColoredPointSet,
     Objective,
     VertexColoredGraph,
@@ -13,7 +12,6 @@ from colorspan import (
     brute_force_colorful_graph_matching,
     brute_force_geometric,
     brute_force_graph_matching,
-    distance,
     pairing_count,
     perfect_pairings,
     stacked_rows_point_set,
@@ -26,13 +24,15 @@ EPS = 0.1
 
 def naive_geometric_optimum(ps, objective):
     """Plain-itertools re-enumeration, independent of the numpy oracle."""
-    classes = [list(map(int, ps.color_indices(c))) for c in range(ps.num_colors)]
+    classes = [ps.color_indices(c).tolist() for c in range(ps.num_colors)]
+    xs, ys = ps.xs.tolist(), ps.ys.tolist()
     best = None
     maximize = objective in (Objective.MAXSUM, Objective.MAXMIN)
     for reps in itertools.product(*classes):
         for pairing in perfect_pairings(range(ps.num_colors)):
             dists = [
-                distance(ps.points[reps[a]], ps.points[reps[b]]) for a, b in pairing
+                math.hypot(xs[reps[a]] - xs[reps[b]], ys[reps[a]] - ys[reps[b]])
+                for a, b in pairing
             ]
             if objective in (Objective.MINSUM, Objective.MAXSUM):
                 value = sum(dists)
@@ -71,7 +71,7 @@ class TestGeometricOracle:
         assert got.total_weight == pytest.approx(3.0, abs=1e-9)
 
     def test_two_points_every_objective(self):
-        ps = ColoredPointSet.from_points([ColoredPoint(0, 0, 0), ColoredPoint(3, 4, 1)], 2)
+        ps = ColoredPointSet([0, 3], [0, 4], [0, 1], 2)
         for objective in Objective:
             got = brute_force_geometric(ps, objective)
             assert got.value(objective) == 5.0
@@ -92,10 +92,7 @@ class TestGeometricOracle:
 
     def test_relabeling_invariance(self):
         ps = generate_matching_instance(2, 42)
-        relabeled = ColoredPointSet.from_points(
-            [ColoredPoint(p.x, p.y, ps.num_colors - 1 - p.color) for p in ps.points],
-            ps.num_colors,
-        )
+        relabeled = ColoredPointSet(ps.xs, ps.ys, ps.num_colors - 1 - ps.colors, ps.num_colors)
         for objective in Objective:
             a = brute_force_geometric(ps, objective)
             b = brute_force_geometric(relabeled, objective)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorspan import ColoredPoint, ColoredPointSet, ParseError, fileio
+from colorspan import ColoredPointSet, ParseError, fileio
 from colorspan.fileio import (
     _first_significant_line,
     _significant_lines,
@@ -59,7 +59,7 @@ def reference_parse_points(text):
     t = _ref_int(tokens[1], head_no, "color count")
     if len(lines) - 1 != n:
         raise ParseError(head_no, f"expected {n} point lines, found {len(lines) - 1}")
-    points = []
+    xs, ys, colors = [], [], []
     seen = set()
     for no, line in lines[1:]:
         tokens = line.split()
@@ -71,19 +71,22 @@ def reference_parse_points(text):
         if not 0 <= c < t:
             raise ParseError(no, f"color {c} out of range [0, {t})")
         seen.add(c)
-        points.append(ColoredPoint(x, y, c))
+        xs.append(x)
+        ys.append(y)
+        colors.append(c)
     if t > n:
         raise ParseError(head_no, f"{n} points cannot cover {t} colors")
     missing = sorted(set(range(t)) - seen)
     if missing:
         more = f" and {len(missing) - 8} more" if len(missing) > 8 else ""
         raise ParseError(None, f"colors never used: {missing[:8]}{more}")
-    return ColoredPointSet.from_points(points, t)
+    return ColoredPointSet(xs, ys, colors, t)
 
 
 def reference_serialize_points(point_set):
     lines = [f"{len(point_set)} {point_set.num_colors}"]
-    lines.extend(f"{p.x!r} {p.y!r} {p.color}" for p in point_set.points)
+    rows = zip(point_set.xs.tolist(), point_set.ys.tolist(), point_set.colors.tolist())
+    lines.extend(f"{x!r} {y!r} {c}" for x, y, c in rows)
     return "\n".join(lines) + "\n"
 
 

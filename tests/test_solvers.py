@@ -3,7 +3,6 @@ import math
 import pytest
 
 from colorspan import (
-    ColoredPoint,
     ColoredPointSet,
     InvalidInstanceError,
     Objective,
@@ -12,7 +11,6 @@ from colorspan import (
     brute_force_geometric,
     build_closest_color_graph,
     build_farthest_color_graph,
-    distance,
     solve_k_multicolored_matching,
     solve_maxmin,
     solve_minmax,
@@ -82,29 +80,20 @@ class TestStackedRowsFixture:
 
 class TestGeometricSolvers:
     def test_two_colors_single_pair(self):
-        ps = ColoredPointSet.from_points([ColoredPoint(0, 0, 0), ColoredPoint(3, 4, 1)], 2)
+        ps = ColoredPointSet([0, 3], [0, 4], [0, 1], 2)
         for solver in SOLVERS.values():
             got = solver(ps)
             assert got.pairs == ((0, 1),)
             assert got.total_weight == 5.0
 
     def test_two_colors_extremes_differ(self):
-        ps = ColoredPointSet.from_points(
-            [
-                ColoredPoint(0, 0, 0),
-                ColoredPoint(1, 0, 1),
-                ColoredPoint(9, 0, 1),
-            ],
-            2,
-        )
+        ps = ColoredPointSet([0, 1, 9], [0, 0, 0], [0, 1, 1], 2)
         assert solve_minsum(ps).total_weight == 1.0
         assert solve_minmax(ps).max_edge_weight == 1.0
         assert solve_maxmin(ps).min_edge_weight == 9.0
 
     def test_odd_color_count_rejected(self):
-        ps = ColoredPointSet.from_points(
-            [ColoredPoint(0, 0, 0), ColoredPoint(1, 0, 1), ColoredPoint(2, 0, 2)], 3
-        )
+        ps = ColoredPointSet([0, 1, 2], [0, 0, 0], [0, 1, 2], 3)
         for solver in SOLVERS.values():
             with pytest.raises(InvalidInstanceError):
                 solver(ps)
@@ -130,8 +119,11 @@ class TestGeometricSolvers:
             got = solver(ps)
             graph = farthest if objective is Objective.MAXMIN else closest
             for a, b in got.pairs:
-                ca, cb = ps.points[a].color, ps.points[b].color
-                assert distance(ps.points[a], ps.points[b]) == graph.weight(ca, cb)
+                ca, cb = int(ps.colors[a]), int(ps.colors[b])
+                d = math.hypot(
+                    float(ps.xs[a]) - float(ps.xs[b]), float(ps.ys[a]) - float(ps.ys[b])
+                )
+                assert d == graph.weight(ca, cb)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_minmax_minsum_relation(self, seed):
@@ -149,7 +141,7 @@ class TestGeometricSolvers:
         ps = generate_matching_instance(2, 9700 + seed)
         for solver in SOLVERS.values():
             got = solver(ps)
-            colors = [ps.points[p].color for pair in got.pairs for p in pair]
+            colors = [int(ps.colors[p]) for pair in got.pairs for p in pair]
             assert sorted(colors) == list(range(ps.num_colors))
             assert got.colors_covered == frozenset(range(ps.num_colors))
 
