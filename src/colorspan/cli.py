@@ -271,6 +271,11 @@ def _check_instance(instance: _Instance, objectives: tuple[Objective, ...], args
 
 
 def _cmd_check(args) -> int:
+    # NaN fails both comparisons.
+    if not 0 <= args.tolerance < float("inf"):
+        raise InvalidInstanceError(
+            f"tolerance must be finite and non-negative, got {args.tolerance}"
+        )
     if args.sweep is None:
         if args.input is None:
             raise InvalidInstanceError("check needs an input file or --sweep")

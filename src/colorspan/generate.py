@@ -88,6 +88,19 @@ def generate_matching_instance(k: int, seed: int, max_class_size: int = 5) -> Co
     return ColoredPointSet(coords[:, 0], coords[:, 1], colors, t)
 
 
+def _random_graph(n: int, seed: int, edge_prob: float, num_colors: int | None):
+    """The seeded generator, the colors (None when ``num_colors`` is) and
+    the edges ``(u, v)``, ``u < v``, each pair kept when its draw falls
+    below ``edge_prob``; pairs draw in lexicographic order, after the
+    colors."""
+    if not 0.0 <= edge_prob <= 1.0:
+        raise InvalidInstanceError(f"edge probability must be in [0, 1], got {edge_prob}")
+    rng = _rng(seed)
+    colors = None if num_colors is None else _color_assignment(rng, n, num_colors, None)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob]
+    return rng, colors, edges
+
+
 def generate_colored_graph(
     n: int,
     num_colors: int,
@@ -96,15 +109,7 @@ def generate_colored_graph(
     weighted: bool = True,
 ) -> VertexColoredGraph:
     """Random simple vertex-colored graph, every color present."""
-    if not 0.0 <= edge_prob <= 1.0:
-        raise InvalidInstanceError(f"edge probability must be in [0, 1], got {edge_prob}")
-    rng = _rng(seed)
-    colors = _color_assignment(rng, n, num_colors, None)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < edge_prob:
-                edges.append((u, v))
+    rng, colors, edges = _random_graph(n, seed, edge_prob, num_colors)
     weights = [float(w) for w in rng.random(len(edges))] if weighted else None
     return VertexColoredGraph(n, [int(c) for c in colors], edges, num_colors, weights)
 
@@ -126,15 +131,8 @@ def generate_colorful_matching_instance(
 
 def generate_uncolored_graph(n: int, seed: int, edge_prob: float = 0.5) -> WeightedGraph:
     """Random simple uncolored graph with unit weights."""
-    if not 0.0 <= edge_prob <= 1.0:
-        raise InvalidInstanceError(f"edge probability must be in [0, 1], got {edge_prob}")
-    rng = _rng(seed)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < edge_prob:
-                edges.append((u, v, 1.0))
-    return WeightedGraph(n, edges)
+    _, _, edges = _random_graph(n, seed, edge_prob, None)
+    return WeightedGraph(n, [(u, v, 1.0) for u, v in edges])
 
 
 def generate_complete_weighted_graph(n: int, seed: int) -> WeightedGraph:

@@ -1,10 +1,12 @@
-"""Colored planar point sets and bichromatic extreme-pair color graphs.
+"""Colored planar point sets and their extreme-pair color graphs.
 
 The geometric solvers never touch raw points directly: each objective
 reduces to a matching problem on a complete graph over the color labels,
 whose edge for a color pair carries either the bichromatic closest or the
 bichromatic farthest point pair of the two classes.  This module owns the
-point-set model and those two graph builders.
+point-set model, the ``ColorGraph`` contraction (a ``WeightedGraph`` on the
+colors plus one witness pair per edge, which the graph-side solver builds
+from cross-color edges too) and the two geometric builders.
 
 Distances are Euclidean.  Every distance that ends up in a result comes
 from ``math.hypot`` on the original coordinates, and only that exact final
@@ -27,9 +29,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidInstanceError
-
-CLOSEST = "closest"
-FARTHEST = "farthest"
+from .matching import WeightedGraph
 
 # Relative slack used when collecting candidates from the accelerated
 # passes; generous because the exact pass filters false positives anyway.
@@ -171,47 +171,40 @@ def _column(values, dtype, what: str) -> np.ndarray:
     return column
 
 
-@dataclass(frozen=True)
-class ColorPairWitness:
-    """The extreme point pair realizing a color-graph edge.
+class ColorPairWitness(NamedTuple):
+    """The pair realizing one color-graph edge: ``point_a`` of the lower
+    color, ``point_b`` of the higher, and ``distance``, the edge weight."""
 
-    ``point_a`` belongs to ``color_i`` and ``point_b`` to ``color_j``
-    (stored with ``color_i < color_j``); both are indexes into the owning
-    point set, and ``distance`` is their exact Euclidean distance.
-    """
-
-    color_i: int
-    color_j: int
+    distance: float
     point_a: int
     point_b: int
-    distance: float
 
 
 @dataclass(frozen=True)
 class ColorGraph:
-    """Complete graph on colors with one extreme-pair witness per edge."""
+    """A contraction of a colored instance to one vertex per color.
+
+    ``witnesses`` maps each color pair ``(i, j)``, ``i < j``, that has an
+    edge to its ``ColorPairWitness``; ``graph`` is the ``WeightedGraph`` on
+    the colors with those weights.  The geometric builders fill in every
+    color pair; a vertex-colored graph's contraction can miss some.
+    """
 
     num_colors: int
-    mode: str
-    edges: tuple[ColorPairWitness, ...]
+    witnesses: dict[tuple[int, int], ColorPairWitness]
+    graph: WeightedGraph
 
-    def __post_init__(self):
-        if self.mode not in (CLOSEST, FARTHEST):
-            raise InvalidInstanceError(f"unknown color-graph mode {self.mode!r}")
-        t = self.num_colors
-        expected = {(i, j) for i in range(t) for j in range(i + 1, t)}
-        got = {(e.color_i, e.color_j) for e in self.edges}
-        if got != expected or len(self.edges) != len(expected):
-            raise InvalidInstanceError("color graph must have one edge per color pair")
-
-    @cached_property
-    def _edge_map(self) -> dict[tuple[int, int], ColorPairWitness]:
-        return {(e.color_i, e.color_j): e for e in self.edges}
+    def __init__(self, num_colors: int, witnesses: dict[tuple[int, int], tuple[float, int, int]]):
+        witnesses = {key: ColorPairWitness(*w) for key, w in witnesses.items()}
+        graph = WeightedGraph(num_colors, [(i, j, w.distance) for (i, j), w in witnesses.items()])
+        object.__setattr__(self, "num_colors", num_colors)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "graph", graph)
 
     def witness(self, color_a: int, color_b: int) -> ColorPairWitness:
         key = (color_a, color_b) if color_a < color_b else (color_b, color_a)
         try:
-            return self._edge_map[key]
+            return self.witnesses[key]
         except KeyError:
             raise InvalidInstanceError(f"no color pair {key}") from None
 
@@ -330,10 +323,11 @@ def _dual_tree_candidates(
 def _exact_edges(
     point_set: ColoredPointSet, a: np.ndarray, b: np.ndarray,
     sx: np.ndarray, sy: np.ndarray, slack: float, sign: int,
-) -> tuple[ColorPairWitness, ...]:
-    """Each color pair's smallest ``(sign * distance, a, b)`` among the
-    candidate pairs ``(a, b)``, ``a`` of the lower color: the closest pair
-    for ``sign = 1``, the farthest for ``sign = -1``.  Only candidates
+) -> dict[tuple[int, int], tuple[float, int, int]]:
+    """Each color pair's ``(distance, a, b)`` with the smallest
+    ``(sign * distance, a, b)`` among the candidate pairs ``(a, b)``, ``a``
+    of the lower color, keyed by color pair in sorted order: the closest
+    pair for ``sign = 1``, the farthest for ``sign = -1``.  Only candidates
     within a slack cut of their pair's extreme on the scaled distances
     reach the exact pass on the original coordinates.
     """
@@ -350,9 +344,7 @@ def _exact_edges(
         if k not in best or key < best[k]:
             best[k] = key
     # Codes i * t + j sort in (i, j) order.
-    return tuple(
-        ColorPairWitness(k // t, k % t, p, q, sign * d) for k, (d, p, q) in sorted(best.items())
-    )
+    return {divmod(k, t): (sign * d, p, q) for k, (d, p, q) in sorted(best.items())}
 
 
 def _outer_indices(
@@ -413,29 +405,32 @@ def _outer_candidates(
     return np.concatenate(pieces_a), np.concatenate(pieces_b)
 
 
-def _build_color_graph(point_set: ColoredPointSet, mode: str) -> ColorGraph:
+def _build_color_graph(point_set: ColoredPointSet, sign: int) -> ColorGraph:
+    """The closest color graph for ``sign = 1``, the farthest for ``-1``."""
     sx, sy, slack = _unit_scaled(point_set)
     if len(point_set) <= _SCAN_CUTOFF:
         a, b = _scan_candidates(point_set)
-    elif mode == CLOSEST:
+    elif sign > 0:
         a, b = _dual_tree_candidates(point_set, sx, sy, slack)
     else:
         a, b = _outer_candidates(point_set, sx, sy, slack)
-    edges = _exact_edges(point_set, a, b, sx, sy, slack, 1 if mode == CLOSEST else -1)
-    for e in edges:
-        if math.isinf(e.distance):
+    witnesses = _exact_edges(point_set, a, b, sx, sy, slack, sign)
+    for (i, j), (d, _, _) in witnesses.items():
+        if math.isinf(d):
             raise InvalidInstanceError(
-                f"the distance between colors {e.color_i} and {e.color_j} "
-                "exceeds the float range"
+                f"the distance between colors {i} and {j} exceeds the float range"
             )
-    return ColorGraph(num_colors=point_set.num_colors, mode=mode, edges=edges)
+    t = point_set.num_colors
+    if len(witnesses) != t * (t - 1) // 2:
+        raise InvalidInstanceError("color graph must have one edge per color pair")
+    return ColorGraph(t, witnesses)
 
 
 def build_closest_color_graph(point_set: ColoredPointSet) -> ColorGraph:
     """Complete color graph whose edges are bichromatic closest pairs."""
-    return _build_color_graph(point_set, CLOSEST)
+    return _build_color_graph(point_set, 1)
 
 
 def build_farthest_color_graph(point_set: ColoredPointSet) -> ColorGraph:
     """Complete color graph whose edges are bichromatic farthest pairs."""
-    return _build_color_graph(point_set, FARTHEST)
+    return _build_color_graph(point_set, -1)

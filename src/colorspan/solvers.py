@@ -1,23 +1,25 @@
 """The color-spanning matching solvers.
 
-Three geometric pipelines share one shape: build the appropriate extreme
-color graph, solve a matching problem on the color vertices, then expand
-every matched color pair back to its stored witness point pair.
+All four solvers contract the instance to a :class:`ColorGraph`: one
+vertex per color, and for each color pair a witness pair of the two
+classes, whose weight is the color-graph edge.  Each then matches the
+contraction's ``graph`` and expands every matched color pair back to its
+witness.
 
 * minsum:  closest color graph, then minimum-weight perfect matching;
 * maxmin:  farthest color graph, then a perfect matching maximizing the
   minimum edge;
-* minmax:  closest color graph, then a bottleneck perfect matching.
+* minmax:  closest color graph, then a bottleneck perfect matching;
+* colorful graph matching: the lightest cross-color edge of each color
+  pair, then minimum-weight perfect matching.
 
 The expansion step is sound because an optimal solution always exists in
 which every matched pair is the bichromatic closest pair of its two colors
 (for the min objectives), respectively the bichromatic farthest pair (for
 maxmin); the exhaustive oracles in :mod:`colorspan.oracles` certify that
-fact empirically on every random sweep.
-
-The graph-side solver contracts a vertex-colored graph to its color graph
-(minimum cross-color edge weight per color pair) and runs the same
-minimum-weight matching.
+fact empirically on every random sweep.  Witnesses tie-break on the
+smallest ``(weight, a, b)``, ``a`` the endpoint of the lower color (for
+maxmin, the largest distance, then the smallest ``(a, b)``).
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ from .errors import InvalidInstanceError
 from .geometry import (
     ColoredPointSet,
     ColorGraph,
+    ColorPairWitness,
     build_closest_color_graph,
     build_farthest_color_graph,
 )
 from .hardness import VertexColoredGraph
 from .matching import (
     Matching,
-    WeightedGraph,
     bottleneck_perfect_matching,
     maxmin_perfect_matching,
     min_weight_perfect_matching,
@@ -76,7 +78,6 @@ class ColorSpanningMatching:
     """
 
     pairs: tuple[tuple[int, int], ...]
-    colors_covered: frozenset[int]
     total_weight: float
     min_edge_weight: float
     max_edge_weight: float
@@ -103,7 +104,6 @@ class ColorSpanningMatching:
         dists = [point_set.distance(a, b) for a, b in canon]
         return cls(
             pairs=tuple(canon),
-            colors_covered=frozenset(colors),
             total_weight=sum(dists),
             min_edge_weight=min(dists),
             max_edge_weight=max(dists),
@@ -128,46 +128,35 @@ def _require_matching_instance(point_set: ColoredPointSet) -> None:
         )
 
 
-def _color_graph_to_weighted(graph: ColorGraph) -> WeightedGraph:
-    return WeightedGraph(
-        graph.num_colors,
-        [(e.color_i, e.color_j, e.distance) for e in graph.edges],
-    )
+def _matched_witnesses(cg: ColorGraph, match) -> list[ColorPairWitness] | None:
+    """The witnesses of the color pairs ``match`` pairs up in ``cg.graph``,
+    or None when it finds no perfect matching."""
+    matched = match(cg.graph)
+    if matched is None:
+        return None
+    return [cg.witnesses[key] for key in matched.edges]
 
 
-def _expand(point_set: ColoredPointSet, graph: ColorGraph, matched: Matching) -> ColorSpanningMatching:
-    pairs = []
-    for ci, cj in matched.edges:
-        w = graph.witness(ci, cj)
-        pairs.append((w.point_a, w.point_b))
-    return ColorSpanningMatching.from_pairs(point_set, pairs)
+def _solve_geometric(point_set: ColoredPointSet, build, match) -> ColorSpanningMatching:
+    _require_matching_instance(point_set)
+    witnesses = _matched_witnesses(build(point_set), match)
+    assert witnesses is not None  # complete graph on an even vertex count
+    return ColorSpanningMatching.from_pairs(point_set, ((w.point_a, w.point_b) for w in witnesses))
 
 
 def solve_minsum(point_set: ColoredPointSet) -> ColorSpanningMatching:
     """Color-spanning matching minimizing the total edge length."""
-    _require_matching_instance(point_set)
-    graph = build_closest_color_graph(point_set)
-    matched = min_weight_perfect_matching(_color_graph_to_weighted(graph))
-    assert matched is not None  # complete graph on an even vertex count
-    return _expand(point_set, graph, matched)
+    return _solve_geometric(point_set, build_closest_color_graph, min_weight_perfect_matching)
 
 
 def solve_maxmin(point_set: ColoredPointSet) -> ColorSpanningMatching:
     """Color-spanning matching maximizing the minimum edge length."""
-    _require_matching_instance(point_set)
-    graph = build_farthest_color_graph(point_set)
-    matched = maxmin_perfect_matching(_color_graph_to_weighted(graph))
-    assert matched is not None
-    return _expand(point_set, graph, matched)
+    return _solve_geometric(point_set, build_farthest_color_graph, maxmin_perfect_matching)
 
 
 def solve_minmax(point_set: ColoredPointSet) -> ColorSpanningMatching:
     """Color-spanning matching minimizing the maximum edge length."""
-    _require_matching_instance(point_set)
-    graph = build_closest_color_graph(point_set)
-    matched = bottleneck_perfect_matching(_color_graph_to_weighted(graph))
-    assert matched is not None
-    return _expand(point_set, graph, matched)
+    return _solve_geometric(point_set, build_closest_color_graph, bottleneck_perfect_matching)
 
 
 def solve_k_multicolored_matching(g: VertexColoredGraph) -> Matching | None:
@@ -193,14 +182,12 @@ def solve_k_multicolored_matching(g: VertexColoredGraph) -> Matching | None:
         cu, cv = g.colors[u], g.colors[v]
         if cu == cv:
             continue
-        key = (cu, cv) if cu < cv else (cv, cu)
-        cand = (g.weight(pos), u, v) if cu < cv else (g.weight(pos), v, u)
-        if key not in best or cand < best[key]:
-            best[key] = cand
-    contraction = WeightedGraph(t, [(a, b, w) for (a, b), (w, _, _) in best.items()])
-    matched = min_weight_perfect_matching(contraction)
-    if matched is None:
+        if cu > cv:
+            cu, cv, u, v = cv, cu, v, u
+        cand = (g.weight(pos), u, v)
+        if (cu, cv) not in best or cand < best[cu, cv]:
+            best[cu, cv] = cand
+    witnesses = _matched_witnesses(ColorGraph(t, best), min_weight_perfect_matching)
+    if witnesses is None:
         return None
-    return Matching.from_weighted_edges(
-        (best[key][1], best[key][2], best[key][0]) for key in matched.edges
-    )
+    return Matching.from_weighted_edges((w.point_a, w.point_b, w.distance) for w in witnesses)

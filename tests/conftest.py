@@ -5,7 +5,6 @@ import pytest
 
 from colorspan import ColoredPointSet
 from colorspan.geometry import (
-    FARTHEST,
     ColorGraph,
     _exact_edges,
     _outer_candidates,
@@ -53,5 +52,5 @@ def outer_farthest_graph(ps: ColoredPointSet) -> ColorGraph:
     """The farthest color graph from the outer-point candidates, which the
     builder uses only above its full-scan cutoff, at any set size."""
     sx, sy, slack = _unit_scaled(ps)
-    edges = _exact_edges(ps, *_outer_candidates(ps, sx, sy, slack), sx, sy, slack, -1)
-    return ColorGraph(ps.num_colors, FARTHEST, edges)
+    witnesses = _exact_edges(ps, *_outer_candidates(ps, sx, sy, slack), sx, sy, slack, -1)
+    return ColorGraph(ps.num_colors, witnesses)

@@ -246,8 +246,8 @@ def test_criterion_8_closest_graph_scale_smoke():
     got = build_closest_color_graph(replica)
     expected = exhaustive_color_extremes(replica, "closest")
     exact = all(
-        (w.distance, w.point_a, w.point_b) == expected[(w.color_i, w.color_j)]
-        for w in got.edges
+        (w.distance, w.point_a, w.point_b) == expected[key]
+        for key, w in got.witnesses.items()
     )
     report(
         8,

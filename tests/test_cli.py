@@ -406,6 +406,23 @@ class TestCheck:
             f"invalid input: {message}\n",
         )
 
+    @pytest.mark.parametrize("tolerance", ["-1", "-0.5", "nan", "inf"])
+    @pytest.mark.parametrize("source", [[FIG1], ["--sweep", "2"]], ids=["file", "sweep"])
+    def test_rejects_invalid_tolerance_before_output(self, capsys, source, tolerance):
+        # A negative or NaN tolerance used to report every equal value as
+        # a MISMATCH (exit 5).
+        shown = repr(float(tolerance))
+        assert run(capsys, "check", *source, "--tolerance", tolerance) == (
+            EXIT_INVALID,
+            "",
+            f"invalid input: tolerance must be finite and non-negative, got {shown}\n",
+        )
+
+    def test_zero_tolerance_accepts_equal_values(self, capsys):
+        code, out, _ = run(capsys, "check", FIG1, "--tolerance", "0")
+        assert code == EXIT_OK
+        assert out.count("status=ok") == 3
+
     @pytest.mark.parametrize("objective", ["maxmin", "MinMax"])
     def test_sweep_checks_the_given_objective_only(self, capsys, objective):
         code, out, _ = run(capsys, "check", "--sweep", "2", "--objective", objective)

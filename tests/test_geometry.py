@@ -177,8 +177,8 @@ class TestColorGraphs:
         scaled = ColoredPointSet(ps.xs * scale, ps.ys * scale, ps.colors, ps.num_colors)
         for builder in (build_closest_color_graph, build_farthest_color_graph):
             g1, g2 = builder(ps), builder(scaled)
-            for e1 in g1.edges:
-                e2 = g2.witness(e1.color_i, e1.color_j)
+            for key, e1 in g1.witnesses.items():
+                e2 = g2.witness(*key)
                 assert e2.distance == e1.distance * scale
                 assert (e2.point_a, e2.point_b) == (e1.point_a, e1.point_b)
 

@@ -143,7 +143,6 @@ class TestGeometricSolvers:
             got = solver(ps)
             colors = [int(ps.colors[p]) for pair in got.pairs for p in pair]
             assert sorted(colors) == list(range(ps.num_colors))
-            assert got.colors_covered == frozenset(range(ps.num_colors))
 
 
 class TestKMulticoloredMatching:
@@ -158,6 +157,22 @@ class TestKMulticoloredMatching:
         got = solve_k_multicolored_matching(g)
         assert got.total_weight == 3.0
         assert got.edges == ((0, 1), (2, 3))
+
+    def test_tied_cross_edges_keep_the_smallest_oriented_pair(self):
+        # Unweighted, so every cross edge of a color pair ties on weight.
+        # Each pair's witness is the smallest (a, b) with a of the lower
+        # color: (1, 3) beats (2, 0) and (2, 3) for colors 0 and 1, and
+        # (5, 7) beats (6, 4) and (6, 7) for colors 2 and 3.  Ordering by
+        # vertex id, or keeping the first or last edge seen, picks another.
+        g = VertexColoredGraph(
+            8,
+            [1, 0, 0, 1, 3, 2, 2, 3],
+            [(0, 2), (1, 2), (1, 3), (2, 3), (4, 6), (5, 7), (6, 7)],
+            4,
+        )
+        got = solve_k_multicolored_matching(g)
+        assert got.edges == ((1, 3), (5, 7))
+        assert got.total_weight == 2.0
 
     def test_only_monochromatic_edges_is_infeasible(self):
         g = VertexColoredGraph(4, [0, 0, 1, 1], [(0, 1), (2, 3)], 2)

@@ -26,7 +26,6 @@ from colorspan.generate import (
     generate_points,
 )
 from colorspan.geometry import build_closest_color_graph, build_farthest_color_graph
-from colorspan.solvers import _color_graph_to_weighted
 
 
 def reference_pairs(g: WeightedGraph) -> list[tuple[int, int]] | None:
@@ -112,7 +111,7 @@ def sweep_point_sets(seed):
 def test_workload_color_graphs(point_sets, seed):
     for ps in point_sets(seed):
         for build in (build_closest_color_graph, build_farthest_color_graph):
-            assert_same_as_reference(_color_graph_to_weighted(build(ps)))
+            assert_same_as_reference(build(ps).graph)
 
 
 @pytest.mark.parametrize("solver", [bottleneck_perfect_matching, maxmin_perfect_matching])
