@@ -486,6 +486,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
+        # Checked before any command runs, so no partial report is printed.
+        if getattr(args, "budget", 0) < 0:
+            raise InvalidInstanceError(f"budget must be non-negative, got {args.budget}")
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,11 @@ the geometric oracle walks every choice of one representative point per
 color crossed with every perfect pairing of the chosen representatives,
 and the graph oracles walk every perfect pairing, respectively every
 colorful edge subset.  The geometric enumeration is evaluated in numpy
-chunks for speed, but the candidate space is exactly the stated one.
+for speed, but the candidate space is exactly the stated one: the
+representative choices ("combos", in mixed-radix order over the classes)
+are taken in chunks of ``_CHUNK``, each chunk gathers one distance row per
+color pair, and the pairings are scored against the chunk in blocks of at
+most ``_BLOCK`` values, each block one fold over its pairs' rows.
 
 Enumerations refuse to start when the predicted state count exceeds the
 ``max_states`` budget, raising :class:`~colorspan.errors.BudgetExceededError`
@@ -16,6 +20,7 @@ colorful edge-set enumerator behind the colorful oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -27,7 +32,10 @@ from .hardness import DEFAULT_MAX_STATES, VertexColoredGraph, check_budget, colo
 from .matching import Matching, WeightedGraph
 from .solvers import ColorSpanningMatching, Objective
 
+# Representative choices scored per chunk, and the most values one block
+# of pairings is scored into at once (a block holds at least one pairing).
 _CHUNK = 1 << 16
+_BLOCK = 1 << 15
 
 
 def perfect_pairings(items: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -67,7 +75,15 @@ def brute_force_geometric(
     """Exact optimum over every color-spanning matching of the point set.
 
     Enumerates every choice of one representative per color and, for each
-    choice, every perfect pairing of the representatives.
+    choice, every perfect pairing of the representatives.  Per chunk of
+    choices, a block of pairings is scored by folding their pairs' distance
+    rows left to right (``np.add`` for the sums, ``np.maximum`` or
+    ``np.minimum`` for the bottleneck objectives) into one block-by-chunk
+    array, so every sum adds its distances in pairing order.  On ties the
+    first optimum in (chunk, pairing, choice) order wins: a block's
+    flattened argmin or argmax is its first optimum in (pairing, choice)
+    order, and a later block or chunk replaces the best only when strictly
+    better.
     """
     t = point_set.num_colors
     if t % 2:
@@ -80,39 +96,52 @@ def brute_force_geometric(
     check_budget(combos * pairing_count(t), max_states)
 
     xs, ys = point_set.xs, point_set.ys
-    dmat: dict[tuple[int, int], np.ndarray] = {}
-    for a in range(t):
-        for b in range(a + 1, t):
-            ia, ib = classes[a], classes[b]
-            dmat[(a, b)] = np.hypot(
-                xs[ia][:, None] - xs[ib][None, :], ys[ia][:, None] - ys[ib][None, :]
-            )
-
+    color_pairs = list(itertools.combinations(range(t), 2))
+    # dmat[i]: every distance between the classes of color pair i.
+    dmat = [
+        np.hypot(
+            xs[classes[a]][:, None] - xs[classes[b]][None, :],
+            ys[classes[a]][:, None] - ys[classes[b]][None, :],
+        )
+        for a, b in color_pairs
+    ]
+    slot = {pair: i for i, pair in enumerate(color_pairs)}
     pairings = list(perfect_pairings(range(t)))
+    # pairing_rows[p, j]: the color pair index of pairing p's j-th pair.
+    pairing_rows = np.array(
+        [[slot[pair] for pair in pairing] for pairing in pairings], dtype=np.intp
+    )
     maximize = objective in (Objective.MAXSUM, Objective.MAXMIN)
-    summed = objective in (Objective.MINSUM, Objective.MAXSUM)
-    best: tuple[float, int, tuple[tuple[int, int], ...]] | None = None
+    if objective in (Objective.MINSUM, Objective.MAXSUM):
+        fold = np.add
+    else:
+        fold = np.maximum if objective is Objective.MINMAX else np.minimum
+    # (value, pairing index, combo index) of the first optimum met.
+    best: tuple[float, int, int] | None = None
     for lo in range(0, combos, _CHUNK):
         hi = min(lo + _CHUNK, combos)
         pos = np.unravel_index(np.arange(lo, hi), sizes)
-        for pairing in pairings:
-            rows = np.stack([dmat[(a, b)][pos[a], pos[b]] for a, b in pairing])
-            if summed:
-                vals = rows.sum(axis=0)
-            elif objective is Objective.MINMAX:
-                vals = rows.max(axis=0)
-            else:
-                vals = rows.min(axis=0)
+        # table[i]: color pair i's distance at each combo of the chunk.
+        table = np.empty((len(color_pairs), hi - lo))
+        for row, d, (a, b) in zip(table, dmat, color_pairs):
+            row[:] = d[pos[a], pos[b]]
+        per_block = max(1, _BLOCK // (hi - lo))
+        for first in range(0, len(pairings), per_block):
+            block = pairing_rows[first : first + per_block]
+            vals = table[block[:, 0]]
+            for j in range(1, block.shape[1]):
+                fold(vals, table[block[:, j]], out=vals)
             at = int(vals.argmax() if maximize else vals.argmin())
-            v = float(vals[at])
+            v = float(vals.flat[at])
             if best is None or (v > best[0] if maximize else v < best[0]):
-                best = (v, lo + at, pairing)
+                p, c = divmod(at, hi - lo)
+                best = (v, first + p, lo + c)
 
     assert best is not None
-    _, flat, pairing = best
+    _, p, flat = best
     pos = np.unravel_index(flat, sizes)
     pairs = [
-        (int(classes[a][pos[a]]), int(classes[b][pos[b]])) for a, b in pairing
+        (int(classes[a][pos[a]]), int(classes[b][pos[b]])) for a, b in pairings[p]
     ]
     return ColorSpanningMatching.from_pairs(point_set, pairs)
 

@@ -491,6 +491,36 @@ class TestCertify:
         assert "equivalent=true" in out
 
 
+class TestBudgetArgument:
+    @pytest.mark.parametrize("budget", ["-1", "-12"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "points"],
+            ["check", "--sweep", "2"],
+            ["oracle", "points"],
+            ["certify", "uncolored", "--k", "2"],
+        ],
+        ids=["check-file", "check-sweep", "oracle", "certify"],
+    )
+    def test_negative_budget_is_invalid_before_output(
+        self, capsys, instance_files, argv, budget
+    ):
+        # A negative budget used to read as an exhausted one (exit 4), and
+        # a sweep printed its first instance header before failing.
+        argv = [instance_files.get(arg, arg) for arg in argv]
+        assert run(capsys, *argv, "--budget", budget) == (
+            EXIT_INVALID,
+            "",
+            f"invalid input: budget must be non-negative, got {budget}\n",
+        )
+
+    def test_zero_budget_is_exhausted(self, capsys):
+        code, out, err = run(capsys, "check", FIG1, "--budget", "0")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == "budget exceeded: 12 candidate states exceed the budget of 0\n"
+
+
 class TestRender:
     def test_glyph_counts(self, capsys, tmp_path):
         svg = tmp_path / "f.svg"

@@ -76,9 +76,10 @@ class TestGeometricOracle:
             got = brute_force_geometric(ps, objective)
             assert got.value(objective) == 5.0
 
+    @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("seed", range(8))
-    def test_agrees_with_naive_enumeration(self, seed):
-        ps = generate_matching_instance(2, 7700 + seed, max_class_size=3)
+    def test_agrees_with_naive_enumeration(self, seed, k):
+        ps = generate_matching_instance(k, 7700 + seed, max_class_size=3)
         for objective in Objective:
             got = brute_force_geometric(ps, objective)
             assert got.value(objective) == pytest.approx(
