@@ -35,7 +35,7 @@ def show(title, ps):
     for objective, solver in SOLVERS.items():
         got = solver(ps)
         oracle = brute_force_geometric(ps, objective)
-        pairs = " ".join(f"({NAMES[a]},{NAMES[b]})" for a, b in got.pairs)
+        pairs = " ".join(f"({NAMES[a]},{NAMES[b]})" for a, b in got.edges)
         agree = abs(got.value(objective) - oracle.value(objective)) <= 1e-9
         print(
             f"  {objective.value:6s} -> value {got.value(objective):.6f}  "

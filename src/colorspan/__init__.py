@@ -37,6 +37,7 @@ from .hardness import (
 )
 from .matching import (
     Matching,
+    Objective,
     WeightedGraph,
     bottleneck_perfect_matching,
     has_perfect_matching,
@@ -51,8 +52,7 @@ from .oracles import (
     perfect_pairings,
 )
 from .solvers import (
-    ColorSpanningMatching,
-    Objective,
+    color_spanning_matching,
     solve_k_multicolored_matching,
     solve_maxmin,
     solve_minmax,
@@ -66,7 +66,6 @@ __all__ = [
     "ColorspanError",
     "ColorGraph",
     "ColorPairWitness",
-    "ColorSpanningMatching",
     "ColoredPointSet",
     "EquivalenceCertificate",
     "EquivalenceViolationError",
@@ -86,6 +85,7 @@ __all__ = [
     "build_closest_color_graph",
     "build_farthest_color_graph",
     "certify_equivalence",
+    "color_spanning_matching",
     "find_k_independent_set",
     "has_perfect_matching",
     "maxmin_perfect_matching",

@@ -39,12 +39,11 @@ from .hardness import (
     reduce_is_to_mcis,
     reduce_mcis_to_mcim,
 )
-from .matching import Matching, WeightedGraph
+from .matching import Matching, Objective, WeightedGraph
 from .oracles import brute_force_colorful_graph_matching, brute_force_geometric
 from .render import render_svg
 from .solvers import (
-    ColorSpanningMatching,
-    Objective,
+    color_spanning_matching,
     solve_k_multicolored_matching,
     solve_maxmin,
     solve_minmax,
@@ -114,15 +113,17 @@ def _read_instance(path: str, who: str) -> _Instance:
 
 
 def _record(
+    instance: _Instance,
     objective: Objective,
-    solution: ColorSpanningMatching | Matching | None,
+    solution: Matching | None,
     elapsed_ms: float,
 ) -> ResultRecord:
-    """The record of one solver or oracle answer; ``None`` is an
-    infeasible graph instance."""
+    """The record of one solver or oracle answer on ``instance``; ``None``
+    is an infeasible instance."""
+    kind = "graph" if isinstance(instance, VertexColoredGraph) else "points"
     if solution is None:
         return ResultRecord(
-            kind="graph",
+            kind=kind,
             objective=objective.value,
             status="infeasible",
             value=None,
@@ -132,13 +133,12 @@ def _record(
             max_edge_weight=None,
             time_ms=elapsed_ms,
         )
-    points = isinstance(solution, ColorSpanningMatching)
     return ResultRecord(
-        kind="points" if points else "graph",
+        kind=kind,
         objective=objective.value,
         status="solved",
-        value=solution.value(objective) if points else solution.total_weight,
-        pairs=solution.pairs if points else solution.edges,
+        value=solution.value(objective),
+        pairs=solution.edges,
         total_weight=solution.total_weight,
         min_edge_weight=solution.min_edge_weight,
         max_edge_weight=solution.max_edge_weight,
@@ -162,7 +162,7 @@ def _solve(instance: _Instance, objective: Objective) -> ResultRecord:
         raise InvalidInstanceError(
             f"objective {objective.value!r} has no solver; use the oracle for it"
         )
-    return _record(objective, solution, (time.perf_counter() - start) * 1e3)
+    return _record(instance, objective, solution, (time.perf_counter() - start) * 1e3)
 
 
 def _oracle(instance: _Instance, objective: Objective, budget: int) -> ResultRecord:
@@ -172,7 +172,7 @@ def _oracle(instance: _Instance, objective: Objective, budget: int) -> ResultRec
         solution = brute_force_colorful_graph_matching(instance, budget)
     else:
         solution = brute_force_geometric(instance, objective, budget)
-    return _record(objective, solution, (time.perf_counter() - start) * 1e3)
+    return _record(instance, objective, solution, (time.perf_counter() - start) * 1e3)
 
 
 def _cmd_gen(args) -> int:
@@ -376,13 +376,10 @@ def _cmd_render(args) -> int:
     ps = parse_points(text)
     if args.result is not None:
         record = ResultRecord.from_json(_read_input(args.result))
-        if record.status != "solved" or not record.pairs:
+        if record.status != "solved":
             raise InvalidInstanceError("refusing to render an empty or unsolved result")
-        n = len(ps)
-        if any(not (0 <= a < n and 0 <= b < n) for a, b in record.pairs):
-            raise InvalidInstanceError("result pairs do not match this point file")
         objective = Objective.from_string(record.objective)
-        recomputed = ColorSpanningMatching.from_pairs(ps, record.pairs).value(objective)
+        recomputed = color_spanning_matching(ps, record.pairs).value(objective)
         if not _agrees(record.value, recomputed, DEFAULT_TOLERANCE):
             raise InvalidInstanceError(
                 f"result value {record.value!r} does not match these points "

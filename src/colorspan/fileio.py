@@ -326,22 +326,24 @@ class ResultRecord:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.lineno, f"invalid result JSON: {exc.msg}") from None
+
+        def number(key: str) -> float | None:
+            return None if payload[key] is None else float(payload[key])
+
         try:
+            pairs = tuple((a, b) for a, b in payload["pairs"])
+            # type, not isinstance: JSON true loads as a bool, an int subclass.
+            if any(type(i) is not int for pair in pairs for i in pair):
+                raise TypeError(f"pair indices must be integers, got {list(pairs)}")
             return cls(
                 kind=str(payload["kind"]),
                 objective=str(payload["objective"]),
                 status=str(payload["status"]),
-                value=None if payload["value"] is None else float(payload["value"]),
-                pairs=tuple((int(a), int(b)) for a, b in payload["pairs"]),
-                total_weight=None
-                if payload["total_weight"] is None
-                else float(payload["total_weight"]),
-                min_edge_weight=None
-                if payload["min_edge_weight"] is None
-                else float(payload["min_edge_weight"]),
-                max_edge_weight=None
-                if payload["max_edge_weight"] is None
-                else float(payload["max_edge_weight"]),
+                value=number("value"),
+                pairs=pairs,
+                total_weight=number("total_weight"),
+                min_edge_weight=number("min_edge_weight"),
+                max_edge_weight=number("max_edge_weight"),
                 time_ms=float(payload["time_ms"]),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -31,10 +31,14 @@ condition.
 
 Infeasibility (no perfect matching) is reported by returning ``None``;
 malformed graphs raise :class:`~colorspan.errors.InvalidInstanceError`.
+
+:class:`Matching` is the result type of every solver and oracle, on
+graphs and on point sets (there its edges are pairs of point indexes).
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,6 +47,29 @@ from typing import Iterable
 
 from ._blossom import maximum_weight_matching
 from .errors import InvalidInstanceError
+
+
+class Objective(enum.Enum):
+    """Matching statistics that can be optimized.
+
+    ``maxsum`` exists only for exhaustive cross-checks; no polynomial
+    pipeline for it ships here.
+    """
+
+    MINSUM = "minsum"
+    MAXMIN = "maxmin"
+    MINMAX = "minmax"
+    MAXSUM = "maxsum"
+
+    @classmethod
+    def from_string(cls, name: str) -> "Objective":
+        try:
+            return cls(name.lower())
+        except ValueError:
+            raise InvalidInstanceError(
+                f"unknown objective {name!r}; expected one of "
+                + ", ".join(o.value for o in cls)
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -133,6 +160,14 @@ class Matching:
     @classmethod
     def from_edges(cls, graph: WeightedGraph, edges: Iterable[tuple[int, int]]) -> "Matching":
         return cls.from_weighted_edges((u, v, graph.weight(u, v)) for u, v in edges)
+
+    def value(self, objective: Objective) -> float:
+        """The statistic this matching is scored by under ``objective``."""
+        if objective in (Objective.MINSUM, Objective.MAXSUM):
+            return self.total_weight
+        if objective is Objective.MAXMIN:
+            return self.min_edge_weight
+        return self.max_edge_weight
 
     def __len__(self) -> int:
         return len(self.edges)

@@ -26,11 +26,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidInstanceError
 from .geometry import ColoredPointSet
 from .hardness import DEFAULT_MAX_STATES, VertexColoredGraph, check_budget, colorful_edge_sets
-from .matching import Matching, WeightedGraph
-from .solvers import ColorSpanningMatching, Objective
+from .matching import Matching, Objective, WeightedGraph
+from .solvers import _require_matching_instance, color_spanning_matching
 
 # Representative choices scored per chunk, and the most values one block
 # of pairings is scored into at once (a block holds at least one pairing).
@@ -71,7 +70,7 @@ def brute_force_geometric(
     point_set: ColoredPointSet,
     objective: Objective,
     max_states: int = DEFAULT_MAX_STATES,
-) -> ColorSpanningMatching:
+) -> Matching:
     """Exact optimum over every color-spanning matching of the point set.
 
     Enumerates every choice of one representative per color and, for each
@@ -85,11 +84,8 @@ def brute_force_geometric(
     order, and a later block or chunk replaces the best only when strictly
     better.
     """
+    _require_matching_instance(point_set)
     t = point_set.num_colors
-    if t % 2:
-        raise InvalidInstanceError(
-            f"matching instances need an even color count, got {t}"
-        )
     classes = [point_set.color_indices(c) for c in range(t)]
     sizes = tuple(len(c) for c in classes)
     combos = math.prod(sizes)
@@ -143,7 +139,7 @@ def brute_force_geometric(
     pairs = [
         (int(classes[a][pos[a]]), int(classes[b][pos[b]])) for a, b in pairings[p]
     ]
-    return ColorSpanningMatching.from_pairs(point_set, pairs)
+    return color_spanning_matching(point_set, pairs)
 
 
 def brute_force_graph_matching(

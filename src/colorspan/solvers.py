@@ -20,12 +20,13 @@ maxmin); the exhaustive oracles in :mod:`colorspan.oracles` certify that
 fact empirically on every random sweep.  Witnesses tie-break on the
 smallest ``(weight, a, b)``, ``a`` the endpoint of the lower color (for
 maxmin, the largest distance, then the smallest ``(a, b)``).
+
+Every solver returns a :class:`~colorspan.matching.Matching`.  On a point
+set its edges are point-index pairs, checked by :func:`color_spanning_matching`.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InvalidInstanceError
@@ -37,88 +38,37 @@ from .geometry import (
     build_farthest_color_graph,
 )
 from .hardness import VertexColoredGraph
-from .matching import (
+from .matching import (  # Objective is re-exported for callers of this module
     Matching,
+    Objective,
     bottleneck_perfect_matching,
     maxmin_perfect_matching,
     min_weight_perfect_matching,
 )
 
 
-class Objective(enum.Enum):
-    """Matching statistics that can be optimized.
+def color_spanning_matching(
+    point_set: ColoredPointSet, pairs: Iterable[tuple[int, int]]
+) -> Matching:
+    """The matching of these point-index pairs, weighted by Euclidean length.
 
-    ``maxsum`` exists only for exhaustive cross-checks; no polynomial
-    pipeline for it ships here.
+    Raises :class:`~colorspan.errors.InvalidInstanceError` unless the pairs
+    are non-empty, in range, free of self-pairs, and their endpoints' colors
+    are distinct and cover every color.
     """
-
-    MINSUM = "minsum"
-    MAXMIN = "maxmin"
-    MINMAX = "minmax"
-    MAXSUM = "maxsum"
-
-    @classmethod
-    def from_string(cls, name: str) -> "Objective":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise InvalidInstanceError(
-                f"unknown objective {name!r}; expected one of "
-                + ", ".join(o.value for o in cls)
-            ) from None
-
-
-@dataclass(frozen=True)
-class ColorSpanningMatching:
-    """k point pairs covering 2k distinct colors, with weight statistics.
-
-    Pairs are index pairs into the owning point set, stored sorted with
-    each pair ordered ascending; statistics recompute from the pairs'
-    Euclidean distances in that canonical order.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    total_weight: float
-    min_edge_weight: float
-    max_edge_weight: float
-
-    @classmethod
-    def from_pairs(
-        cls, point_set: ColoredPointSet, pairs: Iterable[tuple[int, int]]
-    ) -> "ColorSpanningMatching":
-        canon = sorted((min(a, b), max(a, b)) for a, b in pairs)
-        if not canon:
-            raise InvalidInstanceError("a color-spanning matching cannot be empty")
-        n = len(point_set)
-        color_of = point_set.colors
-        colors: list[int] = []
-        for a, b in canon:
-            if not (0 <= a < n and 0 <= b < n) or a == b:
-                raise InvalidInstanceError(f"invalid point pair ({a}, {b})")
-            colors.append(int(color_of[a]))
-            colors.append(int(color_of[b]))
-        if len(set(colors)) != len(colors):
-            raise InvalidInstanceError("matched endpoints must have distinct colors")
-        if set(colors) != set(range(point_set.num_colors)):
-            raise InvalidInstanceError("matching must cover every color exactly once")
-        dists = [point_set.distance(a, b) for a, b in canon]
-        return cls(
-            pairs=tuple(canon),
-            total_weight=sum(dists),
-            min_edge_weight=min(dists),
-            max_edge_weight=max(dists),
-        )
-
-    def value(self, objective: Objective) -> float:
-        """The statistic this matching is scored by under ``objective``."""
-        if objective in (Objective.MINSUM, Objective.MAXSUM):
-            return self.total_weight
-        if objective is Objective.MAXMIN:
-            return self.min_edge_weight
-        return self.max_edge_weight
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+    canon = [(min(a, b), max(a, b)) for a, b in pairs]
+    if not canon:
+        raise InvalidInstanceError("a color-spanning matching cannot be empty")
+    n = len(point_set)
+    for a, b in canon:
+        if not (0 <= a < n and 0 <= b < n) or a == b:
+            raise InvalidInstanceError(f"invalid point pair ({a}, {b})")
+    colors = point_set.colors[[p for pair in canon for p in pair]].tolist()
+    if len(set(colors)) != len(colors):
+        raise InvalidInstanceError("matched endpoints must have distinct colors")
+    if set(colors) != set(range(point_set.num_colors)):
+        raise InvalidInstanceError("matching must cover every color exactly once")
+    return Matching.from_weighted_edges((a, b, point_set.distance(a, b)) for a, b in canon)
 
 
 def _require_matching_instance(point_set: ColoredPointSet) -> None:
@@ -137,24 +87,24 @@ def _matched_witnesses(cg: ColorGraph, match) -> list[ColorPairWitness] | None:
     return [cg.witnesses[key] for key in matched.edges]
 
 
-def _solve_geometric(point_set: ColoredPointSet, build, match) -> ColorSpanningMatching:
+def _solve_geometric(point_set: ColoredPointSet, build, match) -> Matching:
     _require_matching_instance(point_set)
     witnesses = _matched_witnesses(build(point_set), match)
     assert witnesses is not None  # complete graph on an even vertex count
-    return ColorSpanningMatching.from_pairs(point_set, ((w.point_a, w.point_b) for w in witnesses))
+    return color_spanning_matching(point_set, ((w.point_a, w.point_b) for w in witnesses))
 
 
-def solve_minsum(point_set: ColoredPointSet) -> ColorSpanningMatching:
+def solve_minsum(point_set: ColoredPointSet) -> Matching:
     """Color-spanning matching minimizing the total edge length."""
     return _solve_geometric(point_set, build_closest_color_graph, min_weight_perfect_matching)
 
 
-def solve_maxmin(point_set: ColoredPointSet) -> ColorSpanningMatching:
+def solve_maxmin(point_set: ColoredPointSet) -> Matching:
     """Color-spanning matching maximizing the minimum edge length."""
     return _solve_geometric(point_set, build_farthest_color_graph, maxmin_perfect_matching)
 
 
-def solve_minmax(point_set: ColoredPointSet) -> ColorSpanningMatching:
+def solve_minmax(point_set: ColoredPointSet) -> Matching:
     """Color-spanning matching minimizing the maximum edge length."""
     return _solve_geometric(point_set, build_closest_color_graph, bottleneck_perfect_matching)
 

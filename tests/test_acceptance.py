@@ -151,7 +151,7 @@ def test_criterion_5_structural_extreme_pair_property(geometric_sweep):
         farthest = build_farthest_color_graph(ps)
         for objective, solution in solutions.items():
             graph = farthest if objective is Objective.MAXMIN else closest
-            for a, b in solution.pairs:
+            for a, b in solution.edges:
                 ca, cb = int(ps.colors[a]), int(ps.colors[b])
                 d = math.hypot(
                     float(ps.xs[a]) - float(ps.xs[b]), float(ps.ys[a]) - float(ps.ys[b])

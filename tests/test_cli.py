@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
@@ -228,6 +229,44 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(f))
         assert code == EXIT_INFEASIBLE
         assert "status=infeasible" in out
+
+    # Every byte of the record but the time_ms value, for one infeasible
+    # graph and one solved point set, in both output formats.
+    @pytest.mark.parametrize(
+        "instance, code, text, json_text",
+        [
+            (
+                "4 1 4\n0\n1\n2\n3\n0 1\n",
+                EXIT_INFEASIBLE,
+                "kind=graph\nobjective=minsum\nstatus=infeasible\ntime_ms=T\n",
+                '{"kind": "graph", "max_edge_weight": null, "min_edge_weight": null, '
+                '"objective": "minsum", "pairs": [], "status": "infeasible", '
+                '"time_ms": T, "total_weight": null, "value": null}\n',
+            ),
+            (
+                None,
+                EXIT_OK,
+                "kind=points\nobjective=minsum\nstatus=solved\nvalue=1.7999999999999998\n"
+                "pairs=0:2 1:5\ntotal_weight=1.7999999999999998\n"
+                "min_edge_weight=0.8999999999999999\nmax_edge_weight=0.9\ntime_ms=T\n",
+                '{"kind": "points", "max_edge_weight": 0.9, "min_edge_weight": '
+                '0.8999999999999999, "objective": "minsum", "pairs": [[0, 2], [1, 5]], '
+                '"status": "solved", "time_ms": T, "total_weight": 1.7999999999999998, '
+                '"value": 1.7999999999999998}\n',
+            ),
+        ],
+        ids=["infeasible-graph", "figure1-minsum"],
+    )
+    def test_full_record_pinned(self, capsys, tmp_path, instance, code, text, json_text):
+        path = FIG1
+        if instance is not None:
+            path = str(tmp_path / "instance.graph")
+            Path(path).write_text(instance)
+        got_code, out, err = run(capsys, "solve", path)
+        assert (got_code, re.sub(r"time_ms=[0-9.]+", "time_ms=T", out), err) == (code, text, "")
+        got_code, out, err = run(capsys, "solve", path, "--json")
+        out = re.sub(r'"time_ms": [0-9.e-]+', '"time_ms": T', out)
+        assert (got_code, out, err) == (code, json_text, "")
 
     def test_maxsum_has_no_solver(self, capsys):
         code, _, err = run(capsys, "solve", FIG1, "--objective", "maxsum")
@@ -599,6 +638,21 @@ class TestRender:
         run(capsys, "solve", FIG2, "--objective", "minsum", "--json", "--out", str(result))
         code, _, _ = run(capsys, "render", FIG1, "--result", str(result), "--out", str(tmp_path / "x.svg"))
         assert code == EXIT_INVALID
+
+    # Figure 1's maxmin pairs are 0:3 1:4; a fraction, a bool or a string
+    # must not be read as one of them.
+    @pytest.mark.parametrize(
+        "pairs", [[[0.5, 3], [1, 4]], [[0, 3], [True, 4]], [[0, 3], ["1", 4]]],
+        ids=["fraction", "bool", "string"],
+    )
+    def test_non_integer_pair_index_rejected(self, capsys, tmp_path, pairs):
+        result = tmp_path / "r.json"
+        run(capsys, "solve", FIG1, "--objective", "maxmin", "--json", "--out", str(result))
+        payload = json.loads(result.read_text())
+        result.write_text(json.dumps({**payload, "pairs": pairs}))
+        code, out, err = run(capsys, "render", FIG1, "--result", str(result))
+        assert (code, out) == (EXIT_INVALID, "")
+        assert "pair indices must be integers" in err
 
     def test_empty_matching_rejected(self, capsys, tmp_path):
         result = tmp_path / "r.json"

@@ -156,6 +156,19 @@ class TestResultRecord:
         assert "pairs=0:1\n" in text
         assert text.rstrip().endswith("time_ms=1.250")
 
+    @pytest.mark.parametrize(
+        "index", ["0.5", "true", "false", '"1"', "1.0"],
+        ids=["fraction", "true", "false", "string", "integral-float"],
+    )
+    def test_non_integer_pair_index_rejected(self, index):
+        text = (
+            '{"kind": "points", "objective": "minsum", "status": "solved", '
+            f'"value": 1.0, "pairs": [[{index}, 2]], "total_weight": 1.0, '
+            '"min_edge_weight": 1.0, "max_edge_weight": 1.0, "time_ms": 0.0}'
+        )
+        with pytest.raises(ParseError, match="pair indices must be integers"):
+            ResultRecord.from_json(text)
+
     def test_bad_json_rejected(self):
         with pytest.raises(ParseError):
             ResultRecord.from_json("{not json")

@@ -89,7 +89,7 @@ class TestColoredPointSet:
     def test_solvers_never_build_point_objects(self, solve):
         ps = generate_points(400, 4, seed=8, distribution="clusters")
         got = solve(ps)
-        render_svg(ps, got.pairs, "value", 1.0)
+        render_svg(ps, got.edges, "value", 1.0)
         assert "points" not in vars(ps)
 
 

@@ -365,6 +365,20 @@ class TestMatchingValue:
             assert minsum <= k * bottleneck + 1e-12
             assert bottleneck >= minsum / k - 1e-12
 
+    @pytest.mark.parametrize(
+        "objective, statistic",
+        [
+            (Objective.MINSUM, "total_weight"),
+            (Objective.MAXSUM, "total_weight"),
+            (Objective.MAXMIN, "min_edge_weight"),
+            (Objective.MINMAX, "max_edge_weight"),
+        ],
+    )
+    def test_value_reads_the_objective_statistic(self, objective, statistic):
+        m = Matching.from_weighted_edges([(0, 1, 1.0), (2, 3, 4.0), (4, 5, 2.5)])
+        assert (m.total_weight, m.min_edge_weight, m.max_edge_weight) == (7.5, 1.0, 4.0)
+        assert m.value(objective) == getattr(m, statistic)
+
     def test_vertex_sharing_edges_rejected(self):
         with pytest.raises(InvalidInstanceError):
             Matching.from_weighted_edges([(0, 1, 1.0), (1, 2, 1.0)])

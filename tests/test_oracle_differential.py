@@ -20,9 +20,9 @@ import pytest
 
 from colorspan import (
     ColoredPointSet,
-    ColorSpanningMatching,
     Objective,
     brute_force_geometric,
+    color_spanning_matching,
     perfect_pairings,
 )
 from colorspan.generate import generate_matching_instance
@@ -66,7 +66,7 @@ def per_pairing_geometric(point_set, objective):
     _, flat, pairing = best
     pos = np.unravel_index(flat, sizes)
     pairs = [(int(classes[a][pos[a]]), int(classes[b][pos[b]])) for a, b in pairing]
-    return ColorSpanningMatching.from_pairs(point_set, pairs)
+    return color_spanning_matching(point_set, pairs)
 
 
 def lattice_instance(k, class_sizes, step, width, seed):
@@ -84,7 +84,7 @@ def assert_same_as_reference(ps):
     for objective in Objective:
         got = brute_force_geometric(ps, objective)
         want = per_pairing_geometric(ps, objective)
-        # Dataclass equality: the pairs and all three statistics.
+        # Dataclass equality: the edges and all three statistics.
         assert got == want, objective
 
 

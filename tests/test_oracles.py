@@ -64,7 +64,7 @@ class TestGeometricOracle:
     def test_two_squares_maxsum(self):
         got = brute_force_geometric(two_squares_point_set(EPS), Objective.MAXSUM)
         assert got.total_weight == pytest.approx(1 + math.sqrt(5), abs=1e-9)
-        assert got.pairs == ((0, 1), (3, 4))
+        assert got.edges == ((0, 1), (3, 4))
 
     def test_stacked_rows_minsum_is_three(self):
         got = brute_force_geometric(stacked_rows_point_set(EPS), Objective.MINSUM)
@@ -136,15 +136,10 @@ class TestGraphOracle:
         relabeled = WeightedGraph(
             8, [(perm[u], perm[v], w) for u, v, w in g.edges]
         )
-        def value(m, objective):
-            if objective in (Objective.MINSUM, Objective.MAXSUM):
-                return m.total_weight
-            return m.min_edge_weight if objective is Objective.MAXMIN else m.max_edge_weight
-
         for objective in Objective:
             a = brute_force_graph_matching(g, objective)
             b = brute_force_graph_matching(relabeled, objective)
-            assert value(a, objective) == pytest.approx(value(b, objective), abs=1e-12)
+            assert a.value(objective) == pytest.approx(b.value(objective), abs=1e-12)
 
 
 class TestColorfulGraphOracle:

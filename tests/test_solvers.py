@@ -11,6 +11,7 @@ from colorspan import (
     brute_force_geometric,
     build_closest_color_graph,
     build_farthest_color_graph,
+    color_spanning_matching,
     solve_k_multicolored_matching,
     solve_maxmin,
     solve_minmax,
@@ -35,13 +36,13 @@ class TestTwoSquaresFixture:
     def test_minsum_value_and_pairs(self):
         got = solve_minsum(two_squares_point_set(EPS))
         assert got.total_weight == pytest.approx(2 - 2 * EPS, abs=1e-9)
-        assert got.pairs == ((0, 2), (1, 5))
+        assert got.edges == ((0, 2), (1, 5))
 
     def test_maxmin_value(self):
         got = solve_maxmin(two_squares_point_set(EPS))
         assert got.min_edge_weight == pytest.approx(math.sqrt(2), abs=1e-9)
         assert got.total_weight == pytest.approx(2 * math.sqrt(2), abs=1e-9)
-        assert got.pairs == ((0, 3), (1, 4))
+        assert got.edges == ((0, 3), (1, 4))
 
     def test_objectives_separate(self):
         # The minsum and maxmin optima use different color-spanning sets.
@@ -50,8 +51,8 @@ class TestTwoSquaresFixture:
         maxmin = solve_maxmin(ps)
         assert minsum.total_weight == pytest.approx(1.8, abs=1e-9)
         assert maxmin.min_edge_weight == pytest.approx(math.sqrt(2), abs=1e-9)
-        assert {p for pair in minsum.pairs for p in pair} != {
-            p for pair in maxmin.pairs for p in pair
+        assert {p for pair in minsum.edges for p in pair} != {
+            p for pair in maxmin.edges for p in pair
         }
 
     def test_closest_graph_edge_weight(self):
@@ -65,17 +66,44 @@ class TestTwoSquaresFixture:
         assert build_farthest_color_graph(ps).weight(0, 2) >= math.sqrt(2) - 1e-12
 
 
+class TestColorSpanningPairs:
+    # Two squares: points a..f have colors 0, 1, 2, 2, 3, 3.
+    def test_pairs_are_canonical_and_weighted_by_distance(self):
+        ps = two_squares_point_set(EPS)
+        got = color_spanning_matching(ps, [(4, 1), (2, 0)])
+        assert got.edges == ((0, 2), (1, 4))
+        assert got.total_weight == ps.distance(0, 2) + ps.distance(1, 4)
+        assert got == color_spanning_matching(ps, [(0, 2), (1, 4)])
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([], "cannot be empty"),
+            ([(0, 2), (1, 6)], "invalid point pair"),
+            ([(0, 2), (-1, 4)], "invalid point pair"),
+            ([(0, 0), (1, 4)], "invalid point pair"),
+            ([(0, 2), (3, 4)], "distinct colors"),
+            ([(0, 2)], "cover every color"),
+        ],
+        ids=["empty", "index-too-large", "index-negative", "self-pair", "repeated-color",
+             "missing-color"],
+    )
+    def test_invalid_pairs_rejected(self, pairs, message):
+        with pytest.raises(InvalidInstanceError, match=message):
+            color_spanning_matching(two_squares_point_set(EPS), pairs)
+
+
 class TestStackedRowsFixture:
     def test_minsum_value(self):
         got = solve_minsum(stacked_rows_point_set(EPS))
         assert got.total_weight == pytest.approx(3.0, abs=1e-9)
-        assert got.pairs == ((0, 1), (2, 3))
+        assert got.edges == ((0, 1), (2, 3))
 
     def test_minmax_value(self):
         got = solve_minmax(stacked_rows_point_set(EPS))
         assert got.max_edge_weight == pytest.approx(1.5 + EPS, abs=1e-9)
         assert got.total_weight == pytest.approx(3 + 2 * EPS, abs=1e-9)
-        assert got.pairs == ((2, 4), (3, 5))
+        assert got.edges == ((2, 4), (3, 5))
 
 
 class TestGeometricSolvers:
@@ -83,7 +111,7 @@ class TestGeometricSolvers:
         ps = ColoredPointSet([0, 3], [0, 4], [0, 1], 2)
         for solver in SOLVERS.values():
             got = solver(ps)
-            assert got.pairs == ((0, 1),)
+            assert got.edges == ((0, 1),)
             assert got.total_weight == 5.0
 
     def test_two_colors_extremes_differ(self):
@@ -118,7 +146,7 @@ class TestGeometricSolvers:
         for objective, solver in SOLVERS.items():
             got = solver(ps)
             graph = farthest if objective is Objective.MAXMIN else closest
-            for a, b in got.pairs:
+            for a, b in got.edges:
                 ca, cb = int(ps.colors[a]), int(ps.colors[b])
                 d = math.hypot(
                     float(ps.xs[a]) - float(ps.xs[b]), float(ps.ys[a]) - float(ps.ys[b])
@@ -141,7 +169,7 @@ class TestGeometricSolvers:
         ps = generate_matching_instance(2, 9700 + seed)
         for solver in SOLVERS.values():
             got = solver(ps)
-            colors = [int(ps.colors[p]) for pair in got.pairs for p in pair]
+            colors = [int(ps.colors[p]) for pair in got.edges for p in pair]
             assert sorted(colors) == list(range(ps.num_colors))
 
 
