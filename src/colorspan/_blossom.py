@@ -194,11 +194,9 @@ def maximum_weight_matching(
                     nblist = bv.mybestedges
                     bv.mybestedges = None
                 else:
-                    nblist = [
-                        (v, w) for v in bv.leaves() for w in nbrs[v] if v != w
-                    ]
+                    nblist = [(v, w) for v in bv.leaves() for w in nbrs[v]]
             else:
-                nblist = [(bv, w) for w in nbrs[bv] if bv != w]
+                nblist = [(bv, w) for w in nbrs[bv]]
             for k in nblist:
                 (i, j) = k
                 if inblossom[j] == b:
@@ -393,8 +391,6 @@ def maximum_weight_matching(
                 assert label[inblossom[v]] == 1
 
                 for w in nbrs[v]:
-                    if w == v:
-                        continue
                     bv = inblossom[v]
                     bw = inblossom[w]
                     if bv == bw:

@@ -39,7 +39,7 @@ from .hardness import (
     reduce_is_to_mcis,
     reduce_mcis_to_mcim,
 )
-from .matching import Matching, Objective, WeightedGraph
+from .matching import Objective, WeightedGraph
 from .oracles import brute_force_colorful_graph_matching, brute_force_geometric
 from .render import render_svg
 from .solvers import (
@@ -112,40 +112,6 @@ def _read_instance(path: str, who: str) -> _Instance:
     return g
 
 
-def _record(
-    instance: _Instance,
-    objective: Objective,
-    solution: Matching | None,
-    elapsed_ms: float,
-) -> ResultRecord:
-    """The record of one solver or oracle answer on ``instance``; ``None``
-    is an infeasible instance."""
-    kind = "graph" if isinstance(instance, VertexColoredGraph) else "points"
-    if solution is None:
-        return ResultRecord(
-            kind=kind,
-            objective=objective.value,
-            status="infeasible",
-            value=None,
-            pairs=(),
-            total_weight=None,
-            min_edge_weight=None,
-            max_edge_weight=None,
-            time_ms=elapsed_ms,
-        )
-    return ResultRecord(
-        kind=kind,
-        objective=objective.value,
-        status="solved",
-        value=solution.value(objective),
-        pairs=solution.edges,
-        total_weight=solution.total_weight,
-        min_edge_weight=solution.min_edge_weight,
-        max_edge_weight=solution.max_edge_weight,
-        time_ms=elapsed_ms,
-    )
-
-
 def _require_minsum(objective: Objective) -> None:
     if objective is not Objective.MINSUM:
         raise InvalidInstanceError("graph instances only support the minsum objective")
@@ -162,7 +128,8 @@ def _solve(instance: _Instance, objective: Objective) -> ResultRecord:
         raise InvalidInstanceError(
             f"objective {objective.value!r} has no solver; use the oracle for it"
         )
-    return _record(instance, objective, solution, (time.perf_counter() - start) * 1e3)
+    kind = "graph" if isinstance(instance, VertexColoredGraph) else "points"
+    return ResultRecord(kind, objective, solution, (time.perf_counter() - start) * 1e3)
 
 
 def _oracle(instance: _Instance, objective: Objective, budget: int) -> ResultRecord:
@@ -172,7 +139,8 @@ def _oracle(instance: _Instance, objective: Objective, budget: int) -> ResultRec
         solution = brute_force_colorful_graph_matching(instance, budget)
     else:
         solution = brute_force_geometric(instance, objective, budget)
-    return _record(instance, objective, solution, (time.perf_counter() - start) * 1e3)
+    kind = "graph" if isinstance(instance, VertexColoredGraph) else "points"
+    return ResultRecord(kind, objective, solution, (time.perf_counter() - start) * 1e3)
 
 
 def _cmd_gen(args) -> int:
@@ -208,14 +176,20 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _svg(point_set: ColoredPointSet, record: ResultRecord) -> str:
+    """``record``'s matching drawn over ``point_set``."""
+    if record.solution is None:
+        raise InvalidInstanceError("refusing to render an empty matching")
+    return render_svg(point_set, record.solution.edges, record.objective.value, record.value)
+
+
 def _cmd_solve(args) -> int:
     instance = _read_instance(args.input, "solve")
     record = _solve(instance, Objective.from_string(args.objective))
     if args.render_out is not None:
         if isinstance(instance, VertexColoredGraph):
             raise InvalidInstanceError("--render-out only applies to point instances")
-        svg = render_svg(instance, record.pairs, record.objective, record.value)
-        _write_file(args.render_out, svg)
+        _write_file(args.render_out, _svg(instance, record))
     _write_output(record.to_json() if args.json else record.to_text(), args.out)
     return EXIT_OK if record.status == "solved" else EXIT_INFEASIBLE
 
@@ -376,10 +350,9 @@ def _cmd_render(args) -> int:
     ps = parse_points(text)
     if args.result is not None:
         record = ResultRecord.from_json(_read_input(args.result))
-        if record.status != "solved":
+        if record.solution is None:
             raise InvalidInstanceError("refusing to render an empty or unsolved result")
-        objective = Objective.from_string(record.objective)
-        recomputed = color_spanning_matching(ps, record.pairs).value(objective)
+        recomputed = color_spanning_matching(ps, record.solution.edges).value(record.objective)
         if not _agrees(record.value, recomputed, DEFAULT_TOLERANCE):
             raise InvalidInstanceError(
                 f"result value {record.value!r} does not match these points "
@@ -389,7 +362,7 @@ def _cmd_render(args) -> int:
         record = _solve(ps, Objective.from_string(args.objective))
     else:
         raise InvalidInstanceError("render needs --result or --objective")
-    _write_output(render_svg(ps, record.pairs, record.objective, record.value), args.out)
+    _write_output(_svg(ps, record), args.out)
     return EXIT_OK
 
 

@@ -16,6 +16,11 @@ Floats serialize with ``repr`` so every format round-trips exactly:
 ``parse(serialize(x)) == x``.  Parse failures raise
 :class:`~colorspan.errors.ParseError` carrying the offending line number.
 
+A JSON result record is read back strictly: its status must be
+``solved`` or ``infeasible``, its value, statistics and time must be
+finite JSON numbers (not bools or strings), and a solved record's value
+must equal its statistic for the objective.
+
 A point file's body is read in one ``np.loadtxt`` call when the text is
 ASCII with "\\n" or "\\r\\n" as its only line break and a non-blank
 body; loadtxt converts each token in full as ``float`` and ``int`` do, and
@@ -39,7 +44,7 @@ import numpy as np
 from .errors import InvalidInstanceError, ParseError
 from .geometry import ColoredPointSet, _never_used_message
 from .hardness import VertexColoredGraph
-from .matching import WeightedGraph
+from .matching import Matching, Objective, WeightedGraph
 
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:
@@ -272,81 +277,106 @@ def serialize_provenance(provenance: dict[int, tuple[int, str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_STATISTICS = ("total_weight", "min_edge_weight", "max_edge_weight")
+
+
 @dataclass(frozen=True)
 class ResultRecord:
-    """A solve or oracle outcome in emit-friendly form.
+    """A solve or oracle outcome: the matching found (None when the
+    instance is infeasible), the objective that scores it and the wall
+    time.
 
-    ``value`` is the objective statistic; ``pairs`` are point indexes for
-    geometric runs and vertex ids for graph runs.  ``time_ms`` is wall
-    time and is the one volatile field, so it is always emitted last.
+    ``status`` and ``value`` (the objective's statistic of the matching)
+    are derived, so a record cannot disagree with its matching.  Pairs
+    are point indexes for geometric runs and vertex ids for graph runs.
+    ``time_ms`` is the one volatile field, so it is always emitted last.
+    :meth:`from_json` is the one reader, and a strict one: the status must
+    be ``solved`` or ``infeasible``, every number a finite JSON number,
+    and ``value`` exactly the record's statistic for its objective.
     """
 
     kind: str
-    objective: str
-    status: str
-    value: float | None
-    pairs: tuple[tuple[int, int], ...]
-    total_weight: float | None
-    min_edge_weight: float | None
-    max_edge_weight: float | None
+    objective: Objective
+    solution: Matching | None
     time_ms: float
+
+    @property
+    def status(self) -> str:
+        return "infeasible" if self.solution is None else "solved"
+
+    @property
+    def value(self) -> float | None:
+        return None if self.solution is None else self.solution.value(self.objective)
 
     def to_text(self) -> str:
         lines = [
             f"kind={self.kind}",
-            f"objective={self.objective}",
+            f"objective={self.objective.value}",
             f"status={self.status}",
         ]
-        if self.status == "solved":
+        m = self.solution
+        if m is not None:
             lines.append(f"value={self.value!r}")
-            lines.append("pairs=" + " ".join(f"{a}:{b}" for a, b in self.pairs))
-            lines.append(f"total_weight={self.total_weight!r}")
-            lines.append(f"min_edge_weight={self.min_edge_weight!r}")
-            lines.append(f"max_edge_weight={self.max_edge_weight!r}")
+            lines.append("pairs=" + " ".join(f"{a}:{b}" for a, b in m.edges))
+            lines.extend(f"{key}={getattr(m, key)!r}" for key in _STATISTICS)
         lines.append(f"time_ms={self.time_ms:.3f}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        m = self.solution
         payload = {
             "kind": self.kind,
-            "objective": self.objective,
+            "objective": self.objective.value,
             "status": self.status,
             "value": self.value,
-            "pairs": [list(p) for p in self.pairs],
-            "total_weight": self.total_weight,
-            "min_edge_weight": self.min_edge_weight,
-            "max_edge_weight": self.max_edge_weight,
+            "pairs": [] if m is None else [list(p) for p in m.edges],
+            **{key: None if m is None else getattr(m, key) for key in _STATISTICS},
             "time_ms": self.time_ms,
         }
         return json.dumps(payload, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ResultRecord":
+        """Read a record back; raises :class:`ParseError` on any departure
+        from what :meth:`to_json` writes (see the class docstring)."""
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.lineno, f"invalid result JSON: {exc.msg}") from None
+        except RecursionError:
+            raise ParseError(None, "invalid result JSON: nested too deeply") from None
 
-        def number(key: str) -> float | None:
-            return None if payload[key] is None else float(payload[key])
+        def number(key: str) -> float:
+            x = payload[key]
+            # type, not isinstance: JSON true loads as a bool, an int subclass.
+            if type(x) not in (int, float) or not math.isfinite(x):
+                raise TypeError(f"{key} must be a finite number, got {x!r}")
+            return x
 
         try:
+            if payload["kind"] not in ("points", "graph"):
+                raise ValueError(f"kind must be 'points' or 'graph', got {payload['kind']!r}")
+            objective = Objective(payload["objective"])
             pairs = tuple((a, b) for a, b in payload["pairs"])
-            # type, not isinstance: JSON true loads as a bool, an int subclass.
             if any(type(i) is not int for pair in pairs for i in pair):
                 raise TypeError(f"pair indices must be integers, got {list(pairs)}")
-            return cls(
-                kind=str(payload["kind"]),
-                objective=str(payload["objective"]),
-                status=str(payload["status"]),
-                value=number("value"),
-                pairs=pairs,
-                total_weight=number("total_weight"),
-                min_edge_weight=number("min_edge_weight"),
-                max_edge_weight=number("max_edge_weight"),
-                time_ms=float(payload["time_ms"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            if payload["status"] == "infeasible":
+                if pairs or any(payload[key] is not None for key in ("value", *_STATISTICS)):
+                    raise ValueError("an infeasible record has no value, pairs or statistics")
+                solution = None
+            elif payload["status"] == "solved":
+                solution = Matching(pairs, *map(number, _STATISTICS))
+                if number("value") != solution.value(objective):
+                    raise ValueError(
+                        f"value {payload['value']!r} does not match the record's "
+                        f"{objective.value} statistic {solution.value(objective)!r}"
+                    )
+            else:
+                raise ValueError(
+                    f"status must be 'solved' or 'infeasible', got {payload['status']!r}"
+                )
+            return cls(payload["kind"], objective, solution, number("time_ms"))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(None, f"malformed result record: {exc}") from None
 
 

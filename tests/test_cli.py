@@ -20,7 +20,7 @@ from colorspan.cli import (
     main,
 )
 from colorspan import ColoredPointSet
-from colorspan.fileio import parse_graph, parse_points, serialize_points
+from colorspan.fileio import ResultRecord, parse_graph, parse_points, serialize_points
 from colorspan.generate import generate_points
 
 from conftest import FIXTURE_DIR
@@ -654,6 +654,17 @@ class TestRender:
         assert (code, out) == (EXIT_INVALID, "")
         assert "pair indices must be integers" in err
 
+    # Figure 1's maxmin record with a value that is not a JSON number.
+    @pytest.mark.parametrize("value", [None, "1.4142135623730951"], ids=["null", "string"])
+    def test_non_number_value_rejected(self, capsys, tmp_path, value):
+        result = tmp_path / "r.json"
+        run(capsys, "solve", FIG1, "--objective", "maxmin", "--json", "--out", str(result))
+        payload = json.loads(result.read_text())
+        result.write_text(json.dumps({**payload, "value": value}))
+        code, out, err = run(capsys, "render", FIG1, "--result", str(result))
+        assert (code, out) == (EXIT_INVALID, "")
+        assert "value must be a finite number" in err
+
     def test_empty_matching_rejected(self, capsys, tmp_path):
         result = tmp_path / "r.json"
         result.write_text(json.dumps({
@@ -663,6 +674,34 @@ class TestRender:
         }))
         code, _, _ = run(capsys, "render", FIG1, "--result", str(result), "--out", str(tmp_path / "x.svg"))
         assert code == EXIT_INVALID
+
+
+INFEASIBLE_GRAPH = "4 1 4\n0\n1\n2\n3\n0 1\n"
+
+
+class TestRecordRoundTrip:
+    """Every JSON record the CLI writes reads back to the same bytes."""
+
+    # solve has no maxsum pipeline; the oracle scores all four objectives.
+    @pytest.mark.parametrize(
+        "command, objective",
+        [("solve", o) for o in ("minsum", "minmax", "maxmin")]
+        + [("oracle", o) for o in ("minsum", "minmax", "maxmin", "maxsum")],
+    )
+    def test_figure1_record(self, capsys, command, objective):
+        code, out, _ = run(capsys, command, FIG1, "--objective", objective, "--json")
+        assert code == EXIT_OK
+        assert ResultRecord.from_json(out).to_json() == out
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_infeasible_record(self, capsys, tmp_path, command):
+        graph = tmp_path / "g.graph"
+        graph.write_text(INFEASIBLE_GRAPH)
+        code, out, _ = run(capsys, command, str(graph), "--json")
+        assert code == EXIT_INFEASIBLE
+        record = ResultRecord.from_json(out)
+        assert (record.status, record.value, record.solution) == ("infeasible", None, None)
+        assert record.to_json() == out
 
 
 class TestUsage:

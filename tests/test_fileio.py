@@ -1,9 +1,13 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorspan import (
     ColoredPointSet,
+    Matching,
+    Objective,
     ParseError,
     VertexColoredGraph,
     WeightedGraph,
@@ -124,37 +128,59 @@ class TestSniff:
             sniff_kind("1 2 3 4\n")
 
 
+# A valid solved record, which the rejection cases below edit one key at a time.
+_RECORD = {
+    "kind": "points", "objective": "minsum", "status": "solved", "value": 1.8,
+    "pairs": [[0, 2], [1, 5]], "total_weight": 1.8, "min_edge_weight": 0.9,
+    "max_edge_weight": 0.9, "time_ms": 0.4,
+}
+
+
 class TestResultRecord:
     def test_json_round_trip(self):
-        record = ResultRecord(
-            kind="points",
-            objective="minsum",
-            status="solved",
-            value=1.8,
-            pairs=((0, 2), (1, 5)),
-            total_weight=1.8,
-            min_edge_weight=0.9,
-            max_edge_weight=0.9,
-            time_ms=0.4,
-        )
+        solution = Matching.from_weighted_edges([(0, 2, 0.9), (1, 5, 0.9)])
+        record = ResultRecord("points", Objective.MINSUM, solution, 0.4)
+        assert json.loads(record.to_json()) == _RECORD
         assert ResultRecord.from_json(record.to_json()) == record
 
     def test_text_has_value_and_pairs(self):
-        record = ResultRecord(
-            kind="points",
-            objective="maxmin",
-            status="solved",
-            value=2.0,
-            pairs=((0, 1),),
-            total_weight=2.0,
-            min_edge_weight=2.0,
-            max_edge_weight=2.0,
-            time_ms=1.25,
-        )
+        solution = Matching.from_weighted_edges([(0, 1, 2.0)])
+        record = ResultRecord("points", Objective.MAXMIN, solution, 1.25)
         text = record.to_text()
         assert "value=2.0\n" in text
         assert "pairs=0:1\n" in text
         assert text.rstrip().endswith("time_ms=1.250")
+
+    @pytest.mark.parametrize(
+        "key, bad, message",
+        [
+            ("value", "1.8", "value must be a finite number"),
+            ("value", True, "value must be a finite number"),
+            ("value", None, "value must be a finite number"),
+            ("value", float("nan"), "value must be a finite number"),
+            ("value", 10**400, "too large"),
+            ("total_weight", True, "total_weight must be a finite number"),
+            ("min_edge_weight", "0.9", "min_edge_weight must be a finite number"),
+            ("max_edge_weight", float("inf"), "max_edge_weight must be a finite number"),
+            ("time_ms", "0.4", "time_ms must be a finite number"),
+            ("time_ms", False, "time_ms must be a finite number"),
+            ("status", "done", "status must be"),
+            ("status", "infeasible", "an infeasible record has no value"),
+            ("objective", "bogus", "not a valid Objective"),
+            ("kind", "polygon", "kind must be"),
+            ("value", 2.3, "does not match"),
+            ("value", 0.9, "does not match"),
+        ],
+        ids=[
+            "value-string", "value-bool", "value-null", "value-nan", "value-huge-int", "total-bool",
+            "min-string", "max-inf", "time-string", "time-bool", "status-unknown",
+            "infeasible-with-pairs", "objective-unknown", "kind-unknown",
+            "value-off", "value-other-statistic",
+        ],
+    )
+    def test_loose_record_rejected(self, key, bad, message):
+        with pytest.raises(ParseError, match=message):
+            ResultRecord.from_json(json.dumps({**_RECORD, key: bad}))
 
     @pytest.mark.parametrize(
         "index", ["0.5", "true", "false", '"1"', "1.0"],
@@ -172,6 +198,10 @@ class TestResultRecord:
     def test_bad_json_rejected(self):
         with pytest.raises(ParseError):
             ResultRecord.from_json("{not json")
+
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            ResultRecord.from_json("[" * 100_000)
 
 
 def test_provenance_serialization():
