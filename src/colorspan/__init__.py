@@ -49,7 +49,6 @@ from .oracles import (
     brute_force_geometric,
     brute_force_graph_matching,
     pairing_count,
-    perfect_pairings,
 )
 from .solvers import (
     color_spanning_matching,
@@ -91,7 +90,6 @@ __all__ = [
     "maxmin_perfect_matching",
     "min_weight_perfect_matching",
     "pairing_count",
-    "perfect_pairings",
     "reduce_is_to_mcis",
     "reduce_mcis_to_mcim",
     "solve_k_multicolored_matching",

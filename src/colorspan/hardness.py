@@ -21,10 +21,13 @@ This module also holds the exhaustive-search core shared with
 :mod:`colorspan.oracles`: the state budget (``DEFAULT_MAX_STATES`` and
 ``check_budget``, which raises :class:`BudgetExceededError` before any
 enumeration whose predicted state count exceeds ``max_states``) and
-``colorful_edge_sets``, the enumerator of cross-color edge sets that cover
-every color once.  ``brute_force_mcim`` takes the first such set whose
-edges are pairwise independent; the colorful graph oracle takes the one of
-minimum total weight.
+``exact_covers``, the one enumerator behind every exhaustive search.  It
+lists the ways to cover each color exactly once by items that each cover
+a few colors, always covering the lowest uncovered color next.  One
+vertex per color gives ``brute_force_mcis``; cross-color edges give
+``colorful_edge_sets``, of which ``brute_force_mcim`` takes the first set
+whose edges are pairwise independent and the colorful graph oracle the one
+of minimum total weight; the oracles' perfect pairings are covers too.
 """
 
 from __future__ import annotations
@@ -33,12 +36,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import BudgetExceededError, EquivalenceViolationError, InvalidInstanceError
 from .matching import WeightedGraph
 
 DEFAULT_MAX_STATES = 10_000_000
+
+_Item = TypeVar("_Item")
 
 
 @dataclass(frozen=True)
@@ -122,9 +127,6 @@ class VertexColoredGraph:
         """Weight of the edge at ``index``; unweighted graphs read 1.0."""
         return 1.0 if self.weights is None else self.weights[index]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
 
 @dataclass(frozen=True)
 class ReductionArtifact:
@@ -206,44 +208,56 @@ def check_budget(states: int, max_states: int) -> None:
         )
 
 
+def exact_covers(
+    options: Sequence[Sequence[tuple[_Item, Sequence[int]]]],
+    fits: Callable[[_Item, tuple[_Item, ...]], bool] | None = None,
+) -> Iterator[tuple[_Item, ...]]:
+    """Every way to cover colors ``0 .. len(options) - 1`` exactly once.
+
+    ``options[c]`` lists ``(item, colors)`` for the items whose lowest
+    color is ``c``.  The search covers the lowest uncovered color next,
+    trying its options in list order (Knuth's Algorithm X with a fixed
+    column rule), and skips an item that overlaps a covered color or that
+    ``fits(item, chosen)`` rejects against the items chosen so far.  Each
+    cover is yielded as the tuple of its items in the order chosen.
+    """
+    covered: set[int] = set()
+
+    def extend(c: int, chosen: tuple[_Item, ...]) -> Iterator[tuple[_Item, ...]]:
+        while c in covered:
+            c += 1
+        if c == len(options):
+            yield chosen
+            return
+        for item, colors in options[c]:
+            if covered.isdisjoint(colors) and (fits is None or fits(item, chosen)):
+                covered.update(colors)
+                yield from extend(c + 1, (*chosen, item))
+                covered.difference_update(colors)
+
+    return extend(0, ())
+
+
 def colorful_edge_sets(
     g: VertexColoredGraph,
     max_states: int,
-    fits: Callable[[int, list[int]], bool] | None = None,
+    fits: Callable[[int, tuple[int, ...]], bool] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Every set of ``num_colors / 2`` cross-color edges covering each color
     once, as positions into ``g.edges``; the color count must be even.
 
-    The search covers the lowest uncovered color first, taking its
-    cross-color edges in edge order.  ``fits(pos, chosen)``, when given,
-    prunes edge ``pos`` against the positions chosen so far.  The budget
-    is checked on the call, against the number of edge subsets of that
-    size.
+    The :func:`exact_covers` of the cross-color edges, each an option of its
+    lower color in edge order.  ``fits(pos, chosen)``, when given, prunes
+    edge ``pos`` against the positions chosen so far.  The budget is
+    checked on the call, against the number of edge subsets of that size.
     """
-    colors, k = g.colors, g.num_colors // 2
-    by_color: list[list[tuple[int, int, int]]] = [[] for _ in range(g.num_colors)]
+    options: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(g.num_colors)]
     for pos, (u, v) in enumerate(g.edges):
-        cu, cv = colors[u], colors[v]
+        cu, cv = g.colors[u], g.colors[v]
         if cu != cv:
-            by_color[min(cu, cv)].append((pos, cu, cv))
-    check_budget(math.comb(sum(map(len, by_color)), k), max_states)
-    covered = [False] * g.num_colors
-    chosen: list[int] = []
-
-    def extend() -> Iterator[tuple[int, ...]]:
-        if len(chosen) == k:
-            yield tuple(chosen)
-            return
-        for pos, cu, cv in by_color[covered.index(False)]:
-            if covered[cu] or covered[cv] or (fits is not None and not fits(pos, chosen)):
-                continue
-            covered[cu] = covered[cv] = True
-            chosen.append(pos)
-            yield from extend()
-            chosen.pop()
-            covered[cu] = covered[cv] = False
-
-    return extend()
+            options[min(cu, cv)].append((pos, (cu, cv)))
+    check_budget(math.comb(sum(map(len, options)), g.num_colors // 2), max_states)
+    return exact_covers(options, fits)
 
 
 def find_k_independent_set(
@@ -267,28 +281,16 @@ def brute_force_mcis(
 ) -> tuple[int, ...] | None:
     """A colorful independent set covering all colors, or None.
 
-    Enumerates one vertex per color class, lowest colors first, pruning
-    against adjacency as it goes.
+    The first of the :func:`exact_covers` that take one vertex per color
+    class, lowest colors first, pruned against adjacency.
     """
     classes = g.color_classes
-    if any(not cls for cls in classes):
-        return None
     check_budget(math.prod(len(cls) for cls in classes), max_states)
     adj = g.adjacency
-    chosen: list[int] = []
-
-    def extend(color: int) -> bool:
-        if color == g.num_colors:
-            return True
-        for v in classes[color]:
-            if all(v not in adj[u] for u in chosen):
-                chosen.append(v)
-                if extend(color + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return tuple(chosen) if extend(0) else None
+    options = [[(v, (c,)) for v in cls] for c, cls in enumerate(classes)]
+    return next(
+        exact_covers(options, lambda v, chosen: all(v not in adj[u] for u in chosen)), None
+    )
 
 
 def brute_force_mcim(
@@ -308,7 +310,7 @@ def brute_force_mcim(
         raise InvalidInstanceError("colorful matching needs an even, positive color count")
     edges, adj = g.edges, g.adjacency
 
-    def independent_with_chosen(pos: int, chosen: list[int]) -> bool:
+    def independent_with_chosen(pos: int, chosen: tuple[int, ...]) -> bool:
         u, v = edges[pos]
         for x, y in map(edges.__getitem__, chosen):
             if u in adj[x] or u in adj[y] or v in adj[x] or v in adj[y]:

@@ -150,9 +150,12 @@ class Matching:
                 raise InvalidInstanceError("matching edges must be vertex-disjoint")
             seen.update((u, v))
         weights = [w for _, _, w in canon]
+        total = sum(weights)
+        if not math.isfinite(total):
+            raise InvalidInstanceError("the total edge weight exceeds the float range")
         return cls(
             edges=tuple((u, v) for u, v, _ in canon),
-            total_weight=sum(weights),
+            total_weight=total,
             min_edge_weight=min(weights),
             max_edge_weight=max(weights),
         )

@@ -1,59 +1,53 @@
 """Exhaustive reference solvers.
 
 Every optimizer in this package is certified against one of these oracles
-at desk scale.  They enumerate the full candidate space with no shortcuts:
-the geometric oracle walks every choice of one representative point per
-color crossed with every perfect pairing of the chosen representatives,
-and the graph oracles walk every perfect pairing, respectively every
-colorful edge subset.  The geometric enumeration is evaluated in numpy
-for speed, but the candidate space is exactly the stated one: the
-representative choices ("combos", in mixed-radix order over the classes)
-are taken in chunks of ``_CHUNK``, each chunk gathers one distance row per
-color pair, and the pairings are scored against the chunk in blocks of at
-most ``_BLOCK`` values, each block one fold over its pairs' rows.
+at desk scale.  They enumerate the full candidate space with no shortcuts,
+and every enumeration is :func:`~colorspan.hardness.exact_covers`, the one
+exact-cover search: the geometric oracle walks every choice of one
+representative point per color crossed with every perfect pairing of the
+colors (the covers of the colors by color pairs, tabled once per color
+count), the graph oracle every perfect matching (the covers of the
+vertices by edges), and the colorful oracle every colorful edge set.  The
+optimum is the first one met in enumeration order.  The geometric
+enumeration is evaluated in numpy for speed, but the candidate space is
+exactly the stated one: the representative choices ("combos", in
+mixed-radix order over the classes) are taken in chunks of ``_CHUNK``,
+each chunk gathers one distance row per color pair, and the pairings are
+scored against the chunk in blocks of at most ``_BLOCK`` values, each
+block one fold over its pairs' rows.
 
 Enumerations refuse to start when the predicted state count exceeds the
 ``max_states`` budget, raising :class:`~colorspan.errors.BudgetExceededError`
-through the one check in :mod:`colorspan.hardness`, which also owns the
-colorful edge-set enumerator behind the colorful oracle.
+through the one check in :mod:`colorspan.hardness`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from .geometry import ColoredPointSet
-from .hardness import DEFAULT_MAX_STATES, VertexColoredGraph, check_budget, colorful_edge_sets
+from .hardness import (
+    DEFAULT_MAX_STATES,
+    VertexColoredGraph,
+    check_budget,
+    colorful_edge_sets,
+    exact_covers,
+)
 from .matching import Matching, Objective, WeightedGraph
-from .solvers import _require_matching_instance, color_spanning_matching
+from .solvers import (
+    _require_colorful_instance,
+    _require_matching_instance,
+    color_spanning_matching,
+)
 
 # Representative choices scored per chunk, and the most values one block
 # of pairings is scored into at once (a block holds at least one pairing).
 _CHUNK = 1 << 16
 _BLOCK = 1 << 15
-
-
-def perfect_pairings(items: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All ways to split ``items`` into unordered pairs.
-
-    The lowest remaining item is always matched first, so each pairing is
-    produced exactly once and pairs come out ordered.
-    """
-    items = list(items)
-    if len(items) % 2:
-        return
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1 :]
-        for tail in perfect_pairings(remaining):
-            yield ((first, partner), *tail)
 
 
 def pairing_count(m: int) -> int:
@@ -64,6 +58,22 @@ def pairing_count(m: int) -> int:
     for v in range(m - 1, 0, -2):
         out *= v
     return out
+
+
+@functools.cache
+def _pairing_slots(t: int) -> np.ndarray:
+    """Every perfect pairing of ``t`` colors, one read-only row each.
+
+    Row p lists the p-th pairing's color pairs as indexes into
+    ``itertools.combinations(range(t), 2)``, pairs in order of their lower
+    color, rows in :func:`~colorspan.hardness.exact_covers` order.
+    """
+    options: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(t)]
+    for i, (a, b) in enumerate(itertools.combinations(range(t), 2)):
+        options[a].append((i, (a, b)))
+    slots = np.fromiter(exact_covers(options), (np.min_scalar_type(t * (t - 1) // 2), t // 2))
+    slots.flags.writeable = False
+    return slots
 
 
 def brute_force_geometric(
@@ -101,12 +111,8 @@ def brute_force_geometric(
         )
         for a, b in color_pairs
     ]
-    slot = {pair: i for i, pair in enumerate(color_pairs)}
-    pairings = list(perfect_pairings(range(t)))
     # pairing_rows[p, j]: the color pair index of pairing p's j-th pair.
-    pairing_rows = np.array(
-        [[slot[pair] for pair in pairing] for pairing in pairings], dtype=np.intp
-    )
+    pairing_rows = _pairing_slots(t)
     maximize = objective in (Objective.MAXSUM, Objective.MAXMIN)
     if objective in (Objective.MINSUM, Objective.MAXSUM):
         fold = np.add
@@ -122,11 +128,13 @@ def brute_force_geometric(
         for row, d, (a, b) in zip(table, dmat, color_pairs):
             row[:] = d[pos[a], pos[b]]
         per_block = max(1, _BLOCK // (hi - lo))
-        for first in range(0, len(pairings), per_block):
+        for first in range(0, len(pairing_rows), per_block):
             block = pairing_rows[first : first + per_block]
             vals = table[block[:, 0]]
-            for j in range(1, block.shape[1]):
-                fold(vals, table[block[:, j]], out=vals)
+            # A sum past the float range is inf; the result's check rejects it.
+            with np.errstate(over="ignore"):
+                for j in range(1, block.shape[1]):
+                    fold(vals, table[block[:, j]], out=vals)
             at = int(vals.argmax() if maximize else vals.argmin())
             v = float(vals.flat[at])
             if best is None or (v > best[0] if maximize else v < best[0]):
@@ -137,7 +145,8 @@ def brute_force_geometric(
     _, p, flat = best
     pos = np.unravel_index(flat, sizes)
     pairs = [
-        (int(classes[a][pos[a]]), int(classes[b][pos[b]])) for a, b in pairings[p]
+        (int(classes[a][pos[a]]), int(classes[b][pos[b]]))
+        for a, b in map(color_pairs.__getitem__, pairing_rows[p])
     ]
     return color_spanning_matching(point_set, pairs)
 
@@ -149,34 +158,26 @@ def brute_force_graph_matching(
 ) -> Matching | None:
     """Exact optimum over every perfect matching of ``g``, or None.
 
-    Walks :func:`perfect_pairings` of all vertices and skips each pairing
-    that uses a missing edge.
+    Scores every :func:`~colorspan.hardness.exact_covers` of the vertices
+    by ``g``'s edges, the first optimum winning ties.  The budget counts
+    every perfect pairing of the vertices.
     """
     n = g.num_vertices
-    if n == 0:
-        return Matching.empty()
     check_budget(pairing_count(n), max_states)
-
+    options: list[list[tuple[tuple[int, int], tuple[int, int]]]] = [[] for _ in range(n)]
+    for u, v, _ in g.edges:
+        options[u].append(((u, v), (u, v)))
     wmap = g.weight_map
-    maximize = objective in (Objective.MAXSUM, Objective.MAXMIN)
-    summed = objective in (Objective.MINSUM, Objective.MAXSUM)
-    best_val: float | None = None
-    best_edges: tuple[tuple[int, int], ...] | None = None
-    for pairing in perfect_pairings(range(n)):
-        if not all(e in wmap for e in pairing):
-            continue
-        # Pairings come out sorted, the canonical statistic order used by
-        # Matching, so sums compare bit-exactly.
-        ws = [wmap[e] for e in pairing]
-        if summed:
-            v = sum(ws)
-        else:
-            v = max(ws) if objective is Objective.MINMAX else min(ws)
-        if best_val is None or (v > best_val if maximize else v < best_val):
-            best_val, best_edges = v, pairing
-    if best_edges is None:
-        return None
-    return Matching.from_edges(g, best_edges)
+    stat = {Objective.MINMAX: max, Objective.MAXMIN: min}.get(objective, sum)
+    pick = max if objective in (Objective.MAXSUM, Objective.MAXMIN) else min
+    # Covers come out sorted, the order Matching sums in, so sums compare
+    # bit-exactly; the empty graph's one cover scores 0, as Matching.empty().
+    best = pick(
+        exact_covers(options),
+        key=lambda edges: stat([wmap[e] for e in edges] or [0.0]),
+        default=None,
+    )
+    return None if best is None else Matching.from_edges(g, best)
 
 
 def brute_force_colorful_graph_matching(
@@ -187,18 +188,15 @@ def brute_force_colorful_graph_matching(
 
     Takes the minimum total over :func:`~colorspan.hardness.colorful_edge_sets`
     (the first in enumeration order on ties), or returns None when no such
-    set exists (including when the color count is odd).
+    set exists.  Instances the colorful solver rejects are rejected alike.
     """
-    t = g.num_colors
-    if t % 2 or t == 0:
-        return None
+    _require_colorful_instance(g)
     weights = [g.weight(pos) for pos in range(len(g.edges))]
-    best_val: float | None = None
-    best: tuple[int, ...] | None = None
-    for chosen in colorful_edge_sets(g, max_states):
-        v = sum(weights[pos] for pos in sorted(chosen))
-        if best_val is None or v < best_val:
-            best_val, best = v, chosen
+    best = min(
+        colorful_edge_sets(g, max_states),
+        key=lambda chosen: sum(weights[pos] for pos in sorted(chosen)),
+        default=None,
+    )
     if best is None:
         return None
     return Matching.from_weighted_edges((*g.edges[pos], weights[pos]) for pos in best)

@@ -78,6 +78,17 @@ def _require_matching_instance(point_set: ColoredPointSet) -> None:
         )
 
 
+def _require_colorful_instance(g: VertexColoredGraph) -> None:
+    t = g.num_colors
+    if t % 2 or t < 2:
+        raise InvalidInstanceError(
+            f"colorful matching needs an even, positive color count, got {t}"
+        )
+    empty = [c for c, cls in enumerate(g.color_classes) if not cls]
+    if empty:
+        raise InvalidInstanceError(f"colors without vertices: {empty}")
+
+
 def _matched_witnesses(cg: ColorGraph, match) -> list[ColorPairWitness] | None:
     """The witnesses of the color pairs ``match`` pairs up in ``cg.graph``,
     or None when it finds no perfect matching."""
@@ -119,14 +130,7 @@ def solve_k_multicolored_matching(g: VertexColoredGraph) -> Matching | None:
     vertices.  Returns None when the contraction has no perfect matching,
     i.e. when no colorful perfect matching exists at all.
     """
-    t = g.num_colors
-    if t % 2 or t < 2:
-        raise InvalidInstanceError(
-            f"colorful matching needs an even, positive color count, got {t}"
-        )
-    empty = [c for c, cls in enumerate(g.color_classes) if not cls]
-    if empty:
-        raise InvalidInstanceError(f"colors without vertices: {empty}")
+    _require_colorful_instance(g)
     best: dict[tuple[int, int], tuple[float, int, int]] = {}
     for pos, (u, v) in enumerate(g.edges):
         cu, cv = g.colors[u], g.colors[v]
@@ -137,7 +141,7 @@ def solve_k_multicolored_matching(g: VertexColoredGraph) -> Matching | None:
         cand = (g.weight(pos), u, v)
         if (cu, cv) not in best or cand < best[cu, cv]:
             best[cu, cv] = cand
-    witnesses = _matched_witnesses(ColorGraph(t, best), min_weight_perfect_matching)
+    witnesses = _matched_witnesses(ColorGraph(g.num_colors, best), min_weight_perfect_matching)
     if witnesses is None:
         return None
     return Matching.from_weighted_edges((w.point_a, w.point_b, w.distance) for w in witnesses)

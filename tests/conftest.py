@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import pytest
 
@@ -22,6 +23,25 @@ def figure1_text() -> str:
 @pytest.fixture(scope="session")
 def figure2_text() -> str:
     return (FIXTURE_DIR / "figure2.points").read_text()
+
+
+def perfect_pairings(items: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Reference: all ways to split ``items`` into unordered pairs.
+
+    The lowest remaining item is always matched first, so each pairing is
+    produced exactly once and pairs come out ordered.
+    """
+    items = list(items)
+    if len(items) % 2:
+        return
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for i, partner in enumerate(rest):
+        remaining = rest[:i] + rest[i + 1 :]
+        for tail in perfect_pairings(remaining):
+            yield ((first, partner), *tail)
 
 
 def exhaustive_color_extremes(ps: ColoredPointSet, mode: str):

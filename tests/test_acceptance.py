@@ -22,7 +22,6 @@ from colorspan import (
     bottleneck_perfect_matching,
     maxmin_perfect_matching,
     min_weight_perfect_matching,
-    perfect_pairings,
     reduce_is_to_mcis,
     reduce_mcis_to_mcim,
     solve_k_multicolored_matching,
@@ -40,7 +39,7 @@ from colorspan.generate import (
     generate_uncolored_graph,
 )
 
-from conftest import FIXTURE_DIR, exhaustive_color_extremes
+from conftest import FIXTURE_DIR, exhaustive_color_extremes, perfect_pairings
 
 TOLERANCE = 1e-9
 

@@ -223,6 +223,27 @@ class TestSolve:
             "invalid input: the distance between colors 0 and 1 exceeds the float range\n"
         )
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--json"],
+            ["solve", "--objective", "minmax"],
+            ["oracle"],
+            ["oracle", "--objective", "maxmin"],
+            ["check"],
+        ],
+    )
+    def test_overflowing_total_is_invalid_input(self, capsys, tmp_path, argv):
+        # Every distance is finite, but every pairing's total exceeds the
+        # float range, so no record with a finite total exists.
+        f = tmp_path / "total.points"
+        f.write_text("4 4\n0 0 0\n1e308 0 1\n0 1e308 2\n1e308 1e308 3\n")
+        code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == "invalid input: the total edge weight exceeds the float range\n"
+
     def test_graph_infeasible_exit_code(self, capsys, tmp_path):
         f = tmp_path / "mono.graph"
         f.write_text("4 2 2\n0\n0\n1\n1\n0 1\n2 3\n")
@@ -338,6 +359,20 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", str(f))
         assert code in (EXIT_OK, EXIT_INFEASIBLE)
         assert "kind=graph" in out
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 0 3\n0\n1\n2\n", "colorful matching needs an even, positive color count, got 3"),
+            ("4 2 4\n0\n1\n2\n2\n0 1\n2 3\n", "colors without vertices: [3]"),
+        ],
+    )
+    def test_graph_oracle_rejects_what_the_solver_rejects(self, capsys, tmp_path, text, message):
+        f = tmp_path / "bad.graph"
+        f.write_text(text)
+        for command in ("solve", "oracle", "check"):
+            code, out, err = run(capsys, command, str(f))
+            assert (code, out, err) == (EXIT_INVALID, "", f"invalid input: {message}\n")
 
 
 class TestCheck:

@@ -18,7 +18,8 @@ from colorspan import (
     min_weight_perfect_matching,
 )
 from colorspan.generate import generate_complete_weighted_graph, generate_uncolored_graph
-from colorspan.oracles import perfect_pairings
+
+from conftest import perfect_pairings
 
 
 def k4_canonical():
@@ -382,3 +383,8 @@ class TestMatchingValue:
     def test_vertex_sharing_edges_rejected(self):
         with pytest.raises(InvalidInstanceError):
             Matching.from_weighted_edges([(0, 1, 1.0), (1, 2, 1.0)])
+
+    def test_total_past_the_float_range_rejected(self):
+        # Each weight is finite; their sum is not.
+        with pytest.raises(InvalidInstanceError, match="exceeds the float range"):
+            Matching.from_weighted_edges([(0, 1, 1e308), (2, 3, 1e308)])

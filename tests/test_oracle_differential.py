@@ -23,11 +23,12 @@ from colorspan import (
     Objective,
     brute_force_geometric,
     color_spanning_matching,
-    perfect_pairings,
 )
 from colorspan.generate import generate_matching_instance
 from colorspan import oracles
 from colorspan.oracles import _BLOCK, _CHUNK
+
+from conftest import perfect_pairings
 
 
 def per_pairing_geometric(point_set, objective):

@@ -1,10 +1,12 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from colorspan import (
     BudgetExceededError,
+    InvalidInstanceError,
     ColoredPointSet,
     Objective,
     VertexColoredGraph,
@@ -13,11 +15,14 @@ from colorspan import (
     brute_force_geometric,
     brute_force_graph_matching,
     pairing_count,
-    perfect_pairings,
+    solve_k_multicolored_matching,
     stacked_rows_point_set,
     two_squares_point_set,
 )
 from colorspan.generate import generate_matching_instance, generate_points
+from colorspan.oracles import _pairing_slots
+
+from conftest import perfect_pairings
 
 EPS = 0.1
 
@@ -55,9 +60,26 @@ class TestPairings:
 
     def test_enumeration_matches_count(self):
         for m in (2, 4, 6, 8):
-            pairings = list(perfect_pairings(range(m)))
-            assert len(pairings) == pairing_count(m)
-            assert len(set(pairings)) == len(pairings)
+            rows = _pairing_slots(m).tolist()
+            assert len(rows) == pairing_count(m)
+            assert len(set(map(tuple, rows))) == len(rows)
+
+    def test_rows_pair_every_color_once_in_lexicographic_order(self):
+        for m in (2, 4, 6, 8):
+            pairs = list(itertools.combinations(range(m), 2))
+            pairings = [[pairs[i] for i in row] for row in _pairing_slots(m).tolist()]
+            for pairing in pairings:
+                assert sorted(c for pair in pairing for c in pair) == list(range(m))
+                assert pairing == sorted(pairing)
+            assert pairings == sorted(pairings)
+
+    def test_table_is_cached_read_only_and_narrow(self):
+        table = _pairing_slots(8)
+        assert _pairing_slots(8) is table
+        assert not table.flags.writeable
+        assert table.dtype == np.uint8
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
 
 class TestGeometricOracle:
@@ -156,6 +178,22 @@ class TestColorfulGraphOracle:
     def test_all_monochromatic_is_infeasible(self):
         g = VertexColoredGraph(4, [0, 0, 1, 1], [(0, 1), (2, 3)], 2)
         assert brute_force_colorful_graph_matching(g) is None
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            (VertexColoredGraph(3, [0, 1, 2], [], 3), "even, positive color count, got 3"),
+            (VertexColoredGraph(0, [], [], 0), "even, positive color count, got 0"),
+            (
+                VertexColoredGraph(4, [0, 1, 2, 2], [(0, 1), (2, 3)], 4),
+                r"colors without vertices: \[3\]",
+            ),
+        ],
+    )
+    def test_rejects_what_the_solver_rejects(self, g, message):
+        for search in (brute_force_colorful_graph_matching, solve_k_multicolored_matching):
+            with pytest.raises(InvalidInstanceError, match=message):
+                search(g)
 
     def test_budget_exceeded(self):
         n = 16
