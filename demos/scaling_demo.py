@@ -31,12 +31,12 @@ def main():
         graph = build_closest_color_graph(ps)
         elapsed = time.perf_counter() - start
         print(f"n={n:>7} t=20: {elapsed * 1e3:8.1f} ms "
-              f"(190 color pairs, min weight {min(w.distance for w in graph.witnesses.values()):.6f})")
+              f"(190 color pairs, min weight {min(w for w, _, _ in graph.witnesses.values()):.6f})")
 
     replica = generate_points(1_500, 10, seed=32)
     graph = build_closest_color_graph(replica)
     exact = all(
-        graph.weight(i, j) == exhaustive_weight(replica, i, j)
+        graph.graph.weight(i, j) == exhaustive_weight(replica, i, j)
         for i in range(10)
         for j in range(i + 1, 10)
     )

@@ -20,7 +20,6 @@ from .fixtures import stacked_rows_point_set, two_squares_point_set
 from .geometry import (
     ColoredPointSet,
     ColorGraph,
-    ColorPairWitness,
     build_closest_color_graph,
     build_farthest_color_graph,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "BudgetExceededError",
     "ColorspanError",
     "ColorGraph",
-    "ColorPairWitness",
     "ColoredPointSet",
     "EquivalenceCertificate",
     "EquivalenceViolationError",

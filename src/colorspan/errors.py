@@ -12,14 +12,13 @@ class InvalidInstanceError(ColorspanError, ValueError):
 class ParseError(InvalidInstanceError):
     """A text input failed to parse.
 
-    Carries the 1-based line number of the offending line when one can be
-    attributed, so command-line error messages point at the bad input.
+    The message starts with the 1-based number of the offending line when
+    one can be attributed, so command-line error messages point at the
+    bad input.
     """
 
     def __init__(self, line: int | None, message: str):
-        self.line = line
-        prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class BudgetExceededError(ColorspanError):

@@ -5,8 +5,10 @@ reduces to a matching problem on a complete graph over the color labels,
 whose edge for a color pair carries either the bichromatic closest or the
 bichromatic farthest point pair of the two classes.  This module owns the
 point-set model, the ``ColorGraph`` contraction (a ``WeightedGraph`` on the
-colors plus one witness pair per edge, which the graph-side solver builds
-from cross-color edges too) and the two geometric builders.
+colors plus one ``(weight, a, b)`` witness tuple per edge, which the
+graph-side solver builds from cross-color edges too) and the two geometric
+builders, which reject an instance whose extreme distance for some color
+pair exceeds the float range.
 
 Distances are Euclidean.  Every distance that ends up in a result comes
 from ``math.hypot`` on the original coordinates, and only that exact final
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -171,45 +173,34 @@ def _column(values, dtype, what: str) -> np.ndarray:
     return column
 
 
-class ColorPairWitness(NamedTuple):
-    """The pair realizing one color-graph edge: ``point_a`` of the lower
-    color, ``point_b`` of the higher, and ``distance``, the edge weight."""
-
-    distance: float
-    point_a: int
-    point_b: int
-
-
 @dataclass(frozen=True)
 class ColorGraph:
     """A contraction of a colored instance to one vertex per color.
 
     ``witnesses`` maps each color pair ``(i, j)``, ``i < j``, that has an
-    edge to its ``ColorPairWitness``; ``graph`` is the ``WeightedGraph`` on
-    the colors with those weights.  The geometric builders fill in every
-    color pair; a vertex-colored graph's contraction can miss some.
+    edge to its witness ``(weight, a, b)``: ``a`` the point (or vertex) of
+    color ``i``, ``b`` that of color ``j``.  ``graph`` is the
+    ``WeightedGraph`` on the colors with those weights.  The geometric
+    builders fill in every color pair; a vertex-colored graph's
+    contraction can miss some.
     """
 
-    num_colors: int
-    witnesses: dict[tuple[int, int], ColorPairWitness]
     graph: WeightedGraph
+    witnesses: dict[tuple[int, int], tuple[float, int, int]]
 
     def __init__(self, num_colors: int, witnesses: dict[tuple[int, int], tuple[float, int, int]]):
-        witnesses = {key: ColorPairWitness(*w) for key, w in witnesses.items()}
-        graph = WeightedGraph(num_colors, [(i, j, w.distance) for (i, j), w in witnesses.items()])
-        object.__setattr__(self, "num_colors", num_colors)
+        edges = [(i, j, w) for (i, j), (w, _, _) in witnesses.items()]
+        object.__setattr__(self, "graph", WeightedGraph(num_colors, edges))
         object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "graph", graph)
 
-    def witness(self, color_a: int, color_b: int) -> ColorPairWitness:
-        key = (color_a, color_b) if color_a < color_b else (color_b, color_a)
-        try:
-            return self.witnesses[key]
-        except KeyError:
-            raise InvalidInstanceError(f"no color pair {key}") from None
 
-    def weight(self, color_a: int, color_b: int) -> float:
-        return self.witness(color_a, color_b).distance
+def _require_finite_distances(distances: Iterable[tuple[tuple[int, int], float]]) -> None:
+    """Rejects the first color pair ``(i, j)`` whose distance is infinite."""
+    for (i, j), d in distances:
+        if math.isinf(d):
+            raise InvalidInstanceError(
+                f"the distance between colors {i} and {j} exceeds the float range"
+            )
 
 
 def _unit_scaled(point_set: ColoredPointSet) -> tuple[np.ndarray, np.ndarray, float]:
@@ -415,11 +406,7 @@ def _build_color_graph(point_set: ColoredPointSet, sign: int) -> ColorGraph:
     else:
         a, b = _outer_candidates(point_set, sx, sy, slack)
     witnesses = _exact_edges(point_set, a, b, sx, sy, slack, sign)
-    for (i, j), (d, _, _) in witnesses.items():
-        if math.isinf(d):
-            raise InvalidInstanceError(
-                f"the distance between colors {i} and {j} exceeds the float range"
-            )
+    _require_finite_distances((key, d) for key, (d, _, _) in witnesses.items())
     t = point_set.num_colors
     if len(witnesses) != t * (t - 1) // 2:
         raise InvalidInstanceError("color graph must have one edge per color pair")

@@ -128,6 +128,15 @@ class VertexColoredGraph:
         return 1.0 if self.weights is None else self.weights[index]
 
 
+def _require_even_color_count(g: VertexColoredGraph) -> None:
+    """Rejects a color count that no colorful matching can cover."""
+    t = g.num_colors
+    if t % 2 or t < 2:
+        raise InvalidInstanceError(
+            f"colorful matching needs an even, positive color count, got {t}"
+        )
+
+
 @dataclass(frozen=True)
 class ReductionArtifact:
     """A reduction output plus the origin of every produced vertex.
@@ -304,10 +313,12 @@ def brute_force_mcim(
     edge are of course adjacent; only cross-edge adjacency is forbidden.
     This is the first of :func:`colorful_edge_sets` whose edges are
     pairwise independent.
+
+    Unlike the colorful solver, a color without vertices is not rejected
+    but infeasible (None): :func:`certify_equivalence` reaches that case
+    on an empty source graph and reports every bit false.
     """
-    t = g.num_colors
-    if t % 2 or t < 2:
-        raise InvalidInstanceError("colorful matching needs an even, positive color count")
+    _require_even_color_count(g)
     edges, adj = g.edges, g.adjacency
 
     def independent_with_chosen(pos: int, chosen: tuple[int, ...]) -> bool:

@@ -172,9 +172,6 @@ class Matching:
             return self.min_edge_weight
         return self.max_edge_weight
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
 
 def _mate_to_pairs(mate: dict[int, int]) -> list[tuple[int, int]]:
     return sorted((u, v) for u, v in mate.items() if u < v)

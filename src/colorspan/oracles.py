@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .geometry import ColoredPointSet
+from .geometry import ColoredPointSet, _require_finite_distances
 from .hardness import (
     DEFAULT_MAX_STATES,
     VertexColoredGraph,
@@ -92,7 +92,8 @@ def brute_force_geometric(
     first optimum in (chunk, pairing, choice) order wins: a block's
     flattened argmin or argmax is its first optimum in (pairing, choice)
     order, and a later block or chunk replaces the best only when strictly
-    better.
+    better.  Like the solvers, it rejects an instance in which some color
+    pair's closest distance (farthest, when maximizing) is infinite.
     """
     _require_matching_instance(point_set)
     t = point_set.num_colors
@@ -103,17 +104,21 @@ def brute_force_geometric(
 
     xs, ys = point_set.xs, point_set.ys
     color_pairs = list(itertools.combinations(range(t), 2))
-    # dmat[i]: every distance between the classes of color pair i.
-    dmat = [
-        np.hypot(
-            xs[classes[a]][:, None] - xs[classes[b]][None, :],
-            ys[classes[a]][:, None] - ys[classes[b]][None, :],
-        )
-        for a, b in color_pairs
-    ]
+    # dmat[i]: every distance between the classes of color pair i; one
+    # beyond the float range is inf.
+    with np.errstate(over="ignore"):
+        dmat = [
+            np.hypot(
+                xs[classes[a]][:, None] - xs[classes[b]][None, :],
+                ys[classes[a]][:, None] - ys[classes[b]][None, :],
+            )
+            for a, b in color_pairs
+        ]
+    maximize = objective in (Objective.MAXSUM, Objective.MAXMIN)
+    extreme = np.ndarray.max if maximize else np.ndarray.min
+    _require_finite_distances(zip(color_pairs, map(extreme, dmat)))
     # pairing_rows[p, j]: the color pair index of pairing p's j-th pair.
     pairing_rows = _pairing_slots(t)
-    maximize = objective in (Objective.MAXSUM, Objective.MAXMIN)
     if objective in (Objective.MINSUM, Objective.MAXSUM):
         fold = np.add
     else:

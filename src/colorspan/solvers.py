@@ -1,10 +1,11 @@
 """The color-spanning matching solvers.
 
 All four solvers contract the instance to a :class:`ColorGraph`: one
-vertex per color, and for each color pair a witness pair of the two
-classes, whose weight is the color-graph edge.  Each then matches the
+vertex per color, and for each color pair a witness tuple
+``(weight, a, b)``, ``a`` of the lower color and ``b`` of the higher,
+whose weight is the color-graph edge.  Each then matches the
 contraction's ``graph`` and expands every matched color pair back to its
-witness.
+witness's ``(a, b)``.
 
 * minsum:  closest color graph, then minimum-weight perfect matching;
 * maxmin:  farthest color graph, then a perfect matching maximizing the
@@ -33,11 +34,10 @@ from .errors import InvalidInstanceError
 from .geometry import (
     ColoredPointSet,
     ColorGraph,
-    ColorPairWitness,
     build_closest_color_graph,
     build_farthest_color_graph,
 )
-from .hardness import VertexColoredGraph
+from .hardness import VertexColoredGraph, _require_even_color_count
 from .matching import (  # Objective is re-exported for callers of this module
     Matching,
     Objective,
@@ -79,17 +79,13 @@ def _require_matching_instance(point_set: ColoredPointSet) -> None:
 
 
 def _require_colorful_instance(g: VertexColoredGraph) -> None:
-    t = g.num_colors
-    if t % 2 or t < 2:
-        raise InvalidInstanceError(
-            f"colorful matching needs an even, positive color count, got {t}"
-        )
+    _require_even_color_count(g)
     empty = [c for c, cls in enumerate(g.color_classes) if not cls]
     if empty:
         raise InvalidInstanceError(f"colors without vertices: {empty}")
 
 
-def _matched_witnesses(cg: ColorGraph, match) -> list[ColorPairWitness] | None:
+def _matched_witnesses(cg: ColorGraph, match) -> list[tuple[float, int, int]] | None:
     """The witnesses of the color pairs ``match`` pairs up in ``cg.graph``,
     or None when it finds no perfect matching."""
     matched = match(cg.graph)
@@ -102,7 +98,7 @@ def _solve_geometric(point_set: ColoredPointSet, build, match) -> Matching:
     _require_matching_instance(point_set)
     witnesses = _matched_witnesses(build(point_set), match)
     assert witnesses is not None  # complete graph on an even vertex count
-    return color_spanning_matching(point_set, ((w.point_a, w.point_b) for w in witnesses))
+    return color_spanning_matching(point_set, ((a, b) for _, a, b in witnesses))
 
 
 def solve_minsum(point_set: ColoredPointSet) -> Matching:
@@ -144,4 +140,4 @@ def solve_k_multicolored_matching(g: VertexColoredGraph) -> Matching | None:
     witnesses = _matched_witnesses(ColorGraph(g.num_colors, best), min_weight_perfect_matching)
     if witnesses is None:
         return None
-    return Matching.from_weighted_edges((w.point_a, w.point_b, w.distance) for w in witnesses)
+    return Matching.from_weighted_edges((a, b, w) for w, a, b in witnesses)

@@ -47,8 +47,8 @@ def perfect_pairings(items: Sequence[int]) -> Iterator[tuple[tuple[int, int], ..
 def exhaustive_color_extremes(ps: ColoredPointSet, mode: str):
     """Reference bichromatic extremes by full scan, with the tie-break.
 
-    Returns ``{(ci, cj): (distance, point_a, point_b)}`` computed with the
-    same exact arithmetic the library is required to use.
+    Returns ``{(ci, cj): (distance, a, b)}``, ``a`` of color ``ci``,
+    computed with the same exact arithmetic the library is required to use.
     """
     out = {}
     for i in range(ps.num_colors):

@@ -155,7 +155,7 @@ def test_criterion_5_structural_extreme_pair_property(geometric_sweep):
                 d = math.hypot(
                     float(ps.xs[a]) - float(ps.xs[b]), float(ps.ys[a]) - float(ps.ys[b])
                 )
-                if d != graph.weight(ca, cb):
+                if d != graph.graph.weight(ca, cb):
                     violations += 1
     report(
         5,
@@ -244,10 +244,7 @@ def test_criterion_8_closest_graph_scale_smoke():
     replica = ColoredPointSet(ps.xs[rows], ps.ys[rows], ps.colors[rows], 20)
     got = build_closest_color_graph(replica)
     expected = exhaustive_color_extremes(replica, "closest")
-    exact = all(
-        (w.distance, w.point_a, w.point_b) == expected[key]
-        for key, w in got.witnesses.items()
-    )
+    exact = got.witnesses == expected
     report(
         8,
         "closest color graph: 100k points under 10s, replica exact vs full scan",

@@ -28,6 +28,13 @@ from conftest import FIXTURE_DIR
 FIG1 = str(FIXTURE_DIR / "figure1.points")
 FIG2 = str(FIXTURE_DIR / "figure2.points")
 
+# The only bichromatic distance, 2e308, exceeds the float range.
+OVERFLOW_POINTS = "2 2\n1e308 0 0\n-1e308 0 1\n"
+# Each color has a point at x = -1e308 and one at x = 1e308: every
+# farthest distance exceeds the float range, no closest one does.
+SPLIT_POINTS = "8 4\n" + "".join(f"{x} {c} {c}\n" for c in range(4) for x in ("-1e308", "1e308"))
+OVERFLOW_ERROR = "invalid input: the distance between colors 0 and 1 exceeds the float range\n"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -213,15 +220,12 @@ class TestSolve:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("objective", ["minsum", "minmax", "maxmin"])
     def test_overflowing_distance_is_invalid_input(self, capsys, tmp_path, objective):
-        # The only bichromatic distance, 2e308, exceeds the float range.
         f = tmp_path / "overflow.points"
-        f.write_text("2 2\n1e308 0 0\n-1e308 0 1\n")
+        f.write_text(OVERFLOW_POINTS)
         code, out, err = run(capsys, "solve", str(f), "--objective", objective)
         assert code == EXIT_INVALID
         assert out == ""
-        assert err == (
-            "invalid input: the distance between colors 0 and 1 exceeds the float range\n"
-        )
+        assert err == OVERFLOW_ERROR
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -373,6 +377,39 @@ class TestOracle:
         for command in ("solve", "oracle", "check"):
             code, out, err = run(capsys, command, str(f))
             assert (code, out, err) == (EXIT_INVALID, "", f"invalid input: {message}\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text, objective",
+        [
+            pytest.param(text, o, id=f"{name}-{o}")
+            for name, text, objectives in (
+                ("overflow", OVERFLOW_POINTS, ("minsum", "minmax", "maxmin", "maxsum")),
+                ("split", SPLIT_POINTS, ("maxmin", "maxsum")),
+            )
+            for o in objectives
+        ],
+    )
+    def test_overflowing_distance_rejected_as_the_solvers_do(
+        self, capsys, tmp_path, text, objective
+    ):
+        f = tmp_path / "overflow.points"
+        f.write_text(text)
+        code, out, err = run(capsys, "oracle", str(f), "--objective", objective)
+        assert (code, out, err) == (EXIT_INVALID, "", OVERFLOW_ERROR)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("objective", ["minsum", "minmax"])
+    def test_overflowing_farthest_distances_leave_closest_objectives(
+        self, capsys, tmp_path, objective
+    ):
+        f = tmp_path / "split.points"
+        f.write_text(SPLIT_POINTS)
+        _, solved, _ = run(capsys, "solve", str(f), "--objective", objective)
+        code, out, err = run(capsys, "oracle", str(f), "--objective", objective)
+        assert (code, err) == (EXIT_OK, "")
+        assert record_lines(out) == record_lines(solved)
+        assert "pairs=0:2 4:6" in out.splitlines()
 
 
 class TestCheck:
@@ -563,6 +600,18 @@ class TestCertify:
         assert "k_independent_set=false" in out
         assert "colorful_independent_matching=false" in out
         assert "equivalent=true" in out
+
+    def test_empty_graph_all_false(self, capsys, tmp_path):
+        # The reduced graph's source colors have no vertices, which the
+        # matching oracle reports as infeasible instead of rejecting.
+        f = tmp_path / "empty.graph"
+        f.write_text("0 0 0\n")
+        code, out, err = run(capsys, "certify", str(f), "--k", "2")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (
+            "k=2\nk_independent_set=false\ncolorful_independent_set=false\n"
+            "colorful_independent_matching=false\nequivalent=true\n"
+        )
 
 
 class TestBudgetArgument:

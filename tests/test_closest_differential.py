@@ -92,9 +92,7 @@ class TestClosestMatchesScan:
             (build_farthest_color_graph(ps), "farthest"),
             (outer_farthest_graph(ps), "farthest"),
         ):
-            for (i, j), (d, a, b) in exhaustive_color_extremes(ps, mode).items():
-                w = graph.witness(i, j)
-                assert (mode, w.distance, w.point_a, w.point_b) == (mode, d, a, b)
+            assert (mode, graph.witnesses) == (mode, exhaustive_color_extremes(ps, mode))
 
     def test_coincident_points_on_few_sites(self):
         # 80000 points on 25 lattice sites, shared by two colors.  Without
@@ -107,14 +105,14 @@ class TestClosestMatchesScan:
         colors[:2] = 0, 1
         ps = ColoredPointSet((site % 5).astype(float), (site // 5).astype(float), colors, 2)
         start = time.perf_counter()
-        w = build_closest_color_graph(ps).witness(0, 1)
+        witnesses = build_closest_color_graph(ps).witnesses
         assert time.perf_counter() - start < 10.0
         # The lowest color-0 index at a site that color 1 also occupies,
         # then the lowest color-1 index at that site.
         shared = set(site[colors == 0].tolist()) & set(site[colors == 1].tolist())
         a = min(i for i in range(n) if colors[i] == 0 and site[i] in shared)
         b = min(i for i in range(n) if colors[i] == 1 and site[i] == site[a])
-        assert (w.distance, w.point_a, w.point_b) == (0.0, a, b)
+        assert witnesses == {(0, 1): (0.0, a, b)}
 
 
 def subnormal_instance(seed: int, low: int, high: int) -> ColoredPointSet:
@@ -145,6 +143,4 @@ class TestSubnormalTies:
             (build_farthest_color_graph(ps), "farthest"),
             (outer_farthest_graph(ps), "farthest"),
         ):
-            for (i, j), (d, a, b) in exhaustive_color_extremes(ps, mode).items():
-                w = graph.witness(i, j)
-                assert (mode, w.distance, w.point_a, w.point_b) == (mode, d, a, b)
+            assert (mode, graph.witnesses) == (mode, exhaustive_color_extremes(ps, mode))

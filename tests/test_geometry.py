@@ -44,7 +44,7 @@ class TestColoredPointSet:
 
     def test_coincident_points_of_different_colors_are_legal(self):
         ps = ColoredPointSet([1, 1], [1, 1], [0, 1], 2)
-        assert build_closest_color_graph(ps).weight(0, 1) == 0.0
+        assert build_closest_color_graph(ps).graph.weight(0, 1) == 0.0
 
     @pytest.mark.parametrize(
         "xs, ys, colors, t, message",
@@ -97,68 +97,57 @@ class TestColorGraphs:
     def test_two_color_closest_trivial(self):
         ps = ColoredPointSet([0, 3], [0, 4], [0, 1], 2)
         g = build_closest_color_graph(ps)
-        assert g.weight(0, 1) == 5.0
-        w = g.witness(0, 1)
-        assert (w.point_a, w.point_b) == (0, 1)
+        assert g.graph.weight(0, 1) == 5.0
+        assert g.witnesses == {(0, 1): (5.0, 0, 1)}
 
     def test_three_point_farthest_trivial(self):
         ps = ColoredPointSet([0, 1, 5], [0, 0, 0], [0, 0, 1], 2)
-        assert build_farthest_color_graph(ps).weight(0, 1) == 5.0
+        assert build_farthest_color_graph(ps).graph.weight(0, 1) == 5.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_closest_matches_exhaustive_scan(self, seed):
         ps = random_point_set(seed)
-        g = build_closest_color_graph(ps)
-        for (i, j), (d, a, b) in exhaustive_color_extremes(ps, "closest").items():
-            w = g.witness(i, j)
-            assert (w.distance, w.point_a, w.point_b) == (d, a, b)
+        expected = exhaustive_color_extremes(ps, "closest")
+        assert build_closest_color_graph(ps).witnesses == expected
 
     @pytest.mark.parametrize("seed", range(6))
     def test_farthest_matches_exhaustive_scan(self, seed):
         ps = random_point_set(seed)
-        g = build_farthest_color_graph(ps)
-        for (i, j), (d, a, b) in exhaustive_color_extremes(ps, "farthest").items():
-            w = g.witness(i, j)
-            assert (w.distance, w.point_a, w.point_b) == (d, a, b)
+        expected = exhaustive_color_extremes(ps, "farthest")
+        assert build_farthest_color_graph(ps).witnesses == expected
 
     def test_outer_point_filter_agrees_with_scan(self):
         ps = generate_points(500, 2, seed=11)
-        g = build_farthest_color_graph(ps)
-        (d, a, b) = exhaustive_color_extremes(ps, "farthest")[(0, 1)]
-        w = g.witness(0, 1)
-        assert (w.distance, w.point_a, w.point_b) == (d, a, b)
+        expected = exhaustive_color_extremes(ps, "farthest")
+        assert build_farthest_color_graph(ps).witnesses == expected
 
     def test_outer_point_filter_with_duplicate_points(self):
         rng = np.random.default_rng(3)
         first = rng.random((60, 2))
         pts = np.concatenate((first, first[:10], rng.random((60, 2))))
         ps = ColoredPointSet(pts[:, 0], pts[:, 1], [0] * 70 + [1] * 60, 2)
-        (d, a, b) = exhaustive_color_extremes(ps, "farthest")[(0, 1)]
+        expected = exhaustive_color_extremes(ps, "farthest")
         for g in (build_farthest_color_graph(ps), outer_farthest_graph(ps)):
-            w = g.witness(0, 1)
-            assert (w.distance, w.point_a, w.point_b) == (d, a, b)
+            assert g.witnesses == expected
 
     def test_collinear_class_keeps_every_point(self):
         ps = ColoredPointSet([*range(40), 5], [0] * 40 + [7], [0] * 40 + [1], 2)
+        expected = {(0, 1): (math.hypot(39.0 - 5.0, 0.0 - 7.0), 39, 40)}
         for g in (build_farthest_color_graph(ps), outer_farthest_graph(ps)):
-            w = g.witness(0, 1)
-            assert w.distance == math.hypot(39.0 - 5.0, 0.0 - 7.0)
-            assert (w.point_a, w.point_b) == (39, 40)
+            assert g.witnesses == expected
 
     def test_closest_never_exceeds_farthest(self):
         for seed in range(5):
             ps = random_point_set(seed, n=25, t=5)
-            close = build_closest_color_graph(ps)
-            far = build_farthest_color_graph(ps)
+            close = build_closest_color_graph(ps).graph
+            far = build_farthest_color_graph(ps).graph
             for i in range(5):
                 for j in range(i + 1, 5):
                     assert close.weight(i, j) <= far.weight(i, j)
 
     def test_closest_equals_farthest_iff_single_cross_distance(self):
         ps = ColoredPointSet([0, 3], [0, 4], [0, 1], 2)
-        assert build_closest_color_graph(ps).weight(0, 1) == build_farthest_color_graph(
-            ps
-        ).weight(0, 1)
+        assert build_closest_color_graph(ps).graph == build_farthest_color_graph(ps).graph
 
     def test_weights_invariant_under_point_permutation(self):
         ps = random_point_set(21)
@@ -166,21 +155,16 @@ class TestColorGraphs:
         perm = rng.permutation(len(ps))
         shuffled = ColoredPointSet(ps.xs[perm], ps.ys[perm], ps.colors[perm], ps.num_colors)
         for builder in (build_closest_color_graph, build_farthest_color_graph):
-            g1, g2 = builder(ps), builder(shuffled)
-            for i in range(ps.num_colors):
-                for j in range(i + 1, ps.num_colors):
-                    assert g1.weight(i, j) == g2.weight(i, j)
+            assert builder(ps).graph == builder(shuffled).graph
 
     @pytest.mark.parametrize("scale", [0.25, 2.0, 1024.0])
     def test_power_of_two_scaling_is_exact(self, scale):
         ps = random_point_set(33, n=20, t=4)
         scaled = ColoredPointSet(ps.xs * scale, ps.ys * scale, ps.colors, ps.num_colors)
         for builder in (build_closest_color_graph, build_farthest_color_graph):
-            g1, g2 = builder(ps), builder(scaled)
-            for key, e1 in g1.witnesses.items():
-                e2 = g2.witness(*key)
-                assert e2.distance == e1.distance * scale
-                assert (e2.point_a, e2.point_b) == (e1.point_a, e1.point_b)
+            witnesses = builder(ps).witnesses
+            expected = {key: (d * scale, a, b) for key, (d, a, b) in witnesses.items()}
+            assert builder(scaled).witnesses == expected
 
     @pytest.mark.parametrize("seed", [16, 26, 27])
     def test_tiny_coordinates_keep_every_hull_vertex(self, seed):
@@ -188,10 +172,9 @@ class TestColorGraphs:
         # or it drops true hull vertices and maxmin misses the optimum.
         ps = generate_points(120, 4, seed=seed)
         tiny = ColoredPointSet(ps.xs * 1e-250, ps.ys * 1e-250, ps.colors, ps.num_colors)
+        expected = exhaustive_color_extremes(tiny, "farthest")
         for g in (build_farthest_color_graph(tiny), outer_farthest_graph(tiny)):
-            for (i, j), (d, a, b) in exhaustive_color_extremes(tiny, "farthest").items():
-                w = g.witness(i, j)
-                assert (w.distance, w.point_a, w.point_b) == (d, a, b)
+            assert g.witnesses == expected
         solved = solve_maxmin(tiny).value(Objective.MAXMIN)
         assert solved == brute_force_geometric(tiny, Objective.MAXMIN).value(Objective.MAXMIN)
 
@@ -203,8 +186,8 @@ class TestColorGraphs:
         ps = ColoredPointSet(xs, ys, [0] * 34 + [1], 2)
         outer = _outer_indices(ps, ps.color_indices(0), *_unit_scaled(ps))
         assert outer.tolist() == list(range(0, 34, 2))
-        w = build_farthest_color_graph(ps).witness(0, 1)
-        assert (w.point_a, w.point_b) == (32, 34)
+        expected = {(0, 1): (math.hypot(3.0, 16.0), 32, 34)}
+        assert build_farthest_color_graph(ps).witnesses == expected
 
     def test_outer_point_filter_drops_interior_points(self):
         # A filter that kept every point would pass every other test.
@@ -225,5 +208,4 @@ class TestColorGraphs:
         expected = (1.398737151086295, 0, 133)
         assert exhaustive_color_extremes(ps, "farthest")[(0, 1)] == expected
         for g in (build_farthest_color_graph(ps), outer_farthest_graph(ps)):
-            w = g.witness(0, 1)
-            assert (w.distance, w.point_a, w.point_b) == expected
+            assert g.witnesses == {(0, 1): expected}

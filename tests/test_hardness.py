@@ -13,6 +13,7 @@ from colorspan import (
     find_k_independent_set,
     reduce_is_to_mcis,
     reduce_mcis_to_mcim,
+    solve_k_multicolored_matching,
 )
 from colorspan.generate import generate_uncolored_graph
 
@@ -142,9 +143,12 @@ class TestBruteForceSolvers:
         assert brute_force_mcim(g) == ((0, 1),)
 
     def test_mcim_odd_colors_rejected(self):
+        # With the colorful solver's message, from the one shared check.
         g = VertexColoredGraph(3, [0, 1, 2], [(0, 1)], 3)
-        with pytest.raises(InvalidInstanceError):
-            brute_force_mcim(g)
+        message = "^colorful matching needs an even, positive color count, got 3$"
+        for solve in (brute_force_mcim, solve_k_multicolored_matching):
+            with pytest.raises(InvalidInstanceError, match=message):
+                solve(g)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_mcim_solutions_are_independent(self, seed):

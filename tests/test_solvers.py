@@ -57,13 +57,13 @@ class TestTwoSquaresFixture:
 
     def test_closest_graph_edge_weight(self):
         ps = two_squares_point_set(EPS)
-        assert build_closest_color_graph(ps).weight(0, 2) == pytest.approx(
+        assert build_closest_color_graph(ps).graph.weight(0, 2) == pytest.approx(
             1 - EPS, abs=1e-12
         )
 
     def test_farthest_graph_edge_weight(self):
         ps = two_squares_point_set(EPS)
-        assert build_farthest_color_graph(ps).weight(0, 2) >= math.sqrt(2) - 1e-12
+        assert build_farthest_color_graph(ps).graph.weight(0, 2) >= math.sqrt(2) - 1e-12
 
 
 class TestColorSpanningPairs:
@@ -141,8 +141,8 @@ class TestGeometricSolvers:
     def test_matched_lengths_equal_color_graph_weights(self, seed):
         # Every matched pair realizes its color pair's extreme distance.
         ps = generate_matching_instance(3, 9900 + seed)
-        closest = build_closest_color_graph(ps)
-        farthest = build_farthest_color_graph(ps)
+        closest = build_closest_color_graph(ps).graph
+        farthest = build_farthest_color_graph(ps).graph
         for objective, solver in SOLVERS.items():
             got = solver(ps)
             graph = farthest if objective is Objective.MAXMIN else closest
