@@ -15,7 +15,10 @@ from ``math.hypot`` on the original coordinates, and only that exact final
 pass decides.  The earlier passes just narrow down candidates: a small set
 takes every bichromatic pair; in a larger one, closest candidates come from
 dual-tree range searches bounded per color pair, farthest candidates from
-the outer points of each class.  Builders are therefore exact and
+the outer points of each class.  A color pair's bound is the distance of
+an actual pair, found by nearest-neighbour queries from a few seeds of
+each class aimed at the other: the point facing the other class's
+centroid and a sparse stride sample.  Builders are therefore exact and
 deterministic, with ties broken toward the lexicographically smallest pair
 of point indexes.
 """
@@ -48,8 +51,9 @@ _MISSING_SHOWN = 8
 # Up to this many points both builders take every bichromatic pair as a
 # candidate: below it, the per-class passes cost more than they save.
 _SCAN_CUTOFF = 256
-# Every this-many-th distinct point of a class seeds the per-pair bounds.
-_SAMPLE_STRIDE = 16
+# Every this-many-th distinct point of a class seeds the per-pair bounds,
+# next to the class's point facing the other class.
+_SAMPLE_STRIDE = 256
 
 # Directions, in angular order, whose extreme points span an inner polygon.
 _ANGLES = np.arange(2 * 16) * (np.pi / 16)
@@ -258,31 +262,29 @@ def _pair_bounds(
     """A ``t x t`` symmetric matrix of upper bounds on the scaled closest
     distance of each color pair.
 
-    Every ``_SAMPLE_STRIDE``-th point of each class is queried against the
-    other classes' trees, one batched query per tree.  One alternating
-    step then queries each sample's best neighbour back against the
-    sample's own class, which can only shorten the bound.
+    Each ordered pair ``(c, j)`` is bounded from seeds of class ``c``
+    queried against class ``j``'s tree, one batched query per tree: the
+    point of ``c`` facing ``j`` (the one nearest to ``j``'s centroid) and
+    every ``_SAMPLE_STRIDE``-th point of ``c``.  The facing point is close
+    to ``j`` when the classes are compact; the sparse samples keep the
+    bound tight when a class has several far-apart parts.
     """
     t = len(reps)
+    centroids = np.array([(sx[r].mean(), sy[r].mean()) for r in reps])
+    # facing[c, j]: the point of class c nearest to class j's centroid.
+    facing = np.array([r[tree.query(centroids)[1]] for r, tree in zip(reps, trees)])
     samples = [r[::_SAMPLE_STRIDE] for r in reps]
+    sampled = np.concatenate(samples)
+    owner = np.concatenate((np.arange(t), np.repeat(np.arange(t), [len(s) for s in samples])))
     bound = np.full((t, t), np.inf)
-    # near[c, j]: the point of class j nearest to class c's best sample.
-    near = np.zeros((t, t), dtype=np.intp)
     for j, tree in enumerate(trees):
-        others = [c for c in range(t) if c != j]
-        idx = np.concatenate([samples[c] for c in others])
-        owner = np.repeat(others, [len(samples[c]) for c in others])
-        dist, pos = tree.query(np.column_stack((sx[idx], sy[idx])))
-        # The first entry of each owner's run, ordered by distance.
-        order = np.lexsort((dist, owner))
-        head = order[np.r_[True, owner[order[1:]] != owner[order[:-1]]]]
-        bound[others, j] = dist[head]
-        near[others, j] = reps[j][pos[head]]
-    for c, tree in enumerate(trees):
-        others = [j for j in range(t) if j != c]
-        idx = near[c, others]
+        keep = owner != j
+        idx, own = np.concatenate((facing[:, j], sampled))[keep], owner[keep]
         dist, _ = tree.query(np.column_stack((sx[idx], sy[idx])))
-        bound[others, c] = np.minimum(bound[others, c], dist)
+        # The first entry of each owner's run, ordered by distance.
+        order = np.lexsort((dist, own))
+        head = order[np.r_[True, own[order[1:]] != own[order[:-1]]]]
+        bound[own[head], j] = dist[head]
     return np.minimum(bound, bound.T)
 
 
