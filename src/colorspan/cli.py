@@ -96,7 +96,7 @@ def _write_output(text: str, out: str | None) -> None:
 def _read_input(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInstanceError(f"cannot read {path}: {exc}") from None
 
 

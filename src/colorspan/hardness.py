@@ -210,11 +210,18 @@ def reduce_mcis_to_mcim(g: VertexColoredGraph) -> ReductionArtifact:
 
 
 def check_budget(states: int, max_states: int) -> None:
-    """Refuse an enumeration whose predicted state count exceeds the budget."""
+    """Refuse an enumeration whose predicted state count exceeds the budget.
+
+    A count too long to convert to decimal (see
+    ``sys.set_int_max_str_digits``) is bounded below by a power of ten
+    taken from its bit length.
+    """
     if states > max_states:
-        raise BudgetExceededError(
-            f"{states} candidate states exceed the budget of {max_states}"
-        )
+        try:
+            count = str(states)
+        except ValueError:
+            count = f"more than 10^{math.floor((states.bit_length() - 1) * math.log10(2))}"
+        raise BudgetExceededError(f"{count} candidate states exceed the budget of {max_states}")
 
 
 def exact_covers(
@@ -363,6 +370,9 @@ def certify_equivalence(
     source graph; either would be an implementation bug.
     """
     direct = find_k_independent_set(g, k, max_states)
+    # The state count brute_force_mcis predicts for k classes of n copies,
+    # checked before the reduction builds its k * n vertices.
+    check_budget(g.num_vertices**k, max_states)
     step1 = reduce_is_to_mcis(g, k)
     colorful = brute_force_mcis(step1.graph, max_states)
     step2 = reduce_mcis_to_mcim(step1.graph)

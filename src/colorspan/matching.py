@@ -15,19 +15,21 @@ arithmetic anywhere.
 Perfect-matching existence is Edmonds' cardinality search (1965) on
 adjacency lists, with no weights and no duals: a greedy start, then one
 alternating tree with blossom shrinking from each vertex left free,
-stopping at the first tree that finds no augmenting path.  The bottleneck
-and threshold variants share one binary search over the distinct edge
-weights (the threshold problems of Gabow and Tarjan, 1988).  The edges are
-sorted once in threshold order, so the subgraph within a probed level is a
-prefix of that order, and each probe runs the cardinality search on a
-prefix; the search rests on the monotonicity of existence in the edge set.
-Only the witness comes from the blossom engine: one unit-weight,
-maximum-cardinality run on the graph of the prefix found.  That graph
-normalizes to the same edge tuple as the subgraph filtered from the input
-by weight, so the witness is the one a blossom-probed search would return.
-A minimum-weight solve on a graph with a vertex on no edge fails before the
-blossom runs, since an isolated vertex is an odd component in Tutte's
-condition.
+stopping at the first tree that finds no augmenting path.  Each of the
+three optimizing queries decides feasibility first with that search, so
+the blossom engine runs only on graphs that have a perfect matching, once
+per query, from one call site; it finds no edges on the empty graph.
+
+The bottleneck and threshold variants share one binary search over the
+distinct edge weights (the threshold problems of Gabow and Tarjan, 1988).
+The edges are sorted once in threshold order, so the subgraph within a
+probed level is a prefix of that order, and each probe runs the
+cardinality search on a prefix; the search rests on the monotonicity of
+existence in the edge set.  Only the witness comes from the blossom
+engine: one unit-weight, maximum-cardinality run on the prefix found,
+given in ``(u, v)`` order.  That is the edge order of the subgraph
+filtered from the input by weight, so the witness is the one a
+blossom-probed search would return.
 
 Infeasibility (no perfect matching) is reported by returning ``None``;
 malformed graphs raise :class:`~colorspan.errors.InvalidInstanceError`.
@@ -38,12 +40,13 @@ graphs and on point sets (there its edges are pairs of point indexes).
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ._blossom import maximum_weight_matching
 from .errors import InvalidInstanceError
@@ -136,33 +139,23 @@ class Matching:
     max_edge_weight: float
 
     @classmethod
-    def empty(cls) -> "Matching":
-        return cls(edges=(), total_weight=0.0, min_edge_weight=0.0, max_edge_weight=0.0)
-
-    @classmethod
     def from_weighted_edges(cls, weighted_edges: Iterable[tuple[int, int, float]]) -> "Matching":
         canon = sorted((min(u, v), max(u, v), float(w)) for u, v, w in weighted_edges)
-        if not canon:
-            return cls.empty()
         seen: set[int] = set()
         for u, v, _ in canon:
             if u in seen or v in seen or u == v:
                 raise InvalidInstanceError("matching edges must be vertex-disjoint")
             seen.update((u, v))
         weights = [w for _, _, w in canon]
-        total = sum(weights)
+        total = sum(weights, 0.0)
         if not math.isfinite(total):
             raise InvalidInstanceError("the total edge weight exceeds the float range")
         return cls(
             edges=tuple((u, v) for u, v, _ in canon),
             total_weight=total,
-            min_edge_weight=min(weights),
-            max_edge_weight=max(weights),
+            min_edge_weight=min(weights, default=0.0),
+            max_edge_weight=max(weights, default=0.0),
         )
-
-    @classmethod
-    def from_edges(cls, graph: WeightedGraph, edges: Iterable[tuple[int, int]]) -> "Matching":
-        return cls.from_weighted_edges((u, v, graph.weight(u, v)) for u, v in edges)
 
     def value(self, objective: Objective) -> float:
         """The statistic this matching is scored by under ``objective``."""
@@ -171,27 +164,6 @@ class Matching:
         if objective is Objective.MAXMIN:
             return self.min_edge_weight
         return self.max_edge_weight
-
-
-def _mate_to_pairs(mate: dict[int, int]) -> list[tuple[int, int]]:
-    return sorted((u, v) for u, v in mate.items() if u < v)
-
-
-def _has_uncovered_vertex(g: WeightedGraph) -> bool:
-    """True iff some vertex is on no edge.
-
-    Such a vertex is an odd component, so g has no perfect matching
-    (Tutte 1947); this subsumes "fewer than n / 2 edges".
-    """
-    return len({x for u, v, _ in g.edges for x in (u, v)}) < g.num_vertices
-
-
-def _perfect_matching_pairs(g: WeightedGraph) -> list[tuple[int, int]]:
-    """A perfect matching of g, which must have one, as vertex pairs."""
-    unit = {(u, v): 1 for u, v, _ in g.edges}
-    mate = maximum_weight_matching(g.num_vertices, unit)
-    assert len(mate) == g.num_vertices
-    return _mate_to_pairs(mate)
 
 
 def has_perfect_matching(g: WeightedGraph) -> bool:
@@ -292,12 +264,24 @@ def _augment(root: int, adj: list[list[int]], mate: list[int]) -> bool:
     return False
 
 
+def _blossom_matching(
+    n: int, edges: Sequence[tuple[int, int, float]], int_weights: Iterable[int]
+) -> Matching:
+    """The blossom engine's matching of the graph on ``n`` vertices whose
+    ``edges`` carry ``int_weights`` in place of their own weights.
+
+    The graph must have a perfect matching, so the engine's
+    maximum-cardinality answer covers every vertex.  The result keeps the
+    chosen edges' own weights.
+    """
+    mate = maximum_weight_matching(n, {(u, v): iw for (u, v, _), iw in zip(edges, int_weights)})
+    assert len(mate) == n
+    return Matching.from_weighted_edges(e for e in edges if mate[e[0]] == e[1])
+
+
 def min_weight_perfect_matching(g: WeightedGraph) -> Matching | None:
     """A perfect matching of minimum total weight, or None if infeasible."""
-    n = g.num_vertices
-    if n == 0:
-        return Matching.empty()
-    if n % 2 or _has_uncovered_vertex(g):
+    if not has_perfect_matching(g):
         return None
     # Scale to ints exactly: each weight is num / den with den a power of
     # two, so den divides the largest denominator and num * (scale // den)
@@ -305,14 +289,10 @@ def min_weight_perfect_matching(g: WeightedGraph) -> Matching | None:
     # maximum-weight engine minimizes the total; all perfect matchings
     # have the same cardinality, so any shift works.
     ratios = [w.as_integer_ratio() for _, _, w in g.edges]
-    scale = max(den for _, den in ratios)
+    scale = max((den for _, den in ratios), default=1)
     scaled = [num * (scale // den) for num, den in ratios]
-    top = max(scaled)
-    transformed = {(u, v): top - iw for (u, v, _), iw in zip(g.edges, scaled)}
-    mate = maximum_weight_matching(n, transformed)
-    if len(mate) < n:
-        return None
-    return Matching.from_edges(g, _mate_to_pairs(mate))
+    top = max(scaled, default=0)
+    return _blossom_matching(g.num_vertices, g.edges, [top - iw for iw in scaled])
 
 
 def _threshold_perfect_matching(g: WeightedGraph, minimize_max: bool) -> Matching | None:
@@ -322,27 +302,28 @@ def _threshold_perfect_matching(g: WeightedGraph, minimize_max: bool) -> Matchin
     smallest edge is maximized.  The edges are sorted once from the most
     to the least restrictive threshold (ascending, respectively
     descending weight), so the subgraph within each distinct weight level
-    is a prefix of that order.  A binary search with cardinality probes
-    finds the shortest such prefix that still has a perfect matching, and
-    one blossom run on it gives the witness.
+    is a prefix of that order.  Once the whole graph is known to have a
+    perfect matching, a binary search with cardinality probes finds the
+    shortest such prefix that still has one, and one unit-weight blossom
+    run on it gives the witness.  The run gets the prefix re-sorted by
+    ``(u, v)``, the order of ``g.edges`` and so of the level's subgraph
+    filtered from it: the engine's tie-breaks, and with them the witness,
+    are those of a run on that subgraph.
     """
-    n = g.num_vertices
-    if n == 0:
-        return Matching.empty()
-    if not g.edges or not has_perfect_matching(g):
+    if not has_perfect_matching(g):
         return None
+    n = g.num_vertices
     order = sorted(g.edges, key=itemgetter(2), reverse=not minimize_max)
     # ends[i] is the length of the prefix within the i-th distinct level.
     ends = [i for i in range(1, len(order)) if order[i][2] != order[i - 1][2]]
     ends.append(len(order))
-    lo, hi = 0, len(ends) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _perfect_matching_exists(n, order[: ends[mid]]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return Matching.from_edges(g, _perfect_matching_pairs(WeightedGraph(n, order[: ends[lo]])))
+    # The first level whose prefix has a perfect matching; the last one
+    # (the whole graph) has.
+    level = bisect.bisect_left(
+        range(len(ends) - 1), True, key=lambda i: _perfect_matching_exists(n, order[: ends[i]])
+    )
+    prefix = sorted(order[: ends[level]])
+    return _blossom_matching(n, prefix, [1] * len(prefix))
 
 
 def bottleneck_perfect_matching(g: WeightedGraph) -> Matching | None:

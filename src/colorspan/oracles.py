@@ -176,13 +176,13 @@ def brute_force_graph_matching(
     stat = {Objective.MINMAX: max, Objective.MAXMIN: min}.get(objective, sum)
     pick = max if objective in (Objective.MAXSUM, Objective.MAXMIN) else min
     # Covers come out sorted, the order Matching sums in, so sums compare
-    # bit-exactly; the empty graph's one cover scores 0, as Matching.empty().
+    # bit-exactly; the empty graph's one cover scores 0, as an empty Matching.
     best = pick(
         exact_covers(options),
         key=lambda edges: stat([wmap[e] for e in edges] or [0.0]),
         default=None,
     )
-    return None if best is None else Matching.from_edges(g, best)
+    return None if best is None else Matching.from_weighted_edges((*e, wmap[e]) for e in best)
 
 
 def brute_force_colorful_graph_matching(

@@ -9,6 +9,7 @@ text label.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .errors import InvalidInstanceError
@@ -40,6 +41,10 @@ def render_svg(
             raise InvalidInstanceError(f"pair ({a}, {b}) references a missing point")
 
     xs, ys = point_set.xs.tolist(), point_set.ys.tolist()
+    if math.isinf(max(xs) - min(xs)) or math.isinf(max(ys) - min(ys)):
+        # A span past the float range; the halved coordinates, whose span
+        # is finite, draw the same picture.
+        xs, ys = [x / 2 for x in xs], [y / 2 for y in ys]
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     span = max(xmax - xmin, ymax - ymin, 1e-9)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from colorspan import cli
+from colorspan import cli, hardness
 from colorspan.cli import (
     EXIT_BUDGET,
     EXIT_INFEASIBLE,
@@ -614,6 +614,57 @@ class TestCertify:
         )
 
 
+class TestStateCountsPastPrinting:
+    def test_oracle_on_one_point_per_color(self, capsys, tmp_path):
+        # (3200 - 1)!! pairings exceed the digits an int may print with.
+        f = tmp_path / "m.points"
+        assert main(["gen", "points", "--n", "3200", "--t", "3200", "--seed", "1", "--out", str(f)]) == EXIT_OK
+        code, out, err = run(capsys, "oracle", str(f))
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == "budget exceeded: more than 10^4913 candidate states exceed the budget of 10000000\n"
+
+    def test_certify_before_the_reduction(self, capsys, tmp_path, monkeypatch):
+        # 3^10000 one-vertex-per-copy states; built, the reduction would
+        # hold 30000 vertices and about 250M edges.
+        def reduce(*_, **__):
+            raise AssertionError("the reduction was built past the budget")
+
+        monkeypatch.setattr(hardness, "reduce_is_to_mcis", reduce)
+        f = tmp_path / "s.graph"
+        f.write_text("3 1 0\n0\n0\n0\n0 1\n")
+        code, out, err = run(capsys, "certify", str(f), "--k", "10000")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == "budget exceeded: more than 10^4771 candidate states exceed the budget of 10000000\n"
+
+
+# The last point's x coordinate starts with a byte that is not UTF-8.
+UNDECODABLE = b"2 2\n0 0 0\n\xff 1 1\n"
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{bad}"],
+            ["oracle", "{bad}"],
+            ["check", "{bad}"],
+            ["render", "{bad}", "--objective", "minsum"],
+            ["render", FIG1, "--result", "{bad}"],
+            ["reduce", "{bad}", "--step", "is2mcis", "--k", "2", "--out", "{out}"],
+            ["certify", "{bad}", "--k", "2"],
+        ],
+        ids=["solve", "oracle", "check", "render", "render --result", "reduce", "certify"],
+    )
+    def test_is_invalid_input(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.in"
+        bad.write_bytes(UNDECODABLE)
+        argv = [a.format(bad=bad, out=tmp_path / "out.graph") for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith(f"invalid input: cannot read {bad}: ")
+        assert "can't decode byte 0xff" in err
+
+
 class TestBudgetArgument:
     @pytest.mark.parametrize("budget", ["-1", "-12"])
     @pytest.mark.parametrize(
@@ -677,6 +728,19 @@ class TestRender:
         code, out, _ = run(capsys, "render", path, "--objective", objective)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("objective", ["minsum", "minmax"])
+    def test_span_past_the_float_range_stays_on_the_canvas(self, capsys, tmp_path, objective):
+        # x runs from -1e308 to 1e308: the span overflows, and the offsets
+        # once came out as inf * 0 = nan.
+        f = tmp_path / "split.points"
+        f.write_text(SPLIT_POINTS)
+        code, out, _ = run(capsys, "render", str(f), "--objective", objective)
+        assert code == EXIT_OK
+        assert "nan" not in out and "inf" not in out
+        coords = re.findall(r' (?:cx|cy|x1|y1|x2|y2)="([^"]*)"', out)
+        assert len(coords) == 8 * 2 + 2 * 4  # eight circles, two lines
+        assert all(0.0 <= float(c) <= 640.0 for c in coords)
 
     def test_result_file_accepted(self, capsys, tmp_path):
         result = tmp_path / "r.json"

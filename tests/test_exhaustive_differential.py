@@ -125,7 +125,7 @@ def reference_graph_matching(g, objective):
     """Every pairing of all vertices, skipping those with a missing edge;
     the first strict optimum wins."""
     if g.num_vertices == 0:
-        return Matching.empty()
+        return Matching.from_weighted_edges(())
     wmap = g.weight_map
     maximize = objective in (Objective.MAXSUM, Objective.MAXMIN)
     best_val, best = None, None
@@ -139,7 +139,7 @@ def reference_graph_matching(g, objective):
             v = max(ws) if objective is Objective.MINMAX else min(ws)
         if best_val is None or (v > best_val if maximize else v < best_val):
             best_val, best = v, pairing
-    return None if best is None else Matching.from_edges(g, best)
+    return None if best is None else Matching.from_weighted_edges((*e, wmap[e]) for e in best)
 
 
 def tied_colored_graph(n, t, seed, edge_prob):

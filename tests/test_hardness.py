@@ -15,6 +15,7 @@ from colorspan import (
     reduce_mcis_to_mcim,
     solve_k_multicolored_matching,
 )
+from colorspan import hardness
 from colorspan.generate import generate_uncolored_graph
 
 
@@ -199,3 +200,27 @@ class TestCertify:
         g = generate_uncolored_graph(30, 1, 0.5)
         with pytest.raises(BudgetExceededError):
             certify_equivalence(g, 10, max_states=100)
+
+    def test_budget_checked_before_the_reduction(self, monkeypatch):
+        def reduce(*_, **__):
+            raise AssertionError("the reduction was built past the budget")
+
+        monkeypatch.setattr(hardness, "reduce_is_to_mcis", reduce)
+        g = WeightedGraph(3, [(0, 1, 1.0)])
+        message = f"^{3**1000} candidate states exceed the budget of 10000000$"
+        with pytest.raises(BudgetExceededError, match=message):
+            certify_equivalence(g, 1000)
+
+
+class TestCheckBudget:
+    def test_printable_count_in_decimal(self):
+        # 4300 digits, the most an int converts to by default.
+        with pytest.raises(BudgetExceededError) as info:
+            hardness.check_budget(10**4299, 1)
+        assert str(info.value) == f"{10**4299} candidate states exceed the budget of 1"
+
+    def test_count_past_the_digit_limit(self):
+        # 2^20000 is about 10^6020.6.
+        with pytest.raises(BudgetExceededError) as info:
+            hardness.check_budget(2**20000, 945)
+        assert str(info.value) == "more than 10^6020 candidate states exceed the budget of 945"

@@ -166,6 +166,29 @@ class TestHasPerfectMatching:
         assert has_perfect_matching(bigger)
 
 
+class TestFeasibilityFirst:
+    QUERIES = (min_weight_perfect_matching, bottleneck_perfect_matching, maxmin_perfect_matching)
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_empty_graph_gives_empty_matching(self, query):
+        assert query(WeightedGraph(0)) == Matching.from_weighted_edges(())
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_edgeless_pair_is_infeasible(self, query):
+        assert query(WeightedGraph(2)) is None
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_two_triangles_fail_before_the_blossom(self, query, monkeypatch):
+        # Six vertices, each on two edges, in two odd components.
+        triangles = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (3, 4, 1.0), (4, 5, 2.0), (3, 5, 3.0)]
+
+        def blossom(*_, **__):
+            raise AssertionError("the blossom ran on a graph with no perfect matching")
+
+        monkeypatch.setattr(matching, "maximum_weight_matching", blossom)
+        assert query(WeightedGraph(6, triangles)) is None
+
+
 class TestMinWeight:
     def test_k2(self):
         m = min_weight_perfect_matching(WeightedGraph(2, [(0, 1, 7.0)]))
@@ -190,10 +213,6 @@ class TestMinWeight:
 
         monkeypatch.setattr(matching, "maximum_weight_matching", blossom)
         assert min_weight_perfect_matching(WeightedGraph(6, k5)) is None
-
-    def test_empty_graph_gives_empty_matching(self):
-        m = min_weight_perfect_matching(WeightedGraph(0))
-        assert m.edges == () and m.total_weight == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_enumeration_on_random_k10(self, seed):
@@ -349,7 +368,7 @@ class TestMatchingValue:
             maxmin_perfect_matching,
         ):
             m = solver(g)
-            again = Matching.from_edges(g, m.edges)
+            again = Matching.from_weighted_edges((u, v, g.weight(u, v)) for u, v in m.edges)
             assert again == m
             seen = set()
             for u, v in m.edges:

@@ -14,10 +14,13 @@ import pytest
 
 from colorspan import (
     Matching,
+    Objective,
     WeightedGraph,
     bottleneck_perfect_matching,
+    brute_force_graph_matching,
     matching,
     maxmin_perfect_matching,
+    min_weight_perfect_matching,
 )
 from colorspan._blossom import maximum_weight_matching
 from colorspan.generate import (
@@ -38,7 +41,7 @@ def reference_pairs(g: WeightedGraph) -> list[tuple[int, int]] | None:
 
 def reference_threshold(g: WeightedGraph, minimize_max: bool) -> Matching | None:
     if g.num_vertices == 0:
-        return Matching.empty()
+        return Matching.from_weighted_edges(())
     levels = sorted({w for _, _, w in g.edges}, reverse=not minimize_max)
     if not levels or reference_pairs(g) is None:
         return None
@@ -55,7 +58,8 @@ def reference_threshold(g: WeightedGraph, minimize_max: bool) -> Matching | None
             hi = mid
         else:
             lo = mid + 1
-    return Matching.from_edges(g, reference_pairs(within(levels[lo])))
+    pairs = reference_pairs(within(levels[lo]))
+    return Matching.from_weighted_edges((u, v, g.weight(u, v)) for u, v in pairs)
 
 
 def assert_same_as_reference(g: WeightedGraph) -> None:
@@ -114,8 +118,18 @@ def test_workload_color_graphs(point_sets, seed):
             assert_same_as_reference(build(ps).graph)
 
 
-@pytest.mark.parametrize("solver", [bottleneck_perfect_matching, maxmin_perfect_matching])
-def test_one_blossom_run_per_solve(solver, monkeypatch):
+@pytest.mark.parametrize(
+    "solver, reference",
+    [
+        (min_weight_perfect_matching, lambda g: brute_force_graph_matching(g, Objective.MINSUM)),
+        (bottleneck_perfect_matching, lambda g: reference_threshold(g, minimize_max=True)),
+        (maxmin_perfect_matching, lambda g: reference_threshold(g, minimize_max=False)),
+    ],
+    ids=["minsum", "minmax", "maxmin"],
+)
+def test_one_blossom_run_per_solve(solver, reference, monkeypatch):
+    g = generate_complete_weighted_graph(8, 7900)
+    expected = reference(g)
     calls = []
 
     def counted(*args, **kwargs):
@@ -123,6 +137,5 @@ def test_one_blossom_run_per_solve(solver, monkeypatch):
         return maximum_weight_matching(*args, **kwargs)
 
     monkeypatch.setattr(matching, "maximum_weight_matching", counted)
-    g = generate_complete_weighted_graph(8, 7900)
-    assert solver(g) == reference_threshold(g, solver is bottleneck_perfect_matching)
+    assert solver(g) == expected
     assert len(calls) == 1
