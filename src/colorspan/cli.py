@@ -165,6 +165,8 @@ def _cmd_gen(args) -> int:
     else:
         if args.k is None:
             raise InvalidInstanceError("gen graph requires --k (or --uncolored)")
+        if args.k < 1:
+            raise InvalidInstanceError(f"--k must be positive, got {args.k}")
         t = 2 * args.k
         if t > args.n:
             raise InvalidInstanceError(f"2k = {t} colors exceed --n {args.n}")
@@ -350,6 +352,8 @@ def _cmd_render(args) -> int:
     ps = parse_points(text)
     if args.result is not None:
         record = ResultRecord.from_json(_read_input(args.result))
+        if record.kind != "points":
+            raise InvalidInstanceError(f"render needs a points result, got kind {record.kind!r}")
         if record.solution is None:
             raise InvalidInstanceError("refusing to render an empty or unsolved result")
         recomputed = color_spanning_matching(ps, record.solution.edges).value(record.objective)

@@ -22,18 +22,18 @@ finite JSON numbers (not bools or strings), and a solved record's value
 must equal its statistic for the objective.
 
 A point file's body is read in one ``np.loadtxt`` call when the text is
-ASCII with "\\n" or "\\r\\n" as its only line break and a non-blank
-body; loadtxt converts each token in full as ``float`` and ``int`` do, and
-any error or warning from it falls back.  Every text that path does not finish with a
-valid point set is parsed line by line instead.  That per-line pass stays
-the reference: it accepts the same texts with the same values (and also
-``1_0``, non-ASCII digits and lone "\\r" breaks, which the loadtxt read
-leaves to it), and it is the only source of error messages.
+ASCII: loadtxt gets the lines after the header as ``str.splitlines``
+splits them, the same lines the per-line pass reads, and converts each
+token in full as ``float`` and ``int`` do; any error or warning from it
+falls back.  Every text that path does not finish with a valid point set
+is parsed line by line instead.  That per-line pass stays the reference:
+it accepts the same texts with the same values (and also ``1_0`` and
+non-ASCII digits, which the loadtxt read leaves to it), and it is the
+only source of error messages.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import warnings
@@ -94,11 +94,11 @@ def _parse_float(token: str, line: int, what: str) -> float:
 def parse_points(text: str) -> ColoredPointSet:
     """Parse a point file into a validated point set.
 
-    The body is read in one ``np.loadtxt`` call, and the point set
-    validates the columns.  Input that the guards of
-    :func:`_point_columns` turn away, that loadtxt rejects or whose
-    columns the point set rejects is parsed again line by line with
-    Python's own ``float`` and ``int``.  That per-line pass is the
+    The lines after the header of an ASCII text are read in one
+    ``np.loadtxt`` call (:func:`_point_columns`), and the point set
+    validates the columns.  Input that is not ASCII, that loadtxt rejects
+    or whose columns the point set rejects is parsed again line by line
+    with Python's own ``float`` and ``int``.  That per-line pass is the
     reference: it accepts exactly the texts the bulk read accepts, with
     the same values, and it alone names the first bad line.
     """
@@ -111,7 +111,9 @@ def parse_points(text: str) -> ColoredPointSet:
         raise ParseError(head_no, f"header must be 'n t', got {head!r}")
     n = _parse_int(tokens[0], head_no, "point count")
     t = _parse_int(tokens[1], head_no, "color count")
-    columns = _point_columns(text, head_no, n)
+    # loadtxt takes some non-ASCII tokens that ``float`` and ``int`` do not
+    # (``3\u01fe`` as the int 492), so only ASCII text is read in bulk.
+    columns = _point_columns(text.splitlines()[head_no:], n) if text.isascii() else None
     if columns is not None:
         try:
             return ColoredPointSet(*columns, t)
@@ -130,42 +132,27 @@ def parse_points(text: str) -> ColoredPointSet:
     return ColoredPointSet(xs, ys, colors, t)
 
 
-# Line breaks to ``str.splitlines`` that loadtxt reads as a space ("\x0b",
-# "\x0c", "\x1c"-"\x1e") or as a break of its own ("\r").
-_OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 _POINT_ROW = np.dtype([("x", np.float64), ("y", np.float64), ("c", np.intp)])
 
 
-def _point_columns(text: str, head_no: int, n: int):
-    """``(xs, ys, colors)`` arrays of the ``n`` point lines after the header
-    on line ``head_no``, or None if the text is not read here.
+def _point_columns(lines: list[str], n: int):
+    """``(xs, ys, colors)`` arrays of the ``n`` point lines in ``lines``,
+    or None if loadtxt does not read them.
 
-    Only ASCII text whose one line break is "\\n" (or "\\r\\n", rewritten
-    to "\\n" first) is read, so loadtxt and ``str.splitlines`` see the
-    same lines and ``str.split`` the same tokens.  loadtxt skips blank lines, needs three tokens on every other
-    line, converts floats with ``PyOS_string_to_double`` (the routine
-    behind ``float``) and ints as a sign and digits, always consuming the
-    whole token.  A token that ``float`` or ``int`` would take but loadtxt
-    does not (``1_0``) makes it fail, and a failure or any warning sends
-    the text to the per-line pass; none decides an answer.
+    ``lines`` are the ASCII text's ``str.splitlines`` after the header, so
+    loadtxt applies no line rule of its own and sees the tokens
+    ``str.split`` sees.  loadtxt skips blank lines, needs three tokens on
+    every other line, converts floats with ``PyOS_string_to_double`` (the
+    routine behind ``float``) and ints as a sign and digits, always
+    consuming the whole token.  A token that ``float`` or ``int`` would
+    take but loadtxt does not (``1_0``) makes it fail, and a failure or any
+    warning (no lines warns "input contained no data") sends the text to
+    the per-line pass; none decides an answer.
     """
-    if "\r" in text:
-        # Same lines and tokens unless a lone "\r" remains, which the
-        # guard below turns away.
-        text = text.replace("\r\n", "\n")
-    if not text.isascii() or any(brk in text for brk in _OTHER_LINE_BREAKS):
-        return None
-    parts = text.split("\n", head_no)
-    if len(parts) <= head_no:
-        return None
-    # A blank body makes loadtxt warn "input contained no data", which
-    # falls back like any other warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            rows = np.loadtxt(
-                io.StringIO(parts[head_no]), dtype=_POINT_ROW, comments=None, ndmin=1
-            )
+            rows = np.loadtxt(lines, dtype=_POINT_ROW, comments=None, ndmin=1)
         except (ValueError, Warning):
             return None
     if len(rows) != n:

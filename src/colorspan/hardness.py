@@ -370,9 +370,13 @@ def certify_equivalence(
     source graph; either would be an implementation bug.
     """
     direct = find_k_independent_set(g, k, max_states)
-    # The state count brute_force_mcis predicts for k classes of n copies,
-    # checked before the reduction builds its k * n vertices.
-    check_budget(g.num_vertices**k, max_states)
+    # The state counts brute_force_mcis predicts for k classes of n copies
+    # and brute_force_mcim for the k-subsets of the second reduction's
+    # cross-color edges (C(k, 2) * (n + 2m) copy-to-copy edges plus k * n
+    # anchor edges), checked before either reduction is built.
+    n, m = g.num_vertices, len(g.edges)
+    check_budget(n**k, max_states)
+    check_budget(math.comb(math.comb(k, 2) * (n + 2 * m) + k * n, k), max_states)
     step1 = reduce_is_to_mcis(g, k)
     colorful = brute_force_mcis(step1.graph, max_states)
     step2 = reduce_mcis_to_mcim(step1.graph)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -112,6 +113,11 @@ class TestGen:
         code, out, err = run(capsys, "check", "--sweep", "1", "--seed", "-1")
         assert (code, out) == (EXIT_INVALID, "")
         assert err == "invalid input: seed must be non-negative, got -1\n"
+
+    def test_graph_k_error_names_the_given_k(self, capsys):
+        code, out, err = run(capsys, "gen", "graph", "--n", "4", "--k", "-1")
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == "invalid input: --k must be positive, got -1\n"
 
 
 SMALL_INTS = st.integers(-3, 6).map(str)
@@ -636,6 +642,23 @@ class TestStateCountsPastPrinting:
         assert (code, out) == (EXIT_BUDGET, "")
         assert err == "budget exceeded: more than 10^4771 candidate states exceed the budget of 10000000\n"
 
+    def test_certify_checks_the_matching_count_before_the_reduction(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # One vertex: 1^1000 one-vertex-per-copy states pass the budget, but
+        # the second reduction's C(1000, 2) + 1000 cross-color edges give
+        # C(500500, 1000) edge subsets.
+        def reduce(*_, **__):
+            raise AssertionError("the reduction was built past the budget")
+
+        monkeypatch.setattr(hardness, "reduce_is_to_mcis", reduce)
+        f = tmp_path / "one.graph"
+        f.write_text("1 0 0\n0\n")
+        code, out, err = run(capsys, "certify", str(f), "--k", "1000")
+        assert (code, out) == (EXIT_BUDGET, "")
+        count = math.comb(math.comb(1000, 2) + 1000, 1000)
+        assert err == f"budget exceeded: {count} candidate states exceed the budget of 10000000\n"
+
 
 # The last point's x coordinate starts with a byte that is not UTF-8.
 UNDECODABLE = b"2 2\n0 0 0\n\xff 1 1\n"
@@ -812,6 +835,16 @@ class TestRender:
         code, out, err = run(capsys, "render", FIG1, "--result", str(result))
         assert (code, out) == (EXIT_INVALID, "")
         assert "value must be a finite number" in err
+
+    def test_graph_record_rejected(self, capsys, tmp_path):
+        # A graph record's pairs are vertex ids, not point indexes.
+        result = tmp_path / "r.json"
+        run(capsys, "solve", FIG1, "--objective", "maxmin", "--json", "--out", str(result))
+        payload = json.loads(result.read_text())
+        result.write_text(json.dumps({**payload, "kind": "graph"}))
+        code, out, err = run(capsys, "render", FIG1, "--result", str(result))
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == "invalid input: render needs a points result, got kind 'graph'\n"
 
     def test_empty_matching_rejected(self, capsys, tmp_path):
         result = tmp_path / "r.json"

@@ -5,7 +5,8 @@ file parser and the per-point formatter that the bulk versions replace.
 Both sides must accept the same texts, build the same columns and raise
 the same error with the same line number and message.  ``point_texts``
 mixes every line break ``str.splitlines`` knows; ``newline_texts`` keeps
-to ASCII and "\\n", the texts that reach the loadtxt read.
+to ASCII and "\\n" and adds tokens on which loadtxt and ``float`` or
+``int`` might differ.
 """
 
 import math
@@ -278,13 +279,25 @@ class TestParseMatchesReference:
         assert parse_points(serialize_points(ps)) == ps
 
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
-    def test_crlf_files_take_the_loadtxt_read(self, monkeypatch, distribution):
+    @pytest.mark.parametrize(
+        "brk", ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"], ids=repr
+    )
+    def test_ascii_line_breaks_take_the_loadtxt_read(self, monkeypatch, distribution, brk):
+        # Every ASCII break str.splitlines knows besides "\n".
         def by_line(*_):
-            raise AssertionError("the per-line pass ran on a CRLF file")
+            raise AssertionError(f"the per-line pass ran on a file with {brk!r} breaks")
 
         monkeypatch.setattr(fileio, "_point_columns_by_line", by_line)
         ps = generate_points(2000, 20, 3, distribution=distribution)
-        assert parse_points(serialize_points(ps).replace("\n", "\r\n")) == ps
+        assert parse_points(serialize_points(ps).replace("\n", brk)) == ps
+
+    def test_non_ascii_text_skips_the_loadtxt_read(self):
+        # loadtxt reads "3\u01fe" as the int 492, the one color missing
+        # from the other lines, so only the ASCII guard rejects this file.
+        lines = [f"{i} 0 {i}" for i in range(492)] + ["492 0 3\u01fe"]
+        text = "\n".join(["493 493", *lines]) + "\n"
+        with pytest.raises(ParseError, match=r"^line 494: color must be an integer"):
+            parse_points(text)
 
     def test_a_loadtxt_warning_falls_back(self, monkeypatch):
         # numpy 1.23-1.x parses "3.0" in an int column with a
