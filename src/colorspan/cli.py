@@ -1,8 +1,13 @@
 """Command-line interface.
 
-Subcommands: ``gen`` (instances), ``solve`` (pipelines), ``oracle``
-(exhaustive reference), ``check`` (solver vs oracle), ``reduce`` and
-``certify`` (hardness constructions), ``render`` (SVG).
+Subcommands: ``gen points`` and ``gen graph`` (instances), ``solve``
+(pipelines), ``oracle`` (exhaustive reference), ``check`` (solver vs
+oracle), ``reduce`` and ``certify`` (hardness constructions), ``render``
+(SVG).
+
+Each subcommand, and each ``gen`` kind, takes only its own options: an
+option of another kind, or two options that conflict (such as ``check
+FILE --sweep N``), exits 3 before anything is read or written.
 
 ``check`` on a graph file, or a ``--sweep --kind graph``, takes
 ``--objective minsum`` or ``all`` only.
@@ -58,6 +63,10 @@ EXIT_MISMATCH = 5
 
 DEFAULT_TOLERANCE = 1e-9
 
+# ``check --sweep``'s own options and their defaults.  The parser leaves
+# them None, so a file check can tell that one was given and reject it.
+_SWEEP_DEFAULTS = {"kind": "points", "seed": 0, "k_list": (2, 3), "max_class_size": 5}
+
 _GEOMETRIC_SOLVERS = {
     Objective.MINSUM: solve_minsum,
     Objective.MAXMIN: solve_maxmin,
@@ -77,6 +86,37 @@ class _Parser(argparse.ArgumentParser):
     # so reroute usage problems through the invalid-input path instead.
     def error(self, message):
         raise _UsageError(message)
+
+
+def _at_least(convert, low, rule):
+    """An argparse ``type``: ``convert``, then reject a value below ``low``
+    or not finite (NaN fails the comparison) with "must be <rule>"."""
+
+    def parse(text):
+        value = convert(text)
+        if not low <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
+        return value
+
+    # argparse names the type in its "invalid int value: 'x'" message.
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_positive_int = _at_least(int, 1, "positive")
+_non_negative_int = _at_least(int, 0, "non-negative")
+_tolerance = _at_least(float, 0, "finite and non-negative")
+
+
+def _k_list(spec: str) -> list[int]:
+    """``--k-list``: comma-separated positive ints."""
+    try:
+        values = [int(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"bad k list {spec!r}")
+    return values
 
 
 def _write_file(path: str | Path, text: str) -> None:
@@ -143,38 +183,30 @@ def _oracle(instance: _Instance, objective: Objective, budget: int) -> ResultRec
     return ResultRecord(kind, objective, solution, (time.perf_counter() - start) * 1e3)
 
 
-def _cmd_gen(args) -> int:
-    if args.kind == "points":
-        if args.t is None:
-            raise InvalidInstanceError("gen points requires --t")
-        if args.t > args.n:
-            raise InvalidInstanceError(f"--t {args.t} exceeds --n {args.n}")
-        if args.matching and args.t % 2:
-            raise InvalidInstanceError("--matching instances need an even --t")
-        ps = generate.generate_points(
-            args.n,
-            args.t,
-            args.seed,
-            distribution=args.distribution,
-            max_class_size=args.max_class_size,
-        )
-        text = serialize_points(ps)
-    elif args.uncolored:
+def _cmd_gen_points(args) -> int:
+    if args.t > args.n:
+        raise InvalidInstanceError(f"--t {args.t} exceeds --n {args.n}")
+    if args.matching and args.t % 2:
+        raise InvalidInstanceError("--matching instances need an even --t")
+    ps = generate.generate_points(
+        args.n, args.t, args.seed, args.distribution, max_class_size=args.max_class_size
+    )
+    _write_output(serialize_points(ps), args.out)
+    return EXIT_OK
+
+
+def _cmd_gen_graph(args) -> int:
+    if args.uncolored:
+        if args.unweighted:
+            raise _UsageError("argument --unweighted: not allowed with argument --uncolored")
         g = generate.generate_uncolored_graph(args.n, args.seed, args.edge_prob)
-        text = serialize_graph(g)
+    elif 2 * args.k > args.n:
+        raise InvalidInstanceError(f"2k = {2 * args.k} colors exceed --n {args.n}")
     else:
-        if args.k is None:
-            raise InvalidInstanceError("gen graph requires --k (or --uncolored)")
-        if args.k < 1:
-            raise InvalidInstanceError(f"--k must be positive, got {args.k}")
-        t = 2 * args.k
-        if t > args.n:
-            raise InvalidInstanceError(f"2k = {t} colors exceed --n {args.n}")
         g = generate.generate_colored_graph(
-            args.n, t, args.seed, edge_prob=args.edge_prob, weighted=not args.unweighted
+            args.n, 2 * args.k, args.seed, edge_prob=args.edge_prob, weighted=not args.unweighted
         )
-        text = serialize_graph(g)
-    _write_output(text, args.out)
+    _write_output(serialize_graph(g), args.out)
     return EXIT_OK
 
 
@@ -247,23 +279,16 @@ def _check_instance(instance: _Instance, objectives: tuple[Objective, ...], args
 
 
 def _cmd_check(args) -> int:
-    # NaN fails both comparisons.
-    if not 0 <= args.tolerance < float("inf"):
-        raise InvalidInstanceError(
-            f"tolerance must be finite and non-negative, got {args.tolerance}"
-        )
+    given = [name for name in _SWEEP_DEFAULTS if getattr(args, name) is not None]
     if args.sweep is None:
-        if args.input is None:
-            raise InvalidInstanceError("check needs an input file or --sweep")
+        if given:
+            option = "--" + given[0].replace("_", "-")
+            raise _UsageError(f"argument {option}: only allowed with argument --sweep")
         instance = _read_instance(args.input, "check")
         failures = _check_instance(instance, _check_objectives(args.objective, instance), args)
         return EXIT_OK if failures == 0 else EXIT_MISMATCH
-    if args.sweep < 1:
-        raise InvalidInstanceError(f"sweep count must be positive, got {args.sweep}")
-    if args.seed < 0:
-        raise InvalidInstanceError(f"seed must be non-negative, got {args.seed}")
-    k_values = _parse_k_list(args.k_list)
-    ks = [k_values[i % len(k_values)] for i in range(args.sweep)]
+    vars(args).update((name, d) for name, d in _SWEEP_DEFAULTS.items() if name not in given)
+    ks = [args.k_list[i % len(args.k_list)] for i in range(args.sweep)]
     seeds = range(args.seed * 1_000_003, args.seed * 1_000_003 + args.sweep)
     # Every instance is generated and the objectives resolved before the
     # first line is printed, so a rejected argument leaves no partial report.
@@ -281,16 +306,6 @@ def _cmd_check(args) -> int:
         failures += _check_instance(instance, objectives, args)
     print(f"sweep={args.sweep} failures={failures}")
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
-
-
-def _parse_k_list(spec: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError:
-        raise InvalidInstanceError(f"bad k list {spec!r}") from None
-    if not values or any(k < 1 for k in values):
-        raise InvalidInstanceError(f"bad k list {spec!r}")
-    return values
 
 
 def _cmd_reduce(args) -> int:
@@ -362,10 +377,8 @@ def _cmd_render(args) -> int:
                 f"result value {record.value!r} does not match these points "
                 f"(recomputed {recomputed!r})"
             )
-    elif args.objective is not None:
-        record = _solve(ps, Objective.from_string(args.objective))
     else:
-        raise InvalidInstanceError("render needs --result or --objective")
+        record = _solve(ps, Objective.from_string(args.objective))
     _write_output(_svg(ps, record), args.out)
     return EXIT_OK
 
@@ -375,19 +388,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a random instance file")
-    gen.add_argument("kind", choices=("points", "graph"))
-    gen.add_argument("--n", type=int, required=True, help="number of points/vertices")
-    gen.add_argument("--t", type=int, help="number of colors (points)")
-    gen.add_argument("--k", type=int, help="half the number of colors (graph)")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--distribution", choices=generate.DISTRIBUTIONS, default="uniform")
-    gen.add_argument("--max-class-size", type=int, default=None)
-    gen.add_argument("--matching", action="store_true", help="require an even color count")
-    gen.add_argument("--uncolored", action="store_true", help="graph: emit t = 0")
-    gen.add_argument("--unweighted", action="store_true", help="graph: omit edge weights")
-    gen.add_argument("--edge-prob", type=float, default=0.5)
-    gen.add_argument("--out")
-    gen.set_defaults(func=_cmd_gen)
+    kinds = gen.add_subparsers(dest="kind", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--n", type=int, required=True, help="number of points/vertices")
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--out")
+    points = kinds.add_parser("points", parents=[shared], help="colored points in the plane")
+    points.add_argument("--t", type=int, required=True, help="number of colors")
+    points.add_argument("--distribution", choices=generate.DISTRIBUTIONS, default="uniform")
+    points.add_argument("--max-class-size", type=int)
+    points.add_argument("--matching", action="store_true", help="require an even color count")
+    points.set_defaults(func=_cmd_gen_points)
+    graph = kinds.add_parser("graph", parents=[shared], help="a vertex-colored graph")
+    colors = graph.add_mutually_exclusive_group(required=True)
+    colors.add_argument("--k", type=_positive_int, help="half the number of colors")
+    colors.add_argument("--uncolored", action="store_true", help="emit t = 0")
+    graph.add_argument("--unweighted", action="store_true", help="omit edge weights")
+    graph.add_argument("--edge-prob", type=float, default=0.5)
+    graph.set_defaults(func=_cmd_gen_graph)
 
     solve = sub.add_parser("solve", help="run a matching pipeline on an instance file")
     solve.add_argument("input")
@@ -400,21 +418,22 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="run the exhaustive reference solver")
     oracle.add_argument("input")
     oracle.add_argument("--objective", default="minsum")
-    oracle.add_argument("--budget", type=int, default=DEFAULT_MAX_STATES)
+    oracle.add_argument("--budget", type=_non_negative_int, default=DEFAULT_MAX_STATES)
     oracle.add_argument("--json", action="store_true")
     oracle.add_argument("--out")
     oracle.set_defaults(func=_cmd_oracle)
 
     check = sub.add_parser("check", help="compare solver against oracle")
-    check.add_argument("input", nargs="?")
+    source = check.add_mutually_exclusive_group(required=True)
+    source.add_argument("input", nargs="?")
+    source.add_argument("--sweep", type=_positive_int, help="check this many generated instances")
     check.add_argument("--objective", default="all")
-    check.add_argument("--budget", type=int, default=DEFAULT_MAX_STATES)
-    check.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    check.add_argument("--sweep", type=int, help="check this many generated instances")
-    check.add_argument("--kind", choices=("points", "graph"), default="points")
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--k-list", default="2,3")
-    check.add_argument("--max-class-size", type=int, default=5)
+    check.add_argument("--budget", type=_non_negative_int, default=DEFAULT_MAX_STATES)
+    check.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
+    check.add_argument("--kind", choices=("points", "graph"), help="sweep only")
+    check.add_argument("--seed", type=_non_negative_int, help="sweep only")
+    check.add_argument("--k-list", type=_k_list, help="sweep only")
+    check.add_argument("--max-class-size", type=int, help="sweep only")
     check.add_argument(
         "--debug-perturb",
         type=float,
@@ -433,13 +452,14 @@ def build_parser() -> argparse.ArgumentParser:
     certify = sub.add_parser("certify", help="certify the reduction chain on one instance")
     certify.add_argument("input")
     certify.add_argument("--k", type=int, required=True)
-    certify.add_argument("--budget", type=int, default=DEFAULT_MAX_STATES)
+    certify.add_argument("--budget", type=_non_negative_int, default=DEFAULT_MAX_STATES)
     certify.set_defaults(func=_cmd_certify)
 
     render = sub.add_parser("render", help="render a solved matching as SVG")
     render.add_argument("input")
-    render.add_argument("--result", help="JSON result file from solve --json")
-    render.add_argument("--objective", help="solve now instead of reading a result")
+    record = render.add_mutually_exclusive_group(required=True)
+    record.add_argument("--result", help="JSON result file from solve --json")
+    record.add_argument("--objective", help="solve now instead of reading a result")
     render.add_argument("--out")
     render.set_defaults(func=_cmd_render)
 
@@ -460,9 +480,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        # Checked before any command runs, so no partial report is printed.
-        if getattr(args, "budget", 0) < 0:
-            raise InvalidInstanceError(f"budget must be non-negative, got {args.budget}")
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

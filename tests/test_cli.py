@@ -35,6 +35,9 @@ OVERFLOW_POINTS = "2 2\n1e308 0 0\n-1e308 0 1\n"
 # farthest distance exceeds the float range, no closest one does.
 SPLIT_POINTS = "8 4\n" + "".join(f"{x} {c} {c}\n" for c in range(4) for x in ("-1e308", "1e308"))
 OVERFLOW_ERROR = "invalid input: the distance between colors 0 and 1 exceeds the float range\n"
+# The stderr prefixes of a rejected instance and of a rejected command line.
+INVALID = "invalid input: "
+USAGE = "error: "
 
 
 def run(capsys, *argv):
@@ -84,59 +87,157 @@ class TestGen:
         assert code == EXIT_OK
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["gen", "points", "--n", "4", "--t", "0"],
-            ["gen", "graph", "--n", "4", "--k", "0"],
-            ["gen", "graph", "--n", "4", "--k", "-1"],
-            ["check", "--sweep", "1", "--max-class-size", "0"],
-            ["check", "--sweep", "1", "--max-class-size", "-2"],
-            ["gen", "points", "--n", "4", "--t", "2", "--seed", "-1"],
-            ["gen", "graph", "--n", "4", "--k", "1", "--seed", "-1"],
-            ["check", "--sweep", "1", "--seed", "-1"],
-            ["check", "--sweep", "1", "--kind", "graph", "--seed", "-1"],
-            ["check", "--sweep", "0"],
-            ["check", "--sweep", "-3"],
-            # k=8 needs 16 vertices; the graph generator caps at 14.
-            ["check", "--sweep", "2", "--kind", "graph", "--k-list", "2,8"],
+            pytest.param(argv, message, id=" ".join(argv))
+            for argv, message in (
+                (["gen", "points", "--n", "4", "--t", "0"], INVALID + "color count must be positive, got 0"),
+                (["gen", "graph", "--n", "4", "--k", "0"], USAGE + "argument --k: must be positive, got 0"),
+                (["gen", "graph", "--n", "4", "--k", "-1"], USAGE + "argument --k: must be positive, got -1"),
+                (
+                    ["check", "--sweep", "1", "--max-class-size", "0"],
+                    INVALID + "max class size must be positive, got 0",
+                ),
+                (
+                    ["check", "--sweep", "1", "--max-class-size", "-2"],
+                    INVALID + "max class size must be positive, got -2",
+                ),
+                (
+                    ["gen", "points", "--n", "4", "--t", "2", "--seed", "-1"],
+                    INVALID + "seed must be non-negative, got -1",
+                ),
+                (
+                    ["gen", "graph", "--n", "4", "--k", "1", "--seed", "-1"],
+                    INVALID + "seed must be non-negative, got -1",
+                ),
+                (
+                    ["check", "--sweep", "1", "--seed", "-1"],
+                    USAGE + "argument --seed: must be non-negative, got -1",
+                ),
+                (
+                    ["check", "--sweep", "1", "--kind", "graph", "--seed", "-1"],
+                    USAGE + "argument --seed: must be non-negative, got -1",
+                ),
+                (["check", "--sweep", "0"], USAGE + "argument --sweep: must be positive, got 0"),
+                (["check", "--sweep", "-3"], USAGE + "argument --sweep: must be positive, got -3"),
+                # k=8 needs 16 vertices; the graph generator caps at 14.
+                (
+                    ["check", "--sweep", "2", "--kind", "graph", "--k-list", "2,8"],
+                    INVALID + "need at least 16 vertices, got cap 14",
+                ),
+            )
         ],
-        ids=" ".join,
     )
-    def test_out_of_range_arguments_are_invalid_input(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
-        assert code == EXIT_INVALID
-        assert out == ""
-        assert err.startswith("invalid input:")
-        assert "Traceback" not in err
+    def test_out_of_range_arguments_are_invalid_input(self, capsys, argv, message):
+        assert run(capsys, *argv) == (EXIT_INVALID, "", message + "\n")
 
     def test_sweep_seed_error_names_the_given_seed(self, capsys):
         code, out, err = run(capsys, "check", "--sweep", "1", "--seed", "-1")
         assert (code, out) == (EXIT_INVALID, "")
-        assert err == "invalid input: seed must be non-negative, got -1\n"
+        assert err == "error: argument --seed: must be non-negative, got -1\n"
 
     def test_graph_k_error_names_the_given_k(self, capsys):
         code, out, err = run(capsys, "gen", "graph", "--n", "4", "--k", "-1")
         assert (code, out) == (EXIT_INVALID, "")
-        assert err == "invalid input: --k must be positive, got -1\n"
+        assert err == "error: argument --k: must be positive, got -1\n"
 
 
 SMALL_INTS = st.integers(-3, 6).map(str)
+# Numbers as typed on a command line, some of which every range rule refuses.
+FLOAT_TEXTS = st.floats(-1.5, 1.5).map(repr) | st.sampled_from(["nan", "inf", "-inf", "x"])
+K_LISTS = st.lists(st.integers(-1, 3).map(str) | st.just("x"), max_size=3).map(",".join)
+# Option tables: each option with the values drawn for it, None for a flag.
+GEN_OPTIONS = {
+    "points": {
+        "--t": SMALL_INTS,
+        "--max-class-size": SMALL_INTS,
+        "--distribution": st.sampled_from(["uniform", "clusters"]),
+        "--matching": None,
+    },
+    "graph": {
+        "--k": SMALL_INTS,
+        "--edge-prob": FLOAT_TEXTS,
+        "--uncolored": None,
+        "--unweighted": None,
+    },
+}
+CHECK_NUMBERS = {
+    "--budget": st.integers(-2, 400).map(str),
+    "--tolerance": FLOAT_TEXTS,
+    "--debug-perturb": FLOAT_TEXTS,
+}
+SWEEP_ONLY = {
+    "--kind": st.sampled_from(["points", "graph"]),
+    "--seed": SMALL_INTS,
+    "--k-list": K_LISTS,
+    "--max-class-size": SMALL_INTS,
+}
+
+
+def some_options(draw, options, rarely=False):
+    """Each of ``options`` or not, with a drawn value; ``rarely`` draws
+    none at all three times in four."""
+    if rarely and draw(st.integers(0, 3)):
+        return []
+    argv = []
+    for option, values in options.items():
+        if draw(st.booleans()):
+            argv += [option] if values is None else [option, draw(values)]
+    return argv
 
 
 @st.composite
 def generator_argvs(draw):
     """``gen`` and ``check --sweep`` argument lists with small, possibly
-    out-of-range numbers."""
-    kind = draw(st.sampled_from(["points", "graph"]))
+    out-of-range numbers; a ``gen`` list may carry the other kind's options."""
+    kind, other = draw(st.permutations(["points", "graph"]))
     if draw(st.booleans()):
         argv = ["gen", kind, "--n", draw(SMALL_INTS), "--seed", draw(SMALL_INTS)]
         if kind == "points":
-            return argv + ["--t", draw(SMALL_INTS), "--max-class-size", draw(SMALL_INTS)]
-        return argv + ["--k", draw(SMALL_INTS), "--edge-prob", repr(draw(st.floats(-0.5, 1.5)))]
+            argv += ["--t", draw(SMALL_INTS), "--max-class-size", draw(SMALL_INTS)]
+            argv += some_options(draw, {"--matching": None})
+        else:
+            argv += ["--k", draw(SMALL_INTS)] if draw(st.booleans()) else ["--uncolored"]
+            argv += ["--edge-prob", repr(draw(st.floats(-0.5, 1.5)))]
+            argv += some_options(draw, {"--unweighted": None})
+        return argv + some_options(draw, GEN_OPTIONS[other], rarely=True)
     return [
         "check", "--sweep", draw(SMALL_INTS), "--kind", kind,
         "--seed", draw(SMALL_INTS), "--max-class-size", draw(SMALL_INTS),
+        *some_options(draw, {"--k-list": K_LISTS, **CHECK_NUMBERS}, rarely=True),
     ]
+
+
+@st.composite
+def file_argvs(draw):
+    """``oracle``, ``check``, ``reduce`` and ``certify`` argument lists on
+    the instance files, named ``{points}``, ``{colored}`` and
+    ``{uncolored}``, with small, possibly out-of-range numbers; a file
+    ``check`` may carry options that only a sweep takes."""
+    command = draw(st.sampled_from(["oracle", "check", "reduce", "certify"]))
+    if command == "reduce":
+        source, step = draw(st.sampled_from([("{uncolored}", "is2mcis"), ("{colored}", "mcis2mcim")]))
+        k = some_options(draw, {"--k": SMALL_INTS})
+        return ["reduce", source, "--step", step, *k, "--out", "{out}"]
+    budget = some_options(draw, {"--budget": CHECK_NUMBERS["--budget"]})
+    if command == "certify":
+        return ["certify", "{uncolored}", "--k", draw(SMALL_INTS), *budget]
+    instance = draw(st.sampled_from(["{points}", "{colored}"]))
+    if command == "oracle":
+        return ["oracle", instance, *budget]
+    return [
+        "check", instance,
+        *some_options(draw, CHECK_NUMBERS),
+        *some_options(draw, {"--sweep": SMALL_INTS, **SWEEP_ONLY}, rarely=True),
+    ]
+
+
+def assert_documented(code, out, err):
+    """A documented exit code, no traceback, and no output from a call
+    rejected as invalid."""
+    assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_BUDGET, EXIT_MISMATCH)
+    assert "Traceback" not in err
+    assert code != EXIT_INVALID or out == ""
 
 
 @pytest.fixture(scope="module")
@@ -158,9 +259,17 @@ class TestCliFuzz:
     )
     @given(generator_argvs())
     def test_exit_code_is_documented(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
-        assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_BUDGET, EXIT_MISMATCH)
-        assert "Traceback" not in err
+        assert_documented(*run(capsys, *argv))
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(file_argvs())
+    def test_file_command_exit_code_is_documented(self, capsys, instance_files, argv):
+        out = instance_files["dir"] / "out.graph"
+        assert_documented(*run(capsys, *(a.format(out=out, **instance_files) for a in argv)))
 
     @settings(
         max_examples=150,
@@ -179,9 +288,7 @@ class TestCliFuzz:
         argv = [command, instance_files[kind], "--objective", objective]
         if out is not None and command != "check":
             argv += ["--out", str(instance_files["dir"] / out)]
-        code, _, err = run(capsys, *argv)
-        assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_BUDGET, EXIT_MISMATCH)
-        assert "Traceback" not in err
+        assert_documented(*run(capsys, *argv))
 
 
 class TestSolve:
@@ -532,7 +639,7 @@ class TestCheck:
         assert run(capsys, "check", *source, "--tolerance", tolerance) == (
             EXIT_INVALID,
             "",
-            f"invalid input: tolerance must be finite and non-negative, got {shown}\n",
+            f"error: argument --tolerance: must be finite and non-negative, got {shown}\n",
         )
 
     def test_zero_tolerance_accepts_equal_values(self, capsys):
@@ -709,7 +816,7 @@ class TestBudgetArgument:
         assert run(capsys, *argv, "--budget", budget) == (
             EXIT_INVALID,
             "",
-            f"invalid input: budget must be non-negative, got {budget}\n",
+            f"error: argument --budget: must be non-negative, got {budget}\n",
         )
 
     def test_zero_budget_is_exhausted(self, capsys):
