@@ -1,0 +1,181 @@
+"""Scale harness: times the library's stages far beyond desk scale.
+
+    python3 benchmarks/scale.py
+
+Every row times calls in this process on instances generated from fixed
+seeds, with generation and any input the calls need built outside the
+timed region.  A row runs ``REPEATS`` times (``DESK_REPEATS`` for the
+millisecond-scale ``check`` rows) and records its best run, which is the
+least disturbed by other load on the host, and the spread of all its runs
+(median and worst).  The rows:
+
+- n = 100k points, t = 100 colors, uniform and clustered: the closest and
+  farthest color graph builders, min-weight matching on the closest K100,
+  the three solves, and parsing and serializing the point file;
+- n = 1M points, t = 100, both distributions: both builders;
+- many colors, uniform: the closest builder at n = 3000, t = 300 and
+  n = 5000, t = 500;
+- min-weight and bottleneck matching on the complete graph K_t with random
+  weights, t in 20, 60, 100, 200 and 300;
+- desk scale: ``colorspan check FILE`` through ``cli.main`` on generated
+  matching instances at k = 2, 3 and 4 (the certify sweep's class caps),
+  one run checking every file of its k once.
+
+The program is imported from ``src/`` of this checkout.  The results, with
+``nproc`` and the Python, numpy and scipy versions, go to
+``BENCH_scale.json`` at the checkout's root; progress goes to stdout.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy  # noqa: E402
+import scipy  # noqa: E402
+
+from colorspan import (  # noqa: E402
+    bottleneck_perfect_matching,
+    build_closest_color_graph,
+    build_farthest_color_graph,
+    cli,
+    min_weight_perfect_matching,
+    solve_maxmin,
+    solve_minmax,
+    solve_minsum,
+)
+from colorspan.fileio import parse_points, serialize_points  # noqa: E402
+from colorspan.generate import (  # noqa: E402
+    generate_complete_weighted_graph,
+    generate_matching_instance,
+    generate_points,
+)
+
+REPEATS = 3
+DESK_REPEATS = 25
+SEED = 7
+DISTRIBUTIONS = ("uniform", "clusters")
+K_SIZES = (20, 60, 100, 200, 300)
+# (k, class cap) of the desk-scale check rows, and the files per k.
+DESK_CAPS = ((2, 5), (3, 5), (4, 3))
+DESK_FILES = 8
+
+
+def timed(name: str, call, repeats: int = REPEATS) -> dict:
+    """``call()`` run ``repeats`` times; its best, median and worst wall time."""
+    runs = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        runs.append(time.perf_counter() - start)
+    row = {
+        "name": name,
+        "runs": repeats,
+        "best_s": min(runs),
+        "median_s": statistics.median(runs),
+        "worst_s": max(runs),
+    }
+    print(
+        f"{name:50s} best {row['best_s']:9.4f} s  median {row['median_s']:9.4f} s  "
+        f"worst {row['worst_s']:9.4f} s",
+        flush=True,
+    )
+    return row
+
+
+def points_rows() -> list[dict]:
+    rows = []
+    for distribution in DISTRIBUTIONS:
+        ps = generate_points(100_000, 100, SEED, distribution)
+        text = serialize_points(ps)
+        closest = build_closest_color_graph(ps).graph
+        at = f"n=100k t=100 {distribution}"
+        rows += [
+            timed(f"{at}: closest color graph", lambda: build_closest_color_graph(ps)),
+            timed(f"{at}: farthest color graph", lambda: build_farthest_color_graph(ps)),
+            timed(
+                f"{at}: min-weight on closest K100", lambda: min_weight_perfect_matching(closest)
+            ),
+            timed(f"{at}: solve_minsum", lambda: solve_minsum(ps)),
+            timed(f"{at}: solve_minmax", lambda: solve_minmax(ps)),
+            timed(f"{at}: solve_maxmin", lambda: solve_maxmin(ps)),
+            timed(f"{at}: parse_points", lambda: parse_points(text)),
+            timed(f"{at}: serialize_points", lambda: serialize_points(ps)),
+        ]
+    for distribution in DISTRIBUTIONS:
+        ps = generate_points(1_000_000, 100, SEED, distribution)
+        at = f"n=1M t=100 {distribution}"
+        rows += [
+            timed(f"{at}: closest color graph", lambda: build_closest_color_graph(ps)),
+            timed(f"{at}: farthest color graph", lambda: build_farthest_color_graph(ps)),
+        ]
+    for n, t in ((3000, 300), (5000, 500)):
+        ps = generate_points(n, t, SEED)
+        at = f"n={n} t={t} uniform"
+        rows.append(timed(f"{at}: closest color graph", lambda: build_closest_color_graph(ps)))
+    return rows
+
+
+def complete_graph_rows() -> list[dict]:
+    rows = []
+    for t in K_SIZES:
+        g = generate_complete_weighted_graph(t, SEED)
+        rows += [
+            timed(f"K{t}: min-weight perfect matching", lambda: min_weight_perfect_matching(g)),
+            timed(f"K{t}: bottleneck perfect matching", lambda: bottleneck_perfect_matching(g)),
+        ]
+    return rows
+
+
+def desk_rows() -> list[dict]:
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, cap in DESK_CAPS:
+            paths = []
+            for i in range(DESK_FILES):
+                path = Path(tmp) / f"k{k}-{i}.points"
+                path.write_text(serialize_points(generate_matching_instance(k, SEED + i, cap)))
+                paths.append(str(path))
+
+            def check_all():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    for path in paths:
+                        if cli.main(["check", path]) != cli.EXIT_OK:
+                            raise RuntimeError(f"check {path} failed")
+
+            check_all()  # warm-up: imports, the parser and the pairing tables
+            rows.append(
+                timed(f"check, {DESK_FILES} files at k={k} cap={cap}", check_all, DESK_REPEATS)
+            )
+    return rows
+
+
+def main() -> int:
+    rows = desk_rows() + complete_graph_rows() + points_rows()
+    result = {
+        "host": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+        },
+        "seed": SEED,
+        "rows": rows,
+    }
+    (ROOT / "BENCH_scale.json").write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

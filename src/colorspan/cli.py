@@ -172,15 +172,21 @@ def _solve(instance: _Instance, objective: Objective) -> ResultRecord:
     return ResultRecord(kind, objective, solution, (time.perf_counter() - start) * 1e3)
 
 
-def _oracle(instance: _Instance, objective: Objective, budget: int) -> ResultRecord:
+def _oracle(
+    instance: _Instance, objectives: tuple[Objective, ...], budget: int
+) -> list[ResultRecord]:
+    """One record per objective, all from one oracle call, whose time each
+    record carries."""
     start = time.perf_counter()
     if isinstance(instance, VertexColoredGraph):
-        _require_minsum(objective)
-        solution = brute_force_colorful_graph_matching(instance, budget)
+        for objective in objectives:
+            _require_minsum(objective)
+        solutions = [brute_force_colorful_graph_matching(instance, budget)] * len(objectives)
     else:
-        solution = brute_force_geometric(instance, objective, budget)
+        solutions = brute_force_geometric(instance, objectives, budget)
     kind = "graph" if isinstance(instance, VertexColoredGraph) else "points"
-    return ResultRecord(kind, objective, solution, (time.perf_counter() - start) * 1e3)
+    time_ms = (time.perf_counter() - start) * 1e3
+    return [ResultRecord(kind, o, m, time_ms) for o, m in zip(objectives, solutions)]
 
 
 def _cmd_gen_points(args) -> int:
@@ -230,7 +236,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     instance = _read_instance(args.input, "the graph oracle")
-    record = _oracle(instance, Objective.from_string(args.objective), args.budget)
+    (record,) = _oracle(instance, (Objective.from_string(args.objective),), args.budget)
     _write_output(record.to_json() if args.json else record.to_text(), args.out)
     return EXIT_OK if record.status == "solved" else EXIT_INFEASIBLE
 
@@ -258,24 +264,29 @@ def _check_objectives(name: str, instance: _Instance) -> tuple[Objective, ...]:
     return (objective,)
 
 
-def _check_instance(instance: _Instance, objectives: tuple[Objective, ...], args) -> int:
-    """Print one solver-vs-oracle line per objective; return the mismatch count."""
-    failures = 0
-    for objective in objectives:
-        solved = _solve(instance, objective).value
-        expected = _oracle(instance, objective, args.budget).value
-        if solved is None or expected is None:
-            ok = solved is expected
+def _check_instance(
+    instance: _Instance, objectives: tuple[Objective, ...], args
+) -> tuple[list[str], int]:
+    """One solver-vs-oracle line per objective, and the mismatch count.
+
+    Every solver runs, then the one oracle call, before any line is made.
+    """
+    solved = [_solve(instance, objective).value for objective in objectives]
+    lines, failures = [], 0
+    for value, record in zip(solved, _oracle(instance, objectives, args.budget)):
+        expected = record.value
+        if value is None or expected is None:
+            ok = value is expected
         else:
-            solved += args.debug_perturb
-            ok = _agrees(solved, expected, args.tolerance)
-        shown = ["infeasible" if v is None else repr(v) for v in (solved, expected)]
-        print(
-            f"objective={objective.value} solver={shown[0]} oracle={shown[1]} "
+            value += args.debug_perturb
+            ok = _agrees(value, expected, args.tolerance)
+        shown = ["infeasible" if v is None else repr(v) for v in (value, expected)]
+        lines.append(
+            f"objective={record.objective.value} solver={shown[0]} oracle={shown[1]} "
             f"status={'ok' if ok else 'MISMATCH'}"
         )
         failures += not ok
-    return failures
+    return lines, failures
 
 
 def _cmd_check(args) -> int:
@@ -285,13 +296,15 @@ def _cmd_check(args) -> int:
             option = "--" + given[0].replace("_", "-")
             raise _UsageError(f"argument {option}: only allowed with argument --sweep")
         instance = _read_instance(args.input, "check")
-        failures = _check_instance(instance, _check_objectives(args.objective, instance), args)
+        objectives = _check_objectives(args.objective, instance)
+        report, failures = _check_instance(instance, objectives, args)
+        print(*report, sep="\n")
         return EXIT_OK if failures == 0 else EXIT_MISMATCH
     vars(args).update((name, d) for name, d in _SWEEP_DEFAULTS.items() if name not in given)
     ks = [args.k_list[i % len(args.k_list)] for i in range(args.sweep)]
     seeds = range(args.seed * 1_000_003, args.seed * 1_000_003 + args.sweep)
-    # Every instance is generated and the objectives resolved before the
-    # first line is printed, so a rejected argument leaves no partial report.
+    # The report is printed only once every instance is checked, so an
+    # error on any instance leaves no partial report.
     if args.kind == "points":
         make = functools.partial(
             generate.generate_matching_instance, max_class_size=args.max_class_size
@@ -300,11 +313,12 @@ def _cmd_check(args) -> int:
         make = generate.generate_colorful_matching_instance
     instances = [make(k, seed) for k, seed in zip(ks, seeds)]
     objectives = _check_objectives(args.objective, instances[0])
-    failures = 0
+    report, failures = [], 0
     for i, (k, instance) in enumerate(zip(ks, instances)):
-        print(f"instance={i} k={k}")
-        failures += _check_instance(instance, objectives, args)
-    print(f"sweep={args.sweep} failures={failures}")
+        lines, mismatches = _check_instance(instance, objectives, args)
+        report += [f"instance={i} k={k}", *lines]
+        failures += mismatches
+    print(*report, f"sweep={args.sweep} failures={failures}", sep="\n")
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 

@@ -13,8 +13,11 @@ enumeration is evaluated in numpy for speed, but the candidate space is
 exactly the stated one: the representative choices ("combos", in
 mixed-radix order over the classes) are taken in chunks of ``_CHUNK``,
 each chunk gathers one distance row per color pair, and the pairings are
-scored against the chunk in blocks of at most ``_BLOCK`` values, each
-block one fold over its pairs' rows.
+scored against the chunk in blocks, each block one fold over its pairs'
+rows per objective.  One geometric enumeration scores every objective it
+is given: a block's pairing columns are gathered once and folded into
+one accumulator per objective, and the accumulators share the block
+budget of ``_BLOCK`` values among them.
 
 Enumerations refuse to start when the predicted state count exceeds the
 ``max_states`` budget, raising :class:`~colorspan.errors.BudgetExceededError`
@@ -26,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -45,7 +49,8 @@ from .solvers import (
 )
 
 # Representative choices scored per chunk, and the most values one block
-# of pairings is scored into at once (a block holds at least one pairing).
+# of pairings is scored into at once, over all objectives' accumulators (a
+# block holds at least one pairing).
 _CHUNK = 1 << 16
 _BLOCK = 1 << 15
 
@@ -78,22 +83,25 @@ def _pairing_slots(t: int) -> np.ndarray:
 
 def brute_force_geometric(
     point_set: ColoredPointSet,
-    objective: Objective,
+    objectives: Sequence[Objective],
     max_states: int = DEFAULT_MAX_STATES,
-) -> Matching:
-    """Exact optimum over every color-spanning matching of the point set.
+) -> tuple[Matching, ...]:
+    """Exact optimum of each objective over every color-spanning matching.
 
     Enumerates every choice of one representative per color and, for each
-    choice, every perfect pairing of the representatives.  Per chunk of
-    choices, a block of pairings is scored by folding their pairs' distance
-    rows left to right (``np.add`` for the sums, ``np.maximum`` or
-    ``np.minimum`` for the bottleneck objectives) into one block-by-chunk
-    array, so every sum adds its distances in pairing order.  On ties the
-    first optimum in (chunk, pairing, choice) order wins: a block's
-    flattened argmin or argmax is its first optimum in (pairing, choice)
-    order, and a later block or chunk replaces the best only when strictly
-    better.  Like the solvers, it rejects an instance in which some color
-    pair's closest distance (farthest, when maximizing) is infinite.
+    choice, every perfect pairing of the representatives, once for all of
+    ``objectives``; the result holds one matching per objective, in order.
+    Per chunk of choices, a block of pairings is scored by gathering their
+    pairs' distance rows one pairing column at a time and folding each
+    column, left to right, into one block-by-chunk accumulator per
+    objective (``np.add`` for the sums, ``np.maximum`` or ``np.minimum``
+    for the bottleneck objectives), so every sum adds its distances in
+    pairing order.  On ties the first optimum in (chunk, pairing, choice)
+    order wins: a block's flattened argmin or argmax is its first optimum
+    in (pairing, choice) order, and a later block or chunk replaces the
+    best only when strictly better.  Like the solvers, it rejects an
+    instance in which some color pair's closest distance (farthest, for an
+    objective that maximizes) is infinite.
     """
     _require_matching_instance(point_set)
     t = point_set.num_colors
@@ -114,17 +122,19 @@ def brute_force_geometric(
             )
             for a, b in color_pairs
         ]
-    maximize = objective in (Objective.MAXSUM, Objective.MAXMIN)
-    extreme = np.ndarray.max if maximize else np.ndarray.min
-    _require_finite_distances(zip(color_pairs, map(extreme, dmat)))
+    maximize = [o in (Objective.MAXSUM, Objective.MAXMIN) for o in objectives]
+    for m in maximize:
+        extreme = np.ndarray.max if m else np.ndarray.min
+        _require_finite_distances(zip(color_pairs, map(extreme, dmat)))
+    folds = [
+        np.add if o in (Objective.MINSUM, Objective.MAXSUM)
+        else np.maximum if o is Objective.MINMAX else np.minimum
+        for o in objectives
+    ]
     # pairing_rows[p, j]: the color pair index of pairing p's j-th pair.
     pairing_rows = _pairing_slots(t)
-    if objective in (Objective.MINSUM, Objective.MAXSUM):
-        fold = np.add
-    else:
-        fold = np.maximum if objective is Objective.MINMAX else np.minimum
-    # (value, pairing index, combo index) of the first optimum met.
-    best: tuple[float, int, int] | None = None
+    # Per objective, (value, pairing index, combo index) of the first optimum met.
+    best: list[tuple[float, int, int] | None] = [None] * len(objectives)
     for lo in range(0, combos, _CHUNK):
         hi = min(lo + _CHUNK, combos)
         pos = np.unravel_index(np.arange(lo, hi), sizes)
@@ -132,28 +142,34 @@ def brute_force_geometric(
         table = np.empty((len(color_pairs), hi - lo))
         for row, d, (a, b) in zip(table, dmat, color_pairs):
             row[:] = d[pos[a], pos[b]]
-        per_block = max(1, _BLOCK // (hi - lo))
+        # The objectives' accumulators share the _BLOCK values of a block.
+        per_block = max(1, _BLOCK // (max(1, len(objectives)) * (hi - lo)))
         for first in range(0, len(pairing_rows), per_block):
             block = pairing_rows[first : first + per_block]
-            vals = table[block[:, 0]]
+            column = table[block[:, 0]]
+            accs = [column] + [column.copy() for _ in folds[1:]]
             # A sum past the float range is inf; the result's check rejects it.
             with np.errstate(over="ignore"):
                 for j in range(1, block.shape[1]):
-                    fold(vals, table[block[:, j]], out=vals)
-            at = int(vals.argmax() if maximize else vals.argmin())
-            v = float(vals.flat[at])
-            if best is None or (v > best[0] if maximize else v < best[0]):
-                p, c = divmod(at, hi - lo)
-                best = (v, first + p, lo + c)
+                    column = table[block[:, j]]
+                    for fold, acc in zip(folds, accs):
+                        fold(acc, column, out=acc)
+            for i, (vals, m) in enumerate(zip(accs, maximize)):
+                at = int(vals.argmax() if m else vals.argmin())
+                v = float(vals.flat[at])
+                if best[i] is None or (v > best[i][0] if m else v < best[i][0]):
+                    p, c = divmod(at, hi - lo)
+                    best[i] = (v, first + p, lo + c)
 
-    assert best is not None
-    _, p, flat = best
-    pos = np.unravel_index(flat, sizes)
-    pairs = [
-        (int(classes[a][pos[a]]), int(classes[b][pos[b]]))
-        for a, b in map(color_pairs.__getitem__, pairing_rows[p])
-    ]
-    return color_spanning_matching(point_set, pairs)
+    def witness(p: int, flat: int) -> Matching:
+        pos = np.unravel_index(flat, sizes)
+        pairs = [
+            (int(classes[a][pos[a]]), int(classes[b][pos[b]]))
+            for a, b in map(color_pairs.__getitem__, pairing_rows[p])
+        ]
+        return color_spanning_matching(point_set, pairs)
+
+    return tuple(witness(p, flat) for _, p, flat in best)
 
 
 def brute_force_graph_matching(

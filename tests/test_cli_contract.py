@@ -194,6 +194,22 @@ TABLE = [
         for command in ("solve", "oracle")
         for objective in ("minsum", "minmax")
     ],
+    # check writes no partial report: every solver runs before the one
+    # oracle call, and a sweep prints once every instance is checked, so
+    # a solver's error also wins over the oracle's budget.
+    *[
+        Row(argv, EXIT_INVALID, "", stderr=OVERFLOW_ERROR, files={"split.points": SPLIT_POINTS})
+        for argv in ("check split.points", "check split.points --budget 0")
+    ],
+    *[
+        Row(
+            "check --sweep 2 --k-list 2,7" + kind,
+            EXIT_BUDGET,
+            "",
+            stderr=f"budget exceeded: {states} candidate states exceed the budget of 10000000\n",
+        )
+        for kind, states in (("", 364864500000), (" --kind graph", 18643560))
+    ],
     Row(
         "solve bad.points",
         EXIT_INVALID,

@@ -176,7 +176,8 @@ class TestColorGraphs:
         for g in (build_farthest_color_graph(tiny), outer_farthest_graph(tiny)):
             assert g.witnesses == expected
         solved = solve_maxmin(tiny).value(Objective.MAXMIN)
-        assert solved == brute_force_geometric(tiny, Objective.MAXMIN).value(Objective.MAXMIN)
+        (oracle,) = brute_force_geometric(tiny, (Objective.MAXMIN,))
+        assert solved == oracle.value(Objective.MAXMIN)
 
     def test_dedup_keeps_lowest_index_and_equates_zero_signs(self):
         # 34 points on 17 coordinates, each first as (-0.0, y), then as

@@ -1,18 +1,22 @@
 """The geometric oracle's block evaluation against a per-pairing reference.
 
 ``brute_force_geometric`` scores a block of pairings per chunk of
-representative choices in one fold.  The reference below scores one
-pairing at a time, re-gathering its pairs' distances and reducing them
-with ``sum``/``max``/``min`` over the stacked rows, and keeps the first
-optimum in (chunk, pairing, choice) order.  Both must return the same
-matching, not just the same value, so the inputs are heavy on exact ties:
-integer and decimal lattices with coincident points (also with blocks
-shrunk so one chunk's pairings span several blocks), generated instances
-at k = 2, 3 and 4, and a lattice instance with more than one chunk of
-choices, so the tie-break is exercised across chunk boundaries.
+representative choices in one fold per objective, for every objective it
+is given in one enumeration.  The reference below scores one objective
+and one pairing at a time, re-gathering its pairs' distances and reducing
+them with ``sum``/``max``/``min`` over the stacked rows, and keeps the
+first optimum in (chunk, pairing, choice) order.  Each objective alone,
+all four in one call and a shuffled subset must return the same matching
+as the reference, not just the same value, so the inputs are heavy on
+exact ties: integer and decimal lattices with coincident points (also
+with blocks shrunk so one chunk's pairings span several blocks),
+generated instances at k = 2, 3 and 4, and a lattice instance with more
+than one chunk of choices, so the tie-break is exercised across chunk
+boundaries.
 """
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -82,11 +86,12 @@ def lattice_instance(k, class_sizes, step, width, seed):
 
 
 def assert_same_as_reference(ps):
-    for objective in Objective:
-        got = brute_force_geometric(ps, objective)
-        want = per_pairing_geometric(ps, objective)
+    want = {objective: per_pairing_geometric(ps, objective) for objective in Objective}
+    subset = random.Random(len(ps.xs)).sample(list(Objective), 3)
+    for objectives in [*((o,) for o in Objective), tuple(Objective), tuple(subset)]:
+        got = brute_force_geometric(ps, objectives)
         # Dataclass equality: the edges and all three statistics.
-        assert got == want, objective
+        assert got == tuple(map(want.get, objectives)), objectives
 
 
 @pytest.mark.parametrize("block", [1, 50, _BLOCK], ids=["block1", "block50", "default"])
@@ -132,11 +137,11 @@ def full_instance(k, class_size, seed):
 def test_peak_memory_is_bounded(k, class_size):
     # Every class at the cap: 3^8 = 6561 and 5^6 = 15625 choices.
     ps = full_instance(k, class_size, 11)
-    for objective in Objective:
+    for objectives in [*((o,) for o in Objective), tuple(Objective)]:
         tracemalloc.start()
         try:
-            brute_force_geometric(ps, objective)
+            brute_force_geometric(ps, objectives)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 << 20, (objective, peak)
+        assert peak < 4 << 20, (objectives, peak)

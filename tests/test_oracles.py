@@ -84,26 +84,24 @@ class TestPairings:
 
 class TestGeometricOracle:
     def test_two_squares_maxsum(self):
-        got = brute_force_geometric(two_squares_point_set(EPS), Objective.MAXSUM)
+        (got,) = brute_force_geometric(two_squares_point_set(EPS), (Objective.MAXSUM,))
         assert got.total_weight == pytest.approx(1 + math.sqrt(5), abs=1e-9)
         assert got.edges == ((0, 1), (3, 4))
 
     def test_stacked_rows_minsum_is_three(self):
-        got = brute_force_geometric(stacked_rows_point_set(EPS), Objective.MINSUM)
+        (got,) = brute_force_geometric(stacked_rows_point_set(EPS), (Objective.MINSUM,))
         assert got.total_weight == pytest.approx(3.0, abs=1e-9)
 
     def test_two_points_every_objective(self):
         ps = ColoredPointSet([0, 3], [0, 4], [0, 1], 2)
-        for objective in Objective:
-            got = brute_force_geometric(ps, objective)
+        for objective, got in zip(Objective, brute_force_geometric(ps, tuple(Objective))):
             assert got.value(objective) == 5.0
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("seed", range(8))
     def test_agrees_with_naive_enumeration(self, seed, k):
         ps = generate_matching_instance(k, 7700 + seed, max_class_size=3)
-        for objective in Objective:
-            got = brute_force_geometric(ps, objective)
+        for objective, got in zip(Objective, brute_force_geometric(ps, tuple(Objective))):
             assert got.value(objective) == pytest.approx(
                 naive_geometric_optimum(ps, objective), abs=1e-12
             )
@@ -111,21 +109,20 @@ class TestGeometricOracle:
     def test_budget_exceeded(self):
         ps = generate_points(50, 20, seed=1)
         with pytest.raises(BudgetExceededError):
-            brute_force_geometric(ps, Objective.MINSUM, max_states=1000)
+            brute_force_geometric(ps, (Objective.MINSUM,), max_states=1000)
 
     def test_relabeling_invariance(self):
         ps = generate_matching_instance(2, 42)
         relabeled = ColoredPointSet(ps.xs, ps.ys, ps.num_colors - 1 - ps.colors, ps.num_colors)
-        for objective in Objective:
-            a = brute_force_geometric(ps, objective)
-            b = brute_force_geometric(relabeled, objective)
+        before = brute_force_geometric(ps, tuple(Objective))
+        after = brute_force_geometric(relabeled, tuple(Objective))
+        for objective, a, b in zip(Objective, before, after):
             assert a.value(objective) == pytest.approx(b.value(objective), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_minsum_at_most_maxsum(self, seed):
         ps = generate_matching_instance(3, 500 + seed)
-        lo = brute_force_geometric(ps, Objective.MINSUM)
-        hi = brute_force_geometric(ps, Objective.MAXSUM)
+        lo, hi = brute_force_geometric(ps, (Objective.MINSUM, Objective.MAXSUM))
         assert lo.total_weight <= hi.total_weight
 
 
