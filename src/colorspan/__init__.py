@@ -22,6 +22,7 @@ from .geometry import (
     ColorGraph,
     build_closest_color_graph,
     build_farthest_color_graph,
+    color_spanning_matching,
 )
 from .hardness import (
     EquivalenceCertificate,
@@ -50,7 +51,6 @@ from .oracles import (
     pairing_count,
 )
 from .solvers import (
-    color_spanning_matching,
     solve_k_multicolored_matching,
     solve_maxmin,
     solve_minmax,

@@ -9,8 +9,9 @@ Each subcommand, and each ``gen`` kind, takes only its own options: an
 option of another kind, or two options that conflict (such as ``check
 FILE --sweep N``), exits 3 before anything is read or written.
 
-``check`` on a graph file, or a ``--sweep --kind graph``, takes
-``--objective minsum`` or ``all`` only.
+``--objective`` follows one rule in every command: graphs take minsum
+only, points every objective with a solver (``oracle`` also maxsum), and
+``check`` reads ``all`` as every objective the instance's solver has.
 
 Exit codes: 0 solved/passed, 2 infeasible, 3 invalid input (including
 usage and parse errors and unwritable output paths), 4 enumeration
@@ -36,7 +37,7 @@ from .fileio import (
     serialize_provenance,
     sniff_kind,
 )
-from .geometry import ColoredPointSet
+from .geometry import ColoredPointSet, color_spanning_matching
 from .hardness import (
     DEFAULT_MAX_STATES,
     VertexColoredGraph,
@@ -48,7 +49,6 @@ from .matching import Objective, WeightedGraph
 from .oracles import brute_force_colorful_graph_matching, brute_force_geometric
 from .render import render_svg
 from .solvers import (
-    color_spanning_matching,
     solve_k_multicolored_matching,
     solve_maxmin,
     solve_minmax,
@@ -152,22 +152,35 @@ def _read_instance(path: str, who: str) -> _Instance:
     return g
 
 
-def _require_minsum(objective: Objective) -> None:
-    if objective is not Objective.MINSUM:
+def _objectives(name: str, instance: _Instance, command: str) -> tuple[Objective, ...]:
+    """The objectives ``--objective name`` selects on ``instance`` for
+    ``command``.
+
+    Graphs take minsum only.  Points take every objective with a solver,
+    and ``oracle`` also takes maxsum.  ``check`` reads ``all`` as every
+    objective the instance's solver has.
+    """
+    graph = isinstance(instance, VertexColoredGraph)
+    solved = (Objective.MINSUM,) if graph else tuple(_GEOMETRIC_SOLVERS)
+    if command == "check" and name == "all":
+        return solved
+    objective = Objective.from_string(name)
+    if graph and objective is not Objective.MINSUM:
         raise InvalidInstanceError("graph instances only support the minsum objective")
-
-
-def _solve(instance: _Instance, objective: Objective) -> ResultRecord:
-    start = time.perf_counter()
-    if isinstance(instance, VertexColoredGraph):
-        _require_minsum(objective)
-        solution = solve_k_multicolored_matching(instance)
-    elif objective in _GEOMETRIC_SOLVERS:
-        solution = _GEOMETRIC_SOLVERS[objective](instance)
-    else:
+    if objective not in solved and command != "oracle":
         raise InvalidInstanceError(
             f"objective {objective.value!r} has no solver; use the oracle for it"
         )
+    return (objective,)
+
+
+def _solve(instance: _Instance, objective: Objective) -> ResultRecord:
+    """The solver's record; ``objective`` comes from :func:`_objectives`."""
+    start = time.perf_counter()
+    if isinstance(instance, VertexColoredGraph):
+        solution = solve_k_multicolored_matching(instance)
+    else:
+        solution = _GEOMETRIC_SOLVERS[objective](instance)
     kind = "graph" if isinstance(instance, VertexColoredGraph) else "points"
     return ResultRecord(kind, objective, solution, (time.perf_counter() - start) * 1e3)
 
@@ -176,11 +189,9 @@ def _oracle(
     instance: _Instance, objectives: tuple[Objective, ...], budget: int
 ) -> list[ResultRecord]:
     """One record per objective, all from one oracle call, whose time each
-    record carries."""
+    record carries; ``objectives`` come from :func:`_objectives`."""
     start = time.perf_counter()
     if isinstance(instance, VertexColoredGraph):
-        for objective in objectives:
-            _require_minsum(objective)
         solutions = [brute_force_colorful_graph_matching(instance, budget)] * len(objectives)
     else:
         solutions = brute_force_geometric(instance, objectives, budget)
@@ -190,8 +201,6 @@ def _oracle(
 
 
 def _cmd_gen_points(args) -> int:
-    if args.t > args.n:
-        raise InvalidInstanceError(f"--t {args.t} exceeds --n {args.n}")
     if args.matching and args.t % 2:
         raise InvalidInstanceError("--matching instances need an even --t")
     ps = generate.generate_points(
@@ -206,8 +215,6 @@ def _cmd_gen_graph(args) -> int:
         if args.unweighted:
             raise _UsageError("argument --unweighted: not allowed with argument --uncolored")
         g = generate.generate_uncolored_graph(args.n, args.seed, args.edge_prob)
-    elif 2 * args.k > args.n:
-        raise InvalidInstanceError(f"2k = {2 * args.k} colors exceed --n {args.n}")
     else:
         g = generate.generate_colored_graph(
             args.n, 2 * args.k, args.seed, edge_prob=args.edge_prob, weighted=not args.unweighted
@@ -225,7 +232,8 @@ def _svg(point_set: ColoredPointSet, record: ResultRecord) -> str:
 
 def _cmd_solve(args) -> int:
     instance = _read_instance(args.input, "solve")
-    record = _solve(instance, Objective.from_string(args.objective))
+    (objective,) = _objectives(args.objective, instance, args.command)
+    record = _solve(instance, objective)
     if args.render_out is not None:
         if isinstance(instance, VertexColoredGraph):
             raise InvalidInstanceError("--render-out only applies to point instances")
@@ -236,7 +244,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     instance = _read_instance(args.input, "the graph oracle")
-    (record,) = _oracle(instance, (Objective.from_string(args.objective),), args.budget)
+    (record,) = _oracle(instance, _objectives(args.objective, instance, args.command), args.budget)
     _write_output(record.to_json() if args.json else record.to_text(), args.out)
     return EXIT_OK if record.status == "solved" else EXIT_INFEASIBLE
 
@@ -248,20 +256,6 @@ def _agrees(solved: float, expected: float, tolerance: float) -> bool:
     tolerance accepts every answer."""
     gap = abs(solved - expected)
     return gap <= tolerance and gap <= tolerance * abs(expected)
-
-
-def _check_objectives(name: str, instance: _Instance) -> tuple[Objective, ...]:
-    """The objectives ``check`` compares: for ``all``, every one the
-    instance's solver has."""
-    graph = isinstance(instance, VertexColoredGraph)
-    if name == "all":
-        return (Objective.MINSUM,) if graph else tuple(_GEOMETRIC_SOLVERS)
-    objective = Objective.from_string(name)
-    if graph:
-        _require_minsum(objective)
-    elif objective not in _GEOMETRIC_SOLVERS:
-        raise InvalidInstanceError(f"objective {objective.value!r} has no solver")
-    return (objective,)
 
 
 def _check_instance(
@@ -296,7 +290,7 @@ def _cmd_check(args) -> int:
             option = "--" + given[0].replace("_", "-")
             raise _UsageError(f"argument {option}: only allowed with argument --sweep")
         instance = _read_instance(args.input, "check")
-        objectives = _check_objectives(args.objective, instance)
+        objectives = _objectives(args.objective, instance, args.command)
         report, failures = _check_instance(instance, objectives, args)
         print(*report, sep="\n")
         return EXIT_OK if failures == 0 else EXIT_MISMATCH
@@ -312,7 +306,7 @@ def _cmd_check(args) -> int:
     else:
         make = generate.generate_colorful_matching_instance
     instances = [make(k, seed) for k, seed in zip(ks, seeds)]
-    objectives = _check_objectives(args.objective, instances[0])
+    objectives = _objectives(args.objective, instances[0], args.command)
     report, failures = [], 0
     for i, (k, instance) in enumerate(zip(ks, instances)):
         lines, mismatches = _check_instance(instance, objectives, args)
@@ -386,13 +380,14 @@ def _cmd_render(args) -> int:
         if record.solution is None:
             raise InvalidInstanceError("refusing to render an empty or unsolved result")
         recomputed = color_spanning_matching(ps, record.solution.edges).value(record.objective)
-        if not _agrees(record.value, recomputed, DEFAULT_TOLERANCE):
+        if record.value != recomputed:
             raise InvalidInstanceError(
                 f"result value {record.value!r} does not match these points "
                 f"(recomputed {recomputed!r})"
             )
     else:
-        record = _solve(ps, Objective.from_string(args.objective))
+        (objective,) = _objectives(args.objective, ps, args.command)
+        record = _solve(ps, objective)
     _write_output(_svg(ps, record), args.out)
     return EXIT_OK
 

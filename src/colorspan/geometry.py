@@ -4,7 +4,9 @@ The geometric solvers never touch raw points directly: each objective
 reduces to a matching problem on a complete graph over the color labels,
 whose edge for a color pair carries either the bichromatic closest or the
 bichromatic farthest point pair of the two classes.  This module owns the
-point-set model, the ``ColorGraph`` contraction (a ``WeightedGraph`` on the
+point-set model (with ``color_spanning_matching``, the matching of given
+point-index pairs, and the even-color-count guard that the solvers and
+the oracle share), the ``ColorGraph`` contraction (a ``WeightedGraph`` on the
 colors plus one ``(weight, a, b)`` witness tuple per edge, which the
 graph-side solver builds from cross-color edges too) and the two geometric
 builders, which reject an instance whose extreme distance for some color
@@ -34,7 +36,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidInstanceError
-from .matching import WeightedGraph
+from .matching import Matching, WeightedGraph
 
 # Relative slack used when collecting candidates from the accelerated
 # passes; generous because the exact pass filters false positives anyway.
@@ -175,6 +177,38 @@ def _column(values, dtype, what: str) -> np.ndarray:
         raise InvalidInstanceError(f"{what} must be one-dimensional")
     column.flags.writeable = False
     return column
+
+
+def color_spanning_matching(
+    point_set: ColoredPointSet, pairs: Iterable[tuple[int, int]]
+) -> Matching:
+    """The matching of these point-index pairs, weighted by Euclidean length.
+
+    Raises :class:`~colorspan.errors.InvalidInstanceError` unless the pairs
+    are non-empty, in range, free of self-pairs, and their endpoints' colors
+    are distinct and cover every color.
+    """
+    canon = [(min(a, b), max(a, b)) for a, b in pairs]
+    if not canon:
+        raise InvalidInstanceError("a color-spanning matching cannot be empty")
+    n = len(point_set)
+    for a, b in canon:
+        if not (0 <= a < n and 0 <= b < n) or a == b:
+            raise InvalidInstanceError(f"invalid point pair ({a}, {b})")
+    colors = point_set.colors[[p for pair in canon for p in pair]].tolist()
+    if len(set(colors)) != len(colors):
+        raise InvalidInstanceError("matched endpoints must have distinct colors")
+    if set(colors) != set(range(point_set.num_colors)):
+        raise InvalidInstanceError("matching must cover every color exactly once")
+    return Matching.from_weighted_edges((a, b, point_set.distance(a, b)) for a, b in canon)
+
+
+def _require_matching_instance(point_set: ColoredPointSet) -> None:
+    """Rejects a color count that no color-spanning matching can cover."""
+    if point_set.num_colors % 2:
+        raise InvalidInstanceError(
+            f"matching instances need an even color count, got {point_set.num_colors}"
+        )
 
 
 @dataclass(frozen=True)

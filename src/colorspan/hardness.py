@@ -28,6 +28,8 @@ vertex per color gives ``brute_force_mcis``; cross-color edges give
 ``colorful_edge_sets``, of which ``brute_force_mcim`` takes the first set
 whose edges are pairwise independent and the colorful graph oracle the one
 of minimum total weight; the oracles' perfect pairings are covers too.
+The colorful solver and its oracle take their instance guard from here,
+so both reject the same graphs with the same message.
 """
 
 from __future__ import annotations
@@ -135,6 +137,14 @@ def _require_even_color_count(g: VertexColoredGraph) -> None:
         raise InvalidInstanceError(
             f"colorful matching needs an even, positive color count, got {t}"
         )
+
+
+def _require_colorful_instance(g: VertexColoredGraph) -> None:
+    """Rejects a graph that no colorful perfect matching can cover."""
+    _require_even_color_count(g)
+    empty = [c for c, cls in enumerate(g.color_classes) if not cls]
+    if empty:
+        raise InvalidInstanceError(f"colors without vertices: {empty}")
 
 
 @dataclass(frozen=True)

@@ -55,14 +55,24 @@ from .errors import InvalidInstanceError
 class Objective(enum.Enum):
     """Matching statistics that can be optimized.
 
-    ``maxsum`` exists only for exhaustive cross-checks; no polynomial
-    pipeline for it ships here.
+    Each member's value is its name.  It also declares the ``Matching``
+    attribute it scores (``statistic``) and whether it maximizes that
+    statistic (``maximize``); :meth:`Matching.value` and the oracles read
+    these rather than list the members.  ``maxsum`` exists only for
+    exhaustive cross-checks; no polynomial pipeline for it ships here.
     """
 
-    MINSUM = "minsum"
-    MAXMIN = "maxmin"
-    MINMAX = "minmax"
-    MAXSUM = "maxsum"
+    MINSUM = ("minsum", "total_weight", False)
+    MAXMIN = ("maxmin", "min_edge_weight", True)
+    MINMAX = ("minmax", "max_edge_weight", False)
+    MAXSUM = ("maxsum", "total_weight", True)
+
+    def __new__(cls, name: str, statistic: str, maximize: bool):
+        member = object.__new__(cls)
+        member._value_ = name
+        member.statistic = statistic
+        member.maximize = maximize
+        return member
 
     @classmethod
     def from_string(cls, name: str) -> "Objective":
@@ -159,11 +169,7 @@ class Matching:
 
     def value(self, objective: Objective) -> float:
         """The statistic this matching is scored by under ``objective``."""
-        if objective in (Objective.MINSUM, Objective.MAXSUM):
-            return self.total_weight
-        if objective is Objective.MAXMIN:
-            return self.min_edge_weight
-        return self.max_edge_weight
+        return getattr(self, objective.statistic)
 
 
 def has_perfect_matching(g: WeightedGraph) -> bool:

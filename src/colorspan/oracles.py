@@ -22,6 +22,13 @@ budget of ``_BLOCK`` values among them.
 Enumerations refuse to start when the predicted state count exceeds the
 ``max_states`` budget, raising :class:`~colorspan.errors.BudgetExceededError`
 through the one check in :mod:`colorspan.hardness`.
+
+The oracles import only the model modules (:mod:`~colorspan.geometry`,
+:mod:`~colorspan.hardness` and :mod:`~colorspan.matching`), never the
+solvers they certify.  They take the instance guards, and so reject
+exactly what the solvers reject, from the models, and score each
+objective by the ``Matching`` statistic and direction that
+:class:`~colorspan.matching.Objective` declares.
 """
 
 from __future__ import annotations
@@ -33,26 +40,35 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .geometry import ColoredPointSet, _require_finite_distances
+from .geometry import (
+    ColoredPointSet,
+    _require_finite_distances,
+    _require_matching_instance,
+    color_spanning_matching,
+)
 from .hardness import (
     DEFAULT_MAX_STATES,
     VertexColoredGraph,
+    _require_colorful_instance,
     check_budget,
     colorful_edge_sets,
     exact_covers,
 )
 from .matching import Matching, Objective, WeightedGraph
-from .solvers import (
-    _require_colorful_instance,
-    _require_matching_instance,
-    color_spanning_matching,
-)
 
 # Representative choices scored per chunk, and the most values one block
 # of pairings is scored into at once, over all objectives' accumulators (a
 # block holds at least one pairing).
 _CHUNK = 1 << 16
 _BLOCK = 1 << 15
+
+# How each Matching statistic folds edge weights: the geometric
+# enumeration's numpy fold, and the graph oracle's reduction of a list.
+_FOLDS = {
+    "total_weight": (np.add, sum),
+    "min_edge_weight": (np.minimum, min),
+    "max_edge_weight": (np.maximum, max),
+}
 
 
 def pairing_count(m: int) -> int:
@@ -122,15 +138,11 @@ def brute_force_geometric(
             )
             for a, b in color_pairs
         ]
-    maximize = [o in (Objective.MAXSUM, Objective.MAXMIN) for o in objectives]
+    maximize = [o.maximize for o in objectives]
     for m in maximize:
         extreme = np.ndarray.max if m else np.ndarray.min
         _require_finite_distances(zip(color_pairs, map(extreme, dmat)))
-    folds = [
-        np.add if o in (Objective.MINSUM, Objective.MAXSUM)
-        else np.maximum if o is Objective.MINMAX else np.minimum
-        for o in objectives
-    ]
+    folds = [_FOLDS[o.statistic][0] for o in objectives]
     # pairing_rows[p, j]: the color pair index of pairing p's j-th pair.
     pairing_rows = _pairing_slots(t)
     # Per objective, (value, pairing index, combo index) of the first optimum met.
@@ -189,8 +201,8 @@ def brute_force_graph_matching(
     for u, v, _ in g.edges:
         options[u].append(((u, v), (u, v)))
     wmap = g.weight_map
-    stat = {Objective.MINMAX: max, Objective.MAXMIN: min}.get(objective, sum)
-    pick = max if objective in (Objective.MAXSUM, Objective.MAXMIN) else min
+    stat = _FOLDS[objective.statistic][1]
+    pick = max if objective.maximize else min
     # Covers come out sorted, the order Matching sums in, so sums compare
     # bit-exactly; the empty graph's one cover scores 0, as an empty Matching.
     best = pick(

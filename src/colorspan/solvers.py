@@ -5,7 +5,8 @@ vertex per color, and for each color pair a witness tuple
 ``(weight, a, b)``, ``a`` of the lower color and ``b`` of the higher,
 whose weight is the color-graph edge.  Each then matches the
 contraction's ``graph`` and expands every matched color pair back to its
-witness's ``(a, b)``.
+witness's ``(a, b)``, weighted by the witness's own weight, which for a
+point set is the ``math.hypot`` distance of its two points.
 
 * minsum:  closest color graph, then minimum-weight perfect matching;
 * maxmin:  farthest color graph, then a perfect matching maximizing the
@@ -23,82 +24,43 @@ smallest ``(weight, a, b)``, ``a`` the endpoint of the lower color (for
 maxmin, the largest distance, then the smallest ``(a, b)``).
 
 Every solver returns a :class:`~colorspan.matching.Matching`.  On a point
-set its edges are point-index pairs, checked by :func:`color_spanning_matching`.
+set its edges are point-index pairs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from .errors import InvalidInstanceError
 from .geometry import (
     ColoredPointSet,
     ColorGraph,
+    _require_matching_instance,
     build_closest_color_graph,
     build_farthest_color_graph,
 )
-from .hardness import VertexColoredGraph, _require_even_color_count
-from .matching import (  # Objective is re-exported for callers of this module
+from .hardness import VertexColoredGraph, _require_colorful_instance
+from .matching import (
     Matching,
-    Objective,
     bottleneck_perfect_matching,
     maxmin_perfect_matching,
     min_weight_perfect_matching,
 )
 
 
-def color_spanning_matching(
-    point_set: ColoredPointSet, pairs: Iterable[tuple[int, int]]
-) -> Matching:
-    """The matching of these point-index pairs, weighted by Euclidean length.
-
-    Raises :class:`~colorspan.errors.InvalidInstanceError` unless the pairs
-    are non-empty, in range, free of self-pairs, and their endpoints' colors
-    are distinct and cover every color.
-    """
-    canon = [(min(a, b), max(a, b)) for a, b in pairs]
-    if not canon:
-        raise InvalidInstanceError("a color-spanning matching cannot be empty")
-    n = len(point_set)
-    for a, b in canon:
-        if not (0 <= a < n and 0 <= b < n) or a == b:
-            raise InvalidInstanceError(f"invalid point pair ({a}, {b})")
-    colors = point_set.colors[[p for pair in canon for p in pair]].tolist()
-    if len(set(colors)) != len(colors):
-        raise InvalidInstanceError("matched endpoints must have distinct colors")
-    if set(colors) != set(range(point_set.num_colors)):
-        raise InvalidInstanceError("matching must cover every color exactly once")
-    return Matching.from_weighted_edges((a, b, point_set.distance(a, b)) for a, b in canon)
-
-
-def _require_matching_instance(point_set: ColoredPointSet) -> None:
-    if point_set.num_colors % 2:
-        raise InvalidInstanceError(
-            f"matching instances need an even color count, got {point_set.num_colors}"
-        )
-
-
-def _require_colorful_instance(g: VertexColoredGraph) -> None:
-    _require_even_color_count(g)
-    empty = [c for c, cls in enumerate(g.color_classes) if not cls]
-    if empty:
-        raise InvalidInstanceError(f"colors without vertices: {empty}")
-
-
-def _matched_witnesses(cg: ColorGraph, match) -> list[tuple[float, int, int]] | None:
-    """The witnesses of the color pairs ``match`` pairs up in ``cg.graph``,
-    or None when it finds no perfect matching."""
+def _match_color_graph(cg: ColorGraph, match) -> Matching | None:
+    """The matching ``match`` finds on ``cg.graph``, each matched color
+    pair expanded to its witness ``(a, b)`` with the witness's weight, or
+    None when it finds no perfect matching."""
     matched = match(cg.graph)
     if matched is None:
         return None
-    return [cg.witnesses[key] for key in matched.edges]
+    return Matching.from_weighted_edges(
+        (a, b, w) for w, a, b in map(cg.witnesses.__getitem__, matched.edges)
+    )
 
 
 def _solve_geometric(point_set: ColoredPointSet, build, match) -> Matching:
     _require_matching_instance(point_set)
-    witnesses = _matched_witnesses(build(point_set), match)
-    assert witnesses is not None  # complete graph on an even vertex count
-    return color_spanning_matching(point_set, ((a, b) for _, a, b in witnesses))
+    # A complete color graph on an even color count always has a perfect matching.
+    return _match_color_graph(build(point_set), match)
 
 
 def solve_minsum(point_set: ColoredPointSet) -> Matching:
@@ -137,7 +99,4 @@ def solve_k_multicolored_matching(g: VertexColoredGraph) -> Matching | None:
         cand = (g.weight(pos), u, v)
         if (cu, cv) not in best or cand < best[cu, cv]:
             best[cu, cv] = cand
-    witnesses = _matched_witnesses(ColorGraph(g.num_colors, best), min_weight_perfect_matching)
-    if witnesses is None:
-        return None
-    return Matching.from_weighted_edges((a, b, w) for w, a, b in witnesses)
+    return _match_color_graph(ColorGraph(g.num_colors, best), min_weight_perfect_matching)

@@ -615,7 +615,7 @@ class TestCheck:
                 ["--objective", "bogus"],
                 "unknown objective 'bogus'; expected one of minsum, maxmin, minmax, maxsum",
             ),
-            (["--objective", "maxsum"], "objective 'maxsum' has no solver"),
+            (["--objective", "maxsum"], "objective 'maxsum' has no solver; use the oracle for it"),
             (
                 ["--kind", "graph", "--objective", "maxmin"],
                 "graph instances only support the minsum objective",

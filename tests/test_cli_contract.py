@@ -61,6 +61,12 @@ FIG1_MINSUM_JSON = (
     '"objective": "minsum", "pairs": [[0, 2], [1, 5]], "status": "solved", "time_ms": T, '
     '"total_weight": 1.7999999999999998, "value": 1.7999999999999998}\n'
 )
+FIG1_MAXMIN_ULP_JSON = (
+    '{"kind": "points", "max_edge_weight": 1.4142135623730951, '
+    '"min_edge_weight": 1.4142135623730954, "objective": "maxmin", "pairs": [[0, 3], [1, 4]], '
+    '"status": "solved", "time_ms": 0.5, "total_weight": 2.8284271247461903, '
+    '"value": 1.4142135623730954}\n'
+)
 # Every distance is finite, but every matching's total exceeds the float range.
 TOTAL_POINTS = "4 4\n0 0 0\n1e308 0 1\n0 1e308 2\n1e308 1e308 3\n"
 # The only bichromatic distance, 2e308, exceeds the float range.
@@ -138,6 +144,16 @@ TABLE = [
         sha256="bceaf6dd3bedc6e7d7a4d502ca9b14140cf7b08a39cd5e08d8c2e793fbc1a083",
         setup=(SOLVED_MAXMIN,),
     ),
+    # A record must carry exactly the value its pairs have on the points:
+    # here value and min_edge_weight are one ulp above figure 1's maxmin.
+    Row(
+        "render {fig1} --result ulp.json",
+        EXIT_INVALID,
+        "",
+        stderr="invalid input: result value 1.4142135623730954 does not match these points "
+        "(recomputed 1.4142135623730951)\n",
+        files={"ulp.json": FIG1_MAXMIN_ULP_JSON},
+    ),
     # Figure 1 with lone "\r" breaks gives figure 1's record.
     Row(
         "solve cr.points --json",
@@ -156,6 +172,19 @@ TABLE = [
         setup=("gen graph --n 8 --k 2 --seed 1 --out g.graph",),
     ),
     Row("gen graph --n 0 --uncolored", EXIT_OK, "0 0 0\n"),
+    # The generator states the colors-versus-points rule, for both kinds.
+    Row(
+        "gen points --n 4 --t 5",
+        EXIT_INVALID,
+        "",
+        stderr="invalid input: cannot cover 5 colors with 4 points\n",
+    ),
+    Row(
+        "gen graph --n 3 --k 2",
+        EXIT_INVALID,
+        "",
+        stderr="invalid input: cannot cover 4 colors with 3 points\n",
+    ),
     # Totals and distances past the float range, and an odd color count:
     # the oracles reject what the solvers reject, with their message.
     *[

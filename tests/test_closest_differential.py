@@ -68,7 +68,7 @@ def extreme_instances(draw):
     sizes = [draw(CLASS_SIZES) for _ in range(t - 1)]
     total = draw(
         st.one_of(
-            st.integers(len(sizes) + 1, _SCAN_CUTOFF),
+            st.integers(len(sizes) + 1, max(_SCAN_CUTOFF, len(sizes) + 1)),
             st.integers(_SCAN_CUTOFF + 1, _SCAN_CUTOFF + 40),
         )
     )

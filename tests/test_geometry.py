@@ -6,6 +6,7 @@ import pytest
 from colorspan import (
     ColoredPointSet,
     InvalidInstanceError,
+    Matching,
     Objective,
     brute_force_geometric,
     build_closest_color_graph,
@@ -15,7 +16,7 @@ from colorspan import (
     solve_minsum,
 )
 from colorspan.generate import generate_points
-from colorspan.geometry import _outer_indices, _unit_scaled
+from colorspan.geometry import _SCAN_CUTOFF, _outer_indices, _unit_scaled
 from colorspan.render import render_svg
 
 from conftest import exhaustive_color_extremes, outer_farthest_graph
@@ -23,6 +24,38 @@ from conftest import exhaustive_color_extremes, outer_farthest_graph
 
 def random_point_set(seed, n=30, t=6):
     return generate_points(n, t, seed)
+
+
+def lattice_point_set(n, t, step, seed):
+    """``n`` points of ``t`` colors on a 12 x 12 lattice of spacing
+    ``step``: many coincident points and exactly tied distances."""
+    rng = np.random.default_rng(seed)
+    colors = rng.permutation(np.arange(n) % t)
+    return ColoredPointSet(rng.integers(0, 12, n) * step, rng.integers(0, 12, n) * step, colors, t)
+
+
+# Instances on both sides of the builders' scan cutoff.
+SYMMETRY_INSTANCES = {
+    "uniform-20-4": lambda: random_point_set(33, n=20, t=4),
+    "uniform-40-4": lambda: generate_points(40, 4, 1),
+    "clusters-cutoff-1-10": lambda: generate_points(_SCAN_CUTOFF - 1, 10, 2, "clusters"),
+    "uniform-cutoff+1-4": lambda: generate_points(_SCAN_CUTOFF + 1, 4, 3),
+    "clusters-1000-10": lambda: generate_points(1000, 10, 4, "clusters"),
+    "lattice-third-cutoff+1-4": lambda: lattice_point_set(_SCAN_CUTOFF + 1, 4, 1 / 3, 5),
+    "lattice-tenth-1000-10": lambda: lattice_point_set(1000, 10, 0.1, 6),
+}
+# Maps that multiply every distance exactly by a power of two (by one
+# for the isometries), with that factor.
+EXACT_SYMMETRIES = {
+    "rotate-90": (lambda x, y: (-y, x), 1.0),
+    "reflect-x": (lambda x, y: (x, -y), 1.0),
+    "reflect-y": (lambda x, y: (-x, y), 1.0),
+    "swap-xy": (lambda x, y: (y, x), 1.0),
+    **{
+        f"scale-2^{e}": (lambda x, y, f=math.ldexp(1.0, e): (x * f, y * f), math.ldexp(1.0, e))
+        for e in (-1000, -60, -2, 1, 7, 10, 900)
+    },
+}
 
 
 class TestColoredPointSet:
@@ -157,14 +190,26 @@ class TestColorGraphs:
         for builder in (build_closest_color_graph, build_farthest_color_graph):
             assert builder(ps).graph == builder(shuffled).graph
 
-    @pytest.mark.parametrize("scale", [0.25, 2.0, 1024.0])
-    def test_power_of_two_scaling_is_exact(self, scale):
-        ps = random_point_set(33, n=20, t=4)
-        scaled = ColoredPointSet(ps.xs * scale, ps.ys * scale, ps.colors, ps.num_colors)
+    @pytest.mark.parametrize("symmetry", EXACT_SYMMETRIES)
+    @pytest.mark.parametrize("instance", SYMMETRY_INSTANCES)
+    def test_exact_symmetries_keep_every_witness(self, instance, symmetry):
+        # Rotating by 90 degrees, reflecting, swapping the axes and
+        # scaling by a power of two change no distance's rounding, so
+        # every witness pair and every solver's matching must stay, with
+        # each weight multiplied exactly by the factor.
+        ps = SYMMETRY_INSTANCES[instance]()
+        transform, factor = EXACT_SYMMETRIES[symmetry]
+        moved = ColoredPointSet(*transform(ps.xs, ps.ys), ps.colors, ps.num_colors)
         for builder in (build_closest_color_graph, build_farthest_color_graph):
             witnesses = builder(ps).witnesses
-            expected = {key: (d * scale, a, b) for key, (d, a, b) in witnesses.items()}
-            assert builder(scaled).witnesses == expected
+            expected = {key: (d * factor, a, b) for key, (d, a, b) in witnesses.items()}
+            assert builder(moved).witnesses == expected
+        for solve in (solve_minsum, solve_maxmin, solve_minmax):
+            m = solve(ps)
+            assert solve(moved) == Matching(
+                m.edges, m.total_weight * factor, m.min_edge_weight * factor,
+                m.max_edge_weight * factor,
+            )
 
     @pytest.mark.parametrize("seed", [16, 26, 27])
     def test_tiny_coordinates_keep_every_hull_vertex(self, seed):

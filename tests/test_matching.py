@@ -386,15 +386,16 @@ class TestMatchingValue:
             assert bottleneck >= minsum / k - 1e-12
 
     @pytest.mark.parametrize(
-        "objective, statistic",
+        "objective, statistic, maximize",
         [
-            (Objective.MINSUM, "total_weight"),
-            (Objective.MAXSUM, "total_weight"),
-            (Objective.MAXMIN, "min_edge_weight"),
-            (Objective.MINMAX, "max_edge_weight"),
+            (Objective.MINSUM, "total_weight", False),
+            (Objective.MAXSUM, "total_weight", True),
+            (Objective.MAXMIN, "min_edge_weight", True),
+            (Objective.MINMAX, "max_edge_weight", False),
         ],
     )
-    def test_value_reads_the_objective_statistic(self, objective, statistic):
+    def test_value_reads_the_objective_statistic(self, objective, statistic, maximize):
+        assert (objective.statistic, objective.maximize) == (statistic, maximize)
         m = Matching.from_weighted_edges([(0, 1, 1.0), (2, 3, 4.0), (4, 5, 2.5)])
         assert (m.total_weight, m.min_edge_weight, m.max_edge_weight) == (7.5, 1.0, 4.0)
         assert m.value(objective) == getattr(m, statistic)

@@ -1,5 +1,8 @@
+import ast
+import inspect
 import itertools
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -8,12 +11,14 @@ from colorspan import (
     BudgetExceededError,
     InvalidInstanceError,
     ColoredPointSet,
+    Matching,
     Objective,
     VertexColoredGraph,
     WeightedGraph,
     brute_force_colorful_graph_matching,
     brute_force_geometric,
     brute_force_graph_matching,
+    oracles,
     pairing_count,
     solve_k_multicolored_matching,
     stacked_rows_point_set,
@@ -199,3 +204,32 @@ class TestColorfulGraphOracle:
         g = VertexColoredGraph(n, colors, edges, 4)
         with pytest.raises(BudgetExceededError):
             brute_force_colorful_graph_matching(g, max_states=10)
+
+
+class TestIndependence:
+    # The oracles certify the solvers, so they must not share their code:
+    # they import only the model modules, and they score each objective
+    # by what Objective declares, as Matching.value does.
+    def test_oracles_import_only_the_models(self):
+        nodes = list(ast.walk(ast.parse(inspect.getsource(oracles))))
+        relative = {n.module for n in nodes if isinstance(n, ast.ImportFrom) and n.level}
+        absolute = {n.module for n in nodes if isinstance(n, ast.ImportFrom) and not n.level}
+        absolute |= {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+        assert relative == {"geometry", "hardness", "matching"}
+        assert not any(name.split(".")[0] == "colorspan" for name in absolute)
+
+    @pytest.mark.parametrize(
+        "function",
+        [Matching.value, brute_force_geometric, brute_force_graph_matching],
+        ids=lambda f: f.__qualname__,
+    )
+    def test_scoring_names_no_objective_member(self, function):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+        named = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "Objective"
+        }
+        assert not named & set(Objective.__members__)
