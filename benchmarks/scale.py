@@ -16,7 +16,9 @@ least disturbed by other load on the host, and the spread of all its runs
 - many colors, uniform: the closest builder at n = 3000, t = 300 and
   n = 5000, t = 500;
 - min-weight and bottleneck matching on the complete graph K_t with random
-  weights, t in 20, 60, 100, 200 and 300;
+  weights, t in 20, 60, 100, 200 and 300, and at t in 20, 100 and 200 the
+  one unit-weight blossom run by which bottleneck matching picks its
+  witness, on the same arguments the run gets there;
 - desk scale: ``colorspan check FILE`` through ``cli.main`` on generated
   matching instances at k = 2, 3 and 4 (the certify sweep's class caps),
   one run checking every file of its k once.
@@ -50,6 +52,7 @@ from colorspan import (  # noqa: E402
     build_closest_color_graph,
     build_farthest_color_graph,
     cli,
+    matching,
     min_weight_perfect_matching,
     solve_maxmin,
     solve_minmax,
@@ -67,6 +70,7 @@ DESK_REPEATS = 25
 SEED = 7
 DISTRIBUTIONS = ("uniform", "clusters")
 K_SIZES = (20, 60, 100, 200, 300)
+WITNESS_SIZES = (20, 100, 200)
 # (k, class cap) of the desk-scale check rows, and the files per k.
 DESK_CAPS = ((2, 5), (3, 5), (4, 3))
 DESK_FILES = 8
@@ -127,6 +131,25 @@ def points_rows() -> list[dict]:
     return rows
 
 
+def witness_call(g) -> tuple:
+    """The arguments of the blossom engine call that bottleneck matching
+    makes on ``g`` to pick its witness."""
+    engine = matching.maximum_weight_matching
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return engine(*args)
+
+    matching.maximum_weight_matching = recording
+    try:
+        bottleneck_perfect_matching(g)
+    finally:
+        matching.maximum_weight_matching = engine
+    (args,) = calls
+    return args
+
+
 def complete_graph_rows() -> list[dict]:
     rows = []
     for t in K_SIZES:
@@ -135,6 +158,14 @@ def complete_graph_rows() -> list[dict]:
             timed(f"K{t}: min-weight perfect matching", lambda: min_weight_perfect_matching(g)),
             timed(f"K{t}: bottleneck perfect matching", lambda: bottleneck_perfect_matching(g)),
         ]
+        if t in WITNESS_SIZES:
+            args = witness_call(g)
+            rows.append(
+                timed(
+                    f"K{t}: bottleneck witness blossom run",
+                    lambda: matching.maximum_weight_matching(*args),
+                )
+            )
     return rows
 
 

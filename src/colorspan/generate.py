@@ -25,19 +25,22 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _color_assignment(rng, n: int, num_colors: int, max_class_size: int | None) -> np.ndarray:
-    """Random colors covering every label, optionally capping class sizes."""
+def _color_assignment(
+    rng, n: int, num_colors: int, max_class_size: int | None, items: str
+) -> np.ndarray:
+    """Random colors for ``n`` items (named ``items`` in errors, "points"
+    or "vertices") covering every label, optionally capping class sizes."""
     if num_colors < 1:
         raise InvalidInstanceError(f"color count must be positive, got {num_colors}")
     if num_colors > n:
-        raise InvalidInstanceError(f"cannot cover {num_colors} colors with {n} points")
+        raise InvalidInstanceError(f"cannot cover {num_colors} colors with {n} {items}")
     base = np.arange(num_colors)
     if max_class_size is None:
         extra = rng.integers(0, num_colors, size=n - num_colors)
     else:
         if max_class_size < 1 or n > num_colors * max_class_size:
             raise InvalidInstanceError(
-                f"{n} points cannot fit {num_colors} classes of size <= {max_class_size}"
+                f"{n} {items} cannot fit {num_colors} classes of size <= {max_class_size}"
             )
         pool = np.repeat(base, max_class_size - 1)
         extra = rng.permutation(pool)[: n - num_colors]
@@ -61,7 +64,7 @@ def generate_points(
             f"unknown distribution {distribution!r}; expected one of {DISTRIBUTIONS}"
         )
     rng = _rng(seed)
-    colors = _color_assignment(rng, n, num_colors, max_class_size)
+    colors = _color_assignment(rng, n, num_colors, max_class_size, "points")
     if distribution == "uniform":
         coords = rng.random((n, 2))
     else:
@@ -96,7 +99,9 @@ def _random_graph(n: int, seed: int, edge_prob: float, num_colors: int | None):
     if not 0.0 <= edge_prob <= 1.0:
         raise InvalidInstanceError(f"edge probability must be in [0, 1], got {edge_prob}")
     rng = _rng(seed)
-    colors = None if num_colors is None else _color_assignment(rng, n, num_colors, None)
+    colors = None
+    if num_colors is not None:
+        colors = _color_assignment(rng, n, num_colors, None, "vertices")
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob]
     return rng, colors, edges
 

@@ -10,7 +10,9 @@ weight is an integer over a power-of-two denominator, so multiplying by
 the largest such denominator turns all weights into ints without
 rounding, and negating and shifting them makes minimizing total weight
 maximizing it.  The answer is exactly the float optimum, with no rational
-arithmetic anywhere.
+arithmetic anywhere.  The engine (``_blossom``, edge-indexed lists after
+van Rantwijk's ``mwmatching``) returns its final duals with the mate map;
+the queries here read only the mate map.
 
 Perfect-matching existence is Edmonds' cardinality search (1965) on
 adjacency lists, with no weights and no duals: a greedy start, then one
@@ -278,9 +280,11 @@ def _blossom_matching(
 
     The graph must have a perfect matching, so the engine's
     maximum-cardinality answer covers every vertex.  The result keeps the
-    chosen edges' own weights.
+    chosen edges' own weights; the engine's duals are dropped.
     """
-    mate = maximum_weight_matching(n, {(u, v): iw for (u, v, _), iw in zip(edges, int_weights)})
+    mate, _ = maximum_weight_matching(
+        n, {(u, v): iw for (u, v, _), iw in zip(edges, int_weights)}
+    )
     assert len(mate) == n
     return Matching.from_weighted_edges(e for e in edges if mate[e[0]] == e[1])
 

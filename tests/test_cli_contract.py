@@ -172,7 +172,8 @@ TABLE = [
         setup=("gen graph --n 8 --k 2 --seed 1 --out g.graph",),
     ),
     Row("gen graph --n 0 --uncolored", EXIT_OK, "0 0 0\n"),
-    # The generator states the colors-versus-points rule, for both kinds.
+    # The generator states the colors-versus-size rule for both kinds,
+    # naming points or vertices.
     Row(
         "gen points --n 4 --t 5",
         EXIT_INVALID,
@@ -183,7 +184,7 @@ TABLE = [
         "gen graph --n 3 --k 2",
         EXIT_INVALID,
         "",
-        stderr="invalid input: cannot cover 4 colors with 3 points\n",
+        stderr="invalid input: cannot cover 4 colors with 3 vertices\n",
     ),
     # Totals and distances past the float range, and an odd color count:
     # the oracles reject what the solvers reject, with their message.

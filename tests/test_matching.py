@@ -305,9 +305,16 @@ class TestTiedWeights:
     def test_engine_rejects_non_integer_weights(self):
         from colorspan._blossom import maximum_weight_matching
 
-        assert maximum_weight_matching(2, {(0, 1): 3}) == {0: 1, 1: 0}
+        assert maximum_weight_matching(2, {(0, 1): 3})[0] == {0: 1, 1: 0}
         with pytest.raises(TypeError):
             maximum_weight_matching(2, {(0, 1): 1.5})
+
+    @pytest.mark.parametrize("edge", [(0, 0), (0, 2), (-1, 0)])
+    def test_engine_rejects_bad_edges(self, edge):
+        from colorspan._blossom import maximum_weight_matching
+
+        with pytest.raises(ValueError):
+            maximum_weight_matching(2, {edge: 1})
 
     def test_all_zero_weights(self):
         g = WeightedGraph(4, [(0, 1, 0.0), (2, 3, 0.0)])

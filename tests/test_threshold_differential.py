@@ -33,7 +33,7 @@ from colorspan.geometry import build_closest_color_graph, build_farthest_color_g
 
 def reference_pairs(g: WeightedGraph) -> list[tuple[int, int]] | None:
     unit = {(u, v): 1 for u, v, _ in g.edges}
-    mate = maximum_weight_matching(g.num_vertices, unit)
+    mate, _ = maximum_weight_matching(g.num_vertices, unit)
     if len(mate) < g.num_vertices:
         return None
     return sorted((u, v) for u, v in mate.items() if u < v)
