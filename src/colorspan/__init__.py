@@ -51,6 +51,7 @@ from .oracles import (
     pairing_count,
 )
 from .solvers import (
+    solve_geometric,
     solve_k_multicolored_matching,
     solve_maxmin,
     solve_minmax,
@@ -90,6 +91,7 @@ __all__ = [
     "pairing_count",
     "reduce_is_to_mcis",
     "reduce_mcis_to_mcim",
+    "solve_geometric",
     "solve_k_multicolored_matching",
     "solve_maxmin",
     "solve_minmax",

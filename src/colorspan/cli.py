@@ -49,6 +49,7 @@ from .matching import Objective, WeightedGraph
 from .oracles import brute_force_colorful_graph_matching, brute_force_geometric
 from .render import render_svg
 from .solvers import (
+    solve_geometric,
     solve_k_multicolored_matching,
     solve_maxmin,
     solve_minmax,
@@ -263,9 +264,14 @@ def _check_instance(
 ) -> tuple[list[str], int]:
     """One solver-vs-oracle line per objective, and the mismatch count.
 
-    Every solver runs, then the one oracle call, before any line is made.
+    One solver call, which builds each color graph once for all the
+    objectives, and the one oracle call both run before any line is made.
     """
-    solved = [_solve(instance, objective).value for objective in objectives]
+    if isinstance(instance, VertexColoredGraph):
+        solutions = [solve_k_multicolored_matching(instance)] * len(objectives)
+    else:
+        solutions = solve_geometric(instance, objectives)
+    solved = [None if m is None else m.value(o) for m, o in zip(solutions, objectives)]
     lines, failures = [], 0
     for value, record in zip(solved, _oracle(instance, objectives, args.budget)):
         expected = record.value

@@ -20,7 +20,10 @@ dual-tree range searches bounded per color pair, farthest candidates from
 the outer points of each class.  A color pair's bound is the distance of
 an actual pair, found by nearest-neighbour queries from a few seeds of
 each class aimed at the other: the point facing the other class's
-centroid and a sparse stride sample.  Builders are therefore exact and
+centroid and a sparse stride sample.  The outer points come from two
+passes: an octagon of extreme points drops most of a raw class, then a
+32-gon of extreme points filters the distinct survivors; a ring through
+any points of the class is safe.  Builders are therefore exact and
 deterministic, with ties broken toward the lexicographically smallest pair
 of point indexes.
 """
@@ -282,7 +285,13 @@ def _distinct_indices(point_set: ColoredPointSet, idx: np.ndarray) -> np.ndarray
 
 def _scan_candidates(point_set: ColoredPointSet) -> tuple[np.ndarray, np.ndarray]:
     """Every bichromatic pair ``(a, b)``, with ``a`` of the lower color."""
-    a, b = np.triu_indices(len(point_set), 1)
+    # The pairs a < b in row-major order, as np.triu_indices gives them,
+    # without its n x n mask: row a is a + 1 .. n - 1.
+    n = len(point_set)
+    counts = np.arange(n - 1, 0, -1)
+    starts = np.cumsum(counts) - counts
+    a = np.repeat(np.arange(n - 1), counts)
+    b = np.arange(len(a)) + np.repeat(np.arange(1, n) - starts, counts)
     colors = point_set.colors
     keep = colors[a] != colors[b]
     a, b = a[keep], b[keep]
@@ -374,25 +383,21 @@ def _exact_edges(
     return {divmod(k, t): (sign * d, p, q) for k, (d, p, q) in sorted(best.items())}
 
 
-def _outer_indices(
-    point_set: ColoredPointSet, idx: np.ndarray, sx: np.ndarray, sy: np.ndarray, slack: float
+def _off_ring(
+    xs: np.ndarray, ys: np.ndarray, cos: np.ndarray, sin: np.ndarray, slack: float
 ) -> np.ndarray:
-    """The distinct points among ``idx`` that can end a farthest pair, sorted.
+    """True for each point ``(xs, ys)`` unless it lies over ``slack``
+    inside every edge line of the ring through the points' extremes in
+    the directions ``(cos, sin)``, given in angular order; True for all
+    when that ring has fewer than three vertices.
 
-    The extreme points in the ``_ANGLES`` directions span a polygon inside
-    the hull (Akl & Toussaint 1978).  A point is dropped only if an
-    orientation test, with a rounding bound after Shewchuk (1997) and
-    ``tiny`` for underflow, puts it over ``slack`` inside every edge line.
-    Then some point of the class is at least ``slack`` farther from any
-    point than it is, above distance rounding at unit scale and on the
-    subnormal grid.
+    The test is an orientation test with a rounding bound after Shewchuk
+    (1997) and ``tiny`` for underflow.
     """
-    reps = _distinct_indices(point_set, idx)
-    xs, ys = sx[reps], sy[reps]
-    ring = np.argmax(np.multiply.outer(xs, _COS) + np.multiply.outer(ys, _SIN), axis=0)
+    ring = np.argmax(np.multiply.outer(xs, cos) + np.multiply.outer(ys, sin), axis=0)
     ring = ring[ring != np.concatenate((ring[-1:], ring[:-1]))]
     if len(ring) < 3:
-        return reps
+        return np.ones(len(xs), dtype=bool)
     ux, uy = xs[ring], ys[ring]
     ahead = np.concatenate((ring[1:], ring[:1]))
     ex, ey = xs[ahead] - ux, ys[ahead] - uy
@@ -400,7 +405,33 @@ def _outer_indices(
     t2 = ey * (xs[:, None] - ux)
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
     margin = 8 * eps * (np.abs(t1) + np.abs(t2)) + slack * np.hypot(ex, ey) + tiny
-    return reps[~(t1 - t2 > margin).all(axis=1)]
+    return ~(t1 - t2 > margin).all(axis=1)
+
+
+def _outer_indices(
+    point_set: ColoredPointSet, idx: np.ndarray, sx: np.ndarray, sy: np.ndarray, slack: float
+) -> np.ndarray:
+    """The distinct points among ``idx`` that can end a farthest pair, sorted.
+
+    Extreme points in angular order close a ring of class points inside
+    the hull (Akl & Toussaint 1978), and :func:`_off_ring` keeps every
+    point that is not over ``slack`` inside each of its edge lines.  A
+    point over ``slack`` inside every edge line of a closed ring is wound
+    around by it, and so is the disc of radius ``slack`` about it: the
+    disc lies in the hull of the ring's vertices.  From any point, some
+    point of that disc, and so some vertex, is at least ``slack`` farther
+    than the dropped point, above distance rounding at unit scale and on
+    the subnormal grid.  The argument needs only that the ring's vertices
+    are points of the class, not that they survive, so the filter runs
+    twice: the octagon of every fourth ``_ANGLES`` direction on the raw
+    class drops most of its interior at a quarter of the cost, then the
+    ring of all ``_ANGLES`` directions runs on the distinct survivors.
+    Coincident points share their test's outcome, so deduplicating after
+    the first pass keeps each coordinate's lowest index.
+    """
+    idx = idx[_off_ring(sx[idx], sy[idx], _COS[::4], _SIN[::4], slack)]
+    reps = _distinct_indices(point_set, idx)
+    return reps[_off_ring(sx[reps], sy[reps], _COS, _SIN, slack)]
 
 
 def _outer_candidates(

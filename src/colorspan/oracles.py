@@ -10,9 +10,12 @@ count), the graph oracle every perfect matching (the covers of the
 vertices by edges), and the colorful oracle every colorful edge set.  The
 optimum is the first one met in enumeration order.  The geometric
 enumeration is evaluated in numpy for speed, but the candidate space is
-exactly the stated one: the representative choices ("combos", in
-mixed-radix order over the classes) are taken in chunks of ``_CHUNK``,
-each chunk gathers one distance row per color pair, and the pairings are
+exactly the stated one.  Its distances come from one ``np.hypot`` block
+per color, against every point of a higher color, and a color pair's
+distances are a column view of its lower color's block.  The
+representative choices ("combos", in mixed-radix order over the classes)
+are taken in chunks of ``_CHUNK``, each chunk gathers one distance row
+per color pair from those views, and the pairings are
 scored against the chunk in blocks, each block one fold over its pairs'
 rows per objective.  One geometric enumeration scores every objective it
 is given: a block's pairing columns are gathered once and folded into
@@ -117,7 +120,8 @@ def brute_force_geometric(
     in (pairing, choice) order, and a later block or chunk replaces the
     best only when strictly better.  Like the solvers, it rejects an
     instance in which some color pair's closest distance (farthest, for an
-    objective that maximizes) is infinite.
+    objective that maximizes) is infinite; the per-pair search for it runs
+    only when some distance block holds an inf.
     """
     _require_matching_instance(point_set)
     t = point_set.num_colors
@@ -126,22 +130,26 @@ def brute_force_geometric(
     combos = math.prod(sizes)
     check_budget(combos * pairing_count(t), max_states)
 
-    xs, ys = point_set.xs, point_set.ys
     color_pairs = list(itertools.combinations(range(t), 2))
-    # dmat[i]: every distance between the classes of color pair i; one
-    # beyond the float range is inf.
+    points = np.concatenate(classes)
+    xs, ys = point_set.xs[points], point_set.ys[points]
+    ends = np.cumsum(sizes).tolist()
+    # blocks[a]: every distance from a point of color a to one of a higher
+    # color, classes side by side; one beyond the float range is inf.
     with np.errstate(over="ignore"):
-        dmat = [
-            np.hypot(
-                xs[classes[a]][:, None] - xs[classes[b]][None, :],
-                ys[classes[a]][:, None] - ys[classes[b]][None, :],
-            )
-            for a, b in color_pairs
+        blocks = [
+            np.hypot(xs[lo:hi, None] - xs[hi:], ys[lo:hi, None] - ys[hi:])
+            for lo, hi in zip([0, *ends], ends[:-1])
         ]
+    # dmat[i]: color pair i's columns of its lower color's block.
+    dmat = [
+        blocks[a][:, ends[b - 1] - ends[a] : ends[b] - ends[a]] for a, b in color_pairs
+    ]
     maximize = [o.maximize for o in objectives]
-    for m in maximize:
-        extreme = np.ndarray.max if m else np.ndarray.min
-        _require_finite_distances(zip(color_pairs, map(extreme, dmat)))
+    if any(math.isinf(block.max()) for block in blocks):
+        for m in maximize:
+            extreme = np.ndarray.max if m else np.ndarray.min
+            _require_finite_distances(zip(color_pairs, map(extreme, dmat)))
     folds = [_FOLDS[o.statistic][0] for o in objectives]
     # pairing_rows[p, j]: the color pair index of pairing p's j-th pair.
     pairing_rows = _pairing_slots(t)

@@ -24,11 +24,17 @@ smallest ``(weight, a, b)``, ``a`` the endpoint of the lower color (for
 maxmin, the largest distance, then the smallest ``(a, b)``).
 
 Every solver returns a :class:`~colorspan.matching.Matching`.  On a point
-set its edges are point-index pairs.
+set its edges are point-index pairs.  :func:`solve_geometric` solves a
+point set at several objectives at once, building each color graph at
+most once (minsum and minmax share the closest one); the three
+single-objective solvers call it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
+from .errors import InvalidInstanceError
 from .geometry import (
     ColoredPointSet,
     ColorGraph,
@@ -39,6 +45,7 @@ from .geometry import (
 from .hardness import VertexColoredGraph, _require_colorful_instance
 from .matching import (
     Matching,
+    Objective,
     bottleneck_perfect_matching,
     maxmin_perfect_matching,
     min_weight_perfect_matching,
@@ -57,25 +64,57 @@ def _match_color_graph(cg: ColorGraph, match) -> Matching | None:
     )
 
 
-def _solve_geometric(point_set: ColoredPointSet, build, match) -> Matching:
+def _pipeline(objective: Objective):
+    """The color graph builder and matching query that solve ``objective``.
+
+    The names are read from this module's globals at each call, so a
+    wrapper put on one of them (``perfbench``'s tracer wraps all five) is
+    the one that runs.
+    """
+    if objective is Objective.MINSUM:
+        return build_closest_color_graph, min_weight_perfect_matching
+    if objective is Objective.MINMAX:
+        return build_closest_color_graph, bottleneck_perfect_matching
+    if objective is Objective.MAXMIN:
+        return build_farthest_color_graph, maxmin_perfect_matching
+    raise InvalidInstanceError(f"objective {objective.value!r} has no solver")
+
+
+def solve_geometric(
+    point_set: ColoredPointSet, objectives: Sequence[Objective]
+) -> tuple[Matching, ...]:
+    """The solvers' matching of each of ``objectives``, in order.
+
+    Each color graph is built at most once, when the first objective that
+    needs it comes up, and shared by the objectives after it; so an error
+    is raised where solving the objectives one by one would raise it
+    first.
+    """
     _require_matching_instance(point_set)
-    # A complete color graph on an even color count always has a perfect matching.
-    return _match_color_graph(build(point_set), match)
+    graphs: dict = {}
+    solved = []
+    for objective in objectives:
+        build, match = _pipeline(objective)
+        if build not in graphs:
+            graphs[build] = build(point_set)
+        # A complete color graph on an even color count always has a perfect matching.
+        solved.append(_match_color_graph(graphs[build], match))
+    return tuple(solved)
 
 
 def solve_minsum(point_set: ColoredPointSet) -> Matching:
     """Color-spanning matching minimizing the total edge length."""
-    return _solve_geometric(point_set, build_closest_color_graph, min_weight_perfect_matching)
+    return solve_geometric(point_set, (Objective.MINSUM,))[0]
 
 
 def solve_maxmin(point_set: ColoredPointSet) -> Matching:
     """Color-spanning matching maximizing the minimum edge length."""
-    return _solve_geometric(point_set, build_farthest_color_graph, maxmin_perfect_matching)
+    return solve_geometric(point_set, (Objective.MAXMIN,))[0]
 
 
 def solve_minmax(point_set: ColoredPointSet) -> Matching:
     """Color-spanning matching minimizing the maximum edge length."""
-    return _solve_geometric(point_set, build_closest_color_graph, bottleneck_perfect_matching)
+    return solve_geometric(point_set, (Objective.MINMAX,))[0]
 
 
 def solve_k_multicolored_matching(g: VertexColoredGraph) -> Matching | None:

@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import pytest
 
-from colorspan import ColoredPointSet
+from colorspan import ColoredPointSet, solvers
 from colorspan.geometry import (
     ColorGraph,
     _exact_edges,
@@ -23,6 +24,21 @@ def figure1_text() -> str:
 @pytest.fixture(scope="session")
 def figure2_text() -> str:
     return (FIXTURE_DIR / "figure2.points").read_text()
+
+
+@pytest.fixture
+def build_counts(monkeypatch) -> Counter:
+    """Calls of each color graph builder by name, counted through
+    wrappers on the ``solvers`` module names the solvers call."""
+    counts: Counter = Counter()
+    for name in ("build_closest_color_graph", "build_farthest_color_graph"):
+
+        def counted(point_set, name=name, build=getattr(solvers, name)):
+            counts[name] += 1
+            return build(point_set)
+
+        monkeypatch.setattr(solvers, name, counted)
+    return counts
 
 
 def perfect_pairings(items: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:

@@ -526,6 +526,36 @@ class TestOracle:
 
 
 class TestCheck:
+    @pytest.mark.parametrize(
+        "argv, instances",
+        [
+            ([str(FIXTURE_DIR / "figure1.points")], 1),
+            ([str(FIXTURE_DIR / "figure2.points")], 1),
+            (["--sweep", "3"], 3),
+            (["--sweep", "3", "--seed", "1", "--k-list", "2,3,4"], 3),
+        ],
+    )
+    def test_each_color_graph_built_once_per_instance(
+        self, capsys, build_counts, argv, instances
+    ):
+        code, out, _ = run(capsys, "check", *argv)
+        assert code == EXIT_OK
+        assert out.count("status=ok") == 3 * instances
+        assert build_counts == {
+            "build_closest_color_graph": instances,
+            "build_farthest_color_graph": instances,
+        }
+
+    def test_overflowing_farthest_distances_fail_the_check(self, capsys, tmp_path, build_counts):
+        # The closest graph serves minsum; the farthest one fails to build.
+        f = tmp_path / "split.points"
+        f.write_text(SPLIT_POINTS)
+        assert run(capsys, "check", str(f)) == (EXIT_INVALID, "", OVERFLOW_ERROR)
+        assert build_counts == {
+            "build_closest_color_graph": 1,
+            "build_farthest_color_graph": 1,
+        }
+
     def test_single_instance_passes(self, capsys, tmp_path):
         f = tmp_path / "i.points"
         main(["gen", "points", "--n", "10", "--t", "4", "--seed", "2", "--out", str(f)])

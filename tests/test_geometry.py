@@ -255,3 +255,59 @@ class TestColorGraphs:
         assert exhaustive_color_extremes(ps, "farthest")[(0, 1)] == expected
         for g in (build_farthest_color_graph(ps), outer_farthest_graph(ps)):
             assert g.witnesses == {(0, 1): expected}
+
+
+def edge_heavy_point_set(kind: str, side: int, seed: int) -> ColoredPointSet:
+    """Color 0 holds many points exactly on the edges of the octagon that
+    the outer-point filter's first pass spans, in shuffled order.  Colors
+    1 and 2 sit 1e10 times the class's width away from its center, in the
+    four axis and the four diagonal directions: every point of the far
+    edge ties in float distance, so each farthest witness is the tie's
+    lowest index, often in the middle of an edge.
+
+    ``lattice``: a ``side`` x ``side`` integer lattice.  ``runs``: the
+    eight edges of an octagon with integer vertices, each a collinear run
+    of ``2 * side`` points, around a coarse lattice inside it.
+    ``duplicates``: the lattice with every point repeated up to three
+    times.
+    """
+    rng = np.random.default_rng(seed)
+    grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2) * 1.0
+    if kind == "lattice":
+        cls = grid
+    elif kind == "runs":
+        m = side - 1
+        corners = np.array(
+            [(m / 3, 0), (2 * m / 3, 0), (m, m / 3), (m, 2 * m / 3),
+             (2 * m / 3, m), (m / 3, m), (0, 2 * m / 3), (0, m / 3)]
+        ).round()
+        steps = np.arange(2 * side)[:, None] / (2 * side)
+        runs = [u + steps * (v - u) for u, v in zip(corners, np.roll(corners, -1, axis=0))]
+        inner = grid[np.abs(grid - m / 2).sum(axis=1) < m / 2]
+        cls = np.concatenate([*runs, inner[::3]])
+    else:
+        cls = np.repeat(grid, rng.integers(1, 4, len(grid)), axis=0)
+    cls = rng.permutation(cls)
+    center, far = (side - 1) / 2, 1e10 * side
+    angles = np.arange(8) * (np.pi / 4)
+    pts = np.concatenate((cls, center + far * np.column_stack((np.cos(angles), np.sin(angles)))))
+    colors = [0] * len(cls) + [1, 2] * 4
+    return ColoredPointSet(pts[:, 0], pts[:, 1], colors, 3)
+
+
+# Per kind, a side giving at most _SCAN_CUTOFF points, where only the
+# outer-point graph runs the filter, and one giving more, where the
+# builder does too.
+SIDES = {"lattice": (9, 20), "runs": (9, 25), "duplicates": (7, 14)}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "kind, side",
+    [(kind, side) for kind, sides in SIDES.items() for side in sides],
+)
+def test_two_pass_filter_keeps_points_on_the_octagon(kind, side, seed):
+    ps = edge_heavy_point_set(kind, side, seed)
+    expected = exhaustive_color_extremes(ps, "farthest")
+    for g in (build_farthest_color_graph(ps), outer_farthest_graph(ps)):
+        assert g.witnesses == expected

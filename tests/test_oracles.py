@@ -20,6 +20,7 @@ from colorspan import (
     brute_force_graph_matching,
     oracles,
     pairing_count,
+    solve_geometric,
     solve_k_multicolored_matching,
     stacked_rows_point_set,
     two_squares_point_set,
@@ -129,6 +130,43 @@ class TestGeometricOracle:
         ps = generate_matching_instance(3, 500 + seed)
         lo, hi = brute_force_geometric(ps, (Objective.MINSUM, Objective.MAXSUM))
         assert lo.total_weight <= hi.total_weight
+
+
+class TestOverflowingDistances:
+    # Colors 0 and 1 sit near the origin.  In "far apart" every distance
+    # between colors 2 and 3 is 2e308; in "split" only their farthest one
+    # is, their closest being 1.
+    INSTANCES = {
+        "far apart": ([0, 1, -1e308, -1e308, 1e308, 1e308], [0, 0, 0, 1, 0, 1]),
+        "split": ([0, 1, -1e308, 0, 1e308, 0], [0, 0, 0, 5, 0, 6]),
+    }
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    @pytest.mark.parametrize("name", INSTANCES)
+    def test_rejection_names_the_pair_of_higher_colors(self, name, objective):
+        xs, ys = self.INSTANCES[name]
+        ps = ColoredPointSet(xs, ys, [0, 1, 2, 2, 3, 3], 4)
+        if name == "split" and not objective.maximize:
+            (got,) = brute_force_geometric(ps, (objective,))
+            assert got.edges == ((0, 1), (3, 5))
+            return
+        message = "the distance between colors 2 and 3 exceeds the float range"
+        with pytest.raises(InvalidInstanceError, match=message):
+            brute_force_geometric(ps, (objective,))
+
+    def test_distance_overflowing_within_one_color_is_answered(self):
+        # Color 0's two points are 2e308 apart; no bichromatic distance
+        # overflows, nor any matching's total.
+        ps = ColoredPointSet(
+            [1e308, -1e308, 1e300, 2e300, 3e300], [0, 0, 0, 1e300, -1e300], [0, 0, 1, 2, 3], 4
+        )
+        objectives = (Objective.MINSUM, Objective.MAXMIN, Objective.MINMAX)
+        for objective, expected, got in zip(
+            objectives, brute_force_geometric(ps, objectives), solve_geometric(ps, objectives)
+        ):
+            assert expected.value(objective) == got.value(objective)
+        (maxsum,) = brute_force_geometric(ps, (Objective.MAXSUM,))
+        assert math.isfinite(maxsum.total_weight)
 
 
 class TestGraphOracle:

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -12,6 +14,7 @@ from colorspan import (
     build_closest_color_graph,
     build_farthest_color_graph,
     color_spanning_matching,
+    solve_geometric,
     solve_k_multicolored_matching,
     solve_maxmin,
     solve_minmax,
@@ -22,7 +25,9 @@ from colorspan import (
 from colorspan.generate import (
     generate_colorful_matching_instance,
     generate_matching_instance,
+    generate_points,
 )
+from colorspan.geometry import _SCAN_CUTOFF
 
 EPS = 0.1
 SOLVERS = {
@@ -171,6 +176,38 @@ class TestGeometricSolvers:
             got = solver(ps)
             colors = [int(ps.colors[p]) for pair in got.edges for p in pair]
             assert sorted(colors) == list(range(ps.num_colors))
+
+
+class TestSolveGeometric:
+    @pytest.mark.parametrize(
+        "n, t, seed, distribution",
+        [
+            (40, 4, 1, "uniform"),
+            (_SCAN_CUTOFF, 6, 2, "clusters"),
+            (_SCAN_CUTOFF + 1, 6, 3, "uniform"),
+            (2000, 10, 4, "clusters"),
+        ],
+    )
+    def test_every_ordered_subset_equals_the_single_solvers(
+        self, build_counts, n, t, seed, distribution
+    ):
+        ps = generate_points(n, t, seed, distribution)
+        single = {objective: solver(ps) for objective, solver in SOLVERS.items()}
+        for size in (1, 2, 3):
+            for objectives in itertools.permutations(SOLVERS, size):
+                build_counts.clear()
+                got = solve_geometric(ps, objectives)
+                assert got == tuple(single[o] for o in objectives)
+                closest = bool({Objective.MINSUM, Objective.MINMAX} & set(objectives))
+                # Counters compare missing names as zero counts.
+                assert build_counts == Counter(
+                    build_closest_color_graph=closest,
+                    build_farthest_color_graph=Objective.MAXMIN in objectives,
+                )
+
+    def test_objective_without_solver_rejected(self):
+        with pytest.raises(InvalidInstanceError, match="'maxsum' has no solver"):
+            solve_geometric(generate_matching_instance(2, 1), (Objective.MAXSUM,))
 
 
 class TestKMulticoloredMatching:
