@@ -46,8 +46,8 @@ def show(title, ps):
 
 
 def main():
-    show("Two unit squares (eps = 0.1)", two_squares_point_set(0.1))
-    show("Three stacked rows (eps = 0.1)", stacked_rows_point_set(0.1))
+    show("Two unit squares (eps = 0.1)", two_squares_point_set())
+    show("Three stacked rows (eps = 0.1)", stacked_rows_point_set())
     print(
         "\nNote how minsum picks the short perturbed edges while maxmin"
         " and minmax switch to entirely different color-spanning sets."

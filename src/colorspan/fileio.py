@@ -7,10 +7,14 @@ Point file::
 
 Graph file::
 
-    n m t
-    c          (n lines: vertex colors; every line must be 0 when t = 0,
-                which marks the graph as uncolored)
+    n m t      (non-negative counts)
+    c          (n lines: vertex colors in [0, t); every line must be 0 when
+                t = 0, which marks the graph as uncolored)
     u v [w]    (m lines: 0-based endpoints, optional weight, default 1.0)
+
+A graph file's edges follow the graph models' rules: endpoints in
+``[0, n)``, no self-loops, no edge twice in either orientation, finite
+non-negative weights.  Every violation names its line.
 
 Floats serialize with ``repr`` so every format round-trips exactly:
 ``parse(serialize(x)) == x``.  Parse failures raise
@@ -44,7 +48,7 @@ import numpy as np
 from .errors import InvalidInstanceError, ParseError
 from .geometry import ColoredPointSet, _never_used_message
 from .hardness import VertexColoredGraph
-from .matching import Matching, Objective, WeightedGraph
+from .matching import Matching, Objective, WeightedGraph, _edge_keys, _EdgeError
 
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:
@@ -79,6 +83,13 @@ def _parse_int(token: str, line: int, what: str) -> int:
         return int(token)
     except ValueError:
         raise ParseError(line, f"{what} must be an integer, got {token!r}") from None
+
+
+def _parse_count(token: str, line: int, what: str) -> int:
+    count = _parse_int(token, line, what)
+    if count < 0:
+        raise ParseError(line, f"{what} must be non-negative, got {count}")
+    return count
 
 
 def _parse_float(token: str, line: int, what: str) -> float:
@@ -187,7 +198,10 @@ def parse_graph(text: str) -> VertexColoredGraph | WeightedGraph:
     """Parse a graph file.
 
     Returns a :class:`VertexColoredGraph` when ``t > 0`` and an uncolored
-    :class:`WeightedGraph` when ``t = 0``.
+    :class:`WeightedGraph` when ``t = 0``.  This reads the format and its
+    tokens; the edge rules are the models' own (see
+    :func:`~colorspan.matching._edge_keys`), and an edge that breaks one
+    is reported on its line with the models' text.
     """
     lines = _significant_lines(text)
     if not lines:
@@ -196,9 +210,8 @@ def parse_graph(text: str) -> VertexColoredGraph | WeightedGraph:
     tokens = head.split()
     if len(tokens) != 3:
         raise ParseError(head_no, f"header must be 'n m t', got {head!r}")
-    n = _parse_int(tokens[0], head_no, "vertex count")
-    m = _parse_int(tokens[1], head_no, "edge count")
-    t = _parse_int(tokens[2], head_no, "color count")
+    whats = ("vertex count", "edge count", "color count")
+    n, m, t = (_parse_count(token, head_no, what) for token, what in zip(tokens, whats))
     if len(lines) - 1 != n + m:
         raise ParseError(
             head_no, f"expected {n} color lines and {m} edge lines, found {len(lines) - 1}"
@@ -217,30 +230,26 @@ def parse_graph(text: str) -> VertexColoredGraph | WeightedGraph:
     edges: list[tuple[int, int]] = []
     weights: list[float] = []
     any_weight = False
-    seen: set[tuple[int, int]] = set()
     for no, line in lines[1 + n :]:
         tokens = line.split()
         if len(tokens) not in (2, 3):
             raise ParseError(no, f"edge line must be 'u v [w]', got {line!r}")
         u = _parse_int(tokens[0], no, "edge endpoint")
         v = _parse_int(tokens[1], no, "edge endpoint")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(no, f"edge ({u}, {v}) references a missing vertex")
-        if u == v:
-            raise ParseError(no, f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ParseError(no, f"duplicate edge ({u}, {v})")
-        seen.add(key)
         if len(tokens) == 3:
             weights.append(_parse_float(tokens[2], no, "edge weight"))
             any_weight = True
         else:
             weights.append(1.0)
         edges.append((u, v))
-    if t == 0:
+    try:
+        if t:
+            return VertexColoredGraph(n, colors, edges, t, weights if any_weight else None)
+        # A file lists each edge once; the uncolored model would collapse a repeat.
+        _edge_keys(n, edges, weights, distinct=True)
         return WeightedGraph(n, [(u, v, w) for (u, v), w in zip(edges, weights)])
-    return VertexColoredGraph(n, colors, edges, t, weights if any_weight else None)
+    except _EdgeError as exc:
+        raise ParseError(lines[1 + n + exc.index][0], str(exc)) from None
 
 
 def serialize_graph(g: VertexColoredGraph | WeightedGraph) -> str:

@@ -1,10 +1,10 @@
 """Small hand-built point sets on which the objectives visibly diverge.
 
 Both fixtures use four colors over six points named a..f (indexes 0..5)
-and take a perturbation ``eps`` in (0, 0.5).  They are shipped serialized
-as ``fixtures/figure1.points`` and ``fixtures/figure2.points`` with
-``eps = 0.1`` and certified by the exhaustive oracle in the test suite
-before anything else relies on them.
+and a perturbation ``eps = 0.1``.  They are shipped serialized as
+``fixtures/figure1.points`` and ``fixtures/figure2.points`` and certified
+by the exhaustive oracle in the test suite before anything else relies
+on them.
 
 Fixture one lives on two side-by-side unit squares:
 
@@ -32,22 +32,14 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidInstanceError
 from .geometry import ColoredPointSet
 
-DEFAULT_EPS = 0.1
+_EPS = 0.1
 
 
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not 0.0 < eps < 0.5:
-        raise InvalidInstanceError(f"eps must lie in (0, 0.5), got {eps}")
-    return eps
-
-
-def two_squares_point_set(eps: float = DEFAULT_EPS) -> ColoredPointSet:
+def two_squares_point_set() -> ColoredPointSet:
     """The six-point, four-color arrangement on two unit squares."""
-    eps = _check_eps(eps)
+    eps = _EPS
     return ColoredPointSet(
         # a    b    c    d    e    f
         [1.0, 1.0, eps, 0.0, 2.0, 2.0 - eps],  # x
@@ -57,9 +49,9 @@ def two_squares_point_set(eps: float = DEFAULT_EPS) -> ColoredPointSet:
     )
 
 
-def stacked_rows_point_set(eps: float = DEFAULT_EPS) -> ColoredPointSet:
+def stacked_rows_point_set() -> ColoredPointSet:
     """The six-point, four-color arrangement on three stacked rows."""
-    eps = _check_eps(eps)
+    eps = _EPS
     half_ab = (1.0 - eps) / 2.0
     half_cd = (2.0 + eps) / 2.0
     # Row height making the a-c and b-d distances exactly 2 + eps.

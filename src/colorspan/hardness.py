@@ -37,11 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import BudgetExceededError, EquivalenceViolationError, InvalidInstanceError
-from .matching import WeightedGraph
+from .matching import WeightedGraph, _edge_keys
 
 DEFAULT_MAX_STATES = 10_000_000
 
@@ -52,9 +52,13 @@ _Item = TypeVar("_Item")
 class VertexColoredGraph:
     """A simple undirected graph whose vertices carry color labels.
 
-    Edges are normalized to ``u < v`` and sorted; duplicate edges and
-    self-loops are rejected (unlike :class:`WeightedGraph`, which collapses
-    duplicates).  ``weights``, when present, is parallel to ``edges``.
+    Every color lies in ``[0, num_colors)``.  The edges follow the rules
+    of :func:`~colorspan.matching._edge_keys`: endpoints in
+    ``[0, num_vertices)``, no self-loops, no edge twice in either
+    orientation (unlike :class:`WeightedGraph`, which collapses parallel
+    edges), and finite, non-negative weights.  Edges are normalized to
+    ``u < v`` and sorted; ``weights``, when present, is parallel to
+    ``edges``.
     """
 
     num_vertices: int
@@ -85,28 +89,16 @@ class VertexColoredGraph:
         wlist = None if weights is None else [float(w) for w in weights]
         if wlist is not None and len(wlist) != len(raw):
             raise InvalidInstanceError("need exactly one weight per edge")
-        canon: list[tuple[int, int]] = []
-        for u, v in raw:
-            u, v = int(u), int(v)
-            if u == v:
-                raise InvalidInstanceError(f"self-loop at vertex {u}")
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise InvalidInstanceError(f"edge ({u}, {v}) references a missing vertex")
-            canon.append((u, v) if u < v else (v, u))
-        if len(set(canon)) != len(canon):
-            raise InvalidInstanceError("duplicate edges are not allowed")
-        if wlist is not None:
-            for w in wlist:
-                if not math.isfinite(w) or w < 0:
-                    raise InvalidInstanceError(f"invalid edge weight {w}")
-            order = sorted(range(len(canon)), key=lambda i: canon[i])
-            canon = [canon[i] for i in order]
-            wlist = [wlist[i] for i in order]
+        given = repeat(1.0) if wlist is None else wlist
+        keys = _edge_keys(num_vertices, raw, given, distinct=True)
+        if wlist:
+            ordered = sorted(zip(keys, wlist))
+            keys, wlist = [key for key, _ in ordered], [w for _, w in ordered]
         else:
-            canon.sort()
+            keys = sorted(keys)
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "edges", tuple(canon))
+        object.__setattr__(self, "edges", tuple(keys))
         object.__setattr__(self, "num_colors", int(num_colors))
         object.__setattr__(self, "weights", None if wlist is None else tuple(wlist))
 
@@ -193,7 +185,7 @@ def reduce_is_to_mcis(g: WeightedGraph, k: int) -> ReductionArtifact:
                 out_edges.add((oi + v, oj + u))
     colors = [i for i in range(k) for _ in range(n)]
     provenance = {i * n + v: (v, f"copy{i}") for i in range(k) for v in range(n)}
-    graph = VertexColoredGraph(k * n, colors, sorted(out_edges), k)
+    graph = VertexColoredGraph(k * n, colors, out_edges, k)
     return ReductionArtifact(graph=graph, provenance=provenance)
 
 

@@ -87,13 +87,53 @@ class Objective(enum.Enum):
             ) from None
 
 
+class _EdgeError(InvalidInstanceError):
+    """An edge that breaks a rule, with its index in the list checked."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def _edge_keys(
+    num_vertices: int, edges: Sequence[tuple[int, int]], weights: Iterable[float], distinct=False
+) -> list[tuple[int, int]]:
+    """The ``(min, max)`` key of each edge ``(u, v)`` of ``edges``, whose
+    weights ``weights`` gives in the same order.
+
+    These are the edge rules of both graph types and of graph files: an
+    edge joins two distinct vertices in ``[0, num_vertices)`` and weighs a
+    finite, non-negative float; with ``distinct`` no edge appears twice,
+    in either orientation.  The first edge to break a rule raises
+    :class:`_EdgeError` with its index.  Each edge is checked for range,
+    then self-loop, then weight, in list order; repeated keys are looked
+    for once every edge has passed those.
+    """
+    keys = []
+    for (u, v), w in zip(edges, weights):
+        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+            raise _EdgeError(len(keys), f"edge ({u}, {v}) references a missing vertex")
+        if u == v:
+            raise _EdgeError(len(keys), f"self-loop at vertex {u}")
+        if not 0.0 <= w < math.inf:
+            raise _EdgeError(len(keys), f"edge ({u}, {v}) has invalid weight {w}")
+        keys.append((u, v) if u < v else (v, u))
+    if distinct and len(set(keys)) < len(keys):
+        first: dict[tuple[int, int], int] = {}
+        for i, key in enumerate(keys):
+            if first.setdefault(key, i) != i:
+                raise _EdgeError(i, "duplicate edge ({}, {})".format(*edges[i]))
+    return keys
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """A simple undirected graph with non-negative real edge weights.
 
     Edges are normalized to ``u < v``, sorted, and parallel input edges
-    collapse to their minimum weight.  Self-loops, vertex ids outside
-    ``[0, num_vertices)``, and negative or non-finite weights are rejected.
+    collapse to their minimum weight.  Every other edge rule of
+    :func:`_edge_keys` holds: no self-loops, vertex ids in
+    ``[0, num_vertices)``, finite non-negative weights.
     """
 
     num_vertices: int
@@ -102,17 +142,12 @@ class WeightedGraph:
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int, float]] = ()):
         if num_vertices < 0:
             raise InvalidInstanceError("vertex count must be non-negative")
+        edges = list(edges)
+        weights = [float(w) for _, _, w in edges]
+        keys = _edge_keys(num_vertices, [(u, v) for u, v, _ in edges], weights)
         collapsed: dict[tuple[int, int], float] = {}
-        for u, v, w in edges:
-            if u == v:
-                raise InvalidInstanceError(f"self-loop at vertex {u}")
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise InvalidInstanceError(f"edge ({u}, {v}) references a missing vertex")
-            w = float(w)
-            if not math.isfinite(w) or w < 0:
-                raise InvalidInstanceError(f"edge ({u}, {v}) has invalid weight {w}")
-            key = (u, v) if u < v else (v, u)
-            if key not in collapsed or w < collapsed[key]:
+        for key, w in zip(keys, weights):
+            if w < collapsed.get(key, math.inf):
                 collapsed[key] = w
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(

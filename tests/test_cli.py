@@ -312,7 +312,7 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", FIG1, "--objective", "maxmin", "--json")
         assert code == EXIT_OK
         payload = json.loads(out)
-        expected = solve_maxmin(two_squares_point_set(0.1))
+        expected = solve_maxmin(two_squares_point_set())
         assert payload["value"] == expected.min_edge_weight
 
     @pytest.mark.parametrize("objective", ["minsum", "minmax", "maxmin"])

@@ -81,6 +81,39 @@ SPLIT_RECORD = {
     "minmax": record("points", "minmax", "1.0", "0:2 4:6", "2.0", "1.0", "1.0"),
 }
 SOLVED_MAXMIN = "solve {fig1} --objective maxmin --json --out r.json"
+# Each graph-file rule broken once, in a colored file (t = 2, read by
+# check) and an uncolored one (t = 0, read by certify); every error names
+# its line.  EDGE_FAULTS gives the edge lines after two vertex lines.
+CHECK, CERTIFY = "check {}", "certify {} --k 2"
+EDGE_FAULTS = {
+    "loop": (("1 1",), "line 4: self-loop at vertex 1"),
+    "range": (("0 2",), "line 4: edge (0, 2) references a missing vertex"),
+    "dup": (("0 1", "0 1"), "line 5: duplicate edge (0, 1)"),
+    "flipped-dup": (("0 1", "1 0"), "line 5: duplicate edge (1, 0)"),
+    "negative": (("0 1 -1",), "line 4: edge (0, 1) has invalid weight -1.0"),
+    "inf": (("0 1 inf",), "line 4: edge weight must be finite, got 'inf'"),
+}
+GRAPH_FAULTS = [  # (argv template, file name, file text, error)
+    *[
+        (
+            argv, f"{name}.graph",
+            f"2 {len(edges)} {t}\n{colors}" + "".join(e + "\n" for e in edges), error,
+        )
+        for argv, t, colors in ((CHECK, 2, "0\n1\n"), (CERTIFY, 0, "0\n0\n"))
+        for name, (edges, error) in EDGE_FAULTS.items()
+    ],
+    (CHECK, "color.graph", "2 1 2\n0\n2\n0 1\n", "line 3: color 2 out of range [0, 2)"),
+    (
+        CERTIFY, "color.graph", "2 1 0\n0\n1\n0 1\n",
+        "line 3: uncolored graphs (t = 0) must list 0 for every vertex",
+    ),
+    (
+        CHECK, "colors.graph", "2 1 -2\n0\n1\n0 1\n",
+        "line 1: color count must be non-negative, got -2",
+    ),
+    (CHECK, "edges.graph", "2 -1 2\n0\n1\n", "line 1: edge count must be non-negative, got -1"),
+    (CERTIFY, "vertices.graph", "-1 1 0\n", "line 1: vertex count must be non-negative, got -1"),
+]  # fmt: skip
 GEN_CLUSTERS = "gen points --n 3000 --t 20 --distribution clusters --seed 1 --out c.points"
 
 TABLE = [
@@ -249,6 +282,16 @@ TABLE = [
         files={"bad.points": b"2 2\n0 0 0\n\xff 1 1\n"},
         process=True,
     ),
+    *[
+        Row(
+            argv.format(name),
+            EXIT_INVALID,
+            "",
+            stderr=f"invalid input: {error}\n",
+            files={name: text},
+        )
+        for argv, name, text, error in GRAPH_FAULTS
+    ],
     # 3^1000 one-vertex-per-copy states.
     Row(
         "certify s.graph --k 1000",

@@ -21,7 +21,10 @@ from colorspan.fileio import (
     serialize_provenance,
     sniff_kind,
 )
+from colorspan.fixtures import stacked_rows_point_set, two_squares_point_set
 from colorspan.generate import generate_colored_graph, generate_points
+
+from conftest import FIXTURE_DIR
 
 coords = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -73,6 +76,13 @@ class TestPointsFormat:
     def test_more_colors_than_points_rejected(self):
         with pytest.raises(ParseError, match="line 1: 2 points cannot cover 3 colors$"):
             parse_points("2 3\n0 0 0\n1 1 1\n")
+
+    @pytest.mark.parametrize(
+        "name, build",
+        [("figure1", two_squares_point_set), ("figure2", stacked_rows_point_set)],
+    )
+    def test_shipped_fixture_is_its_builder_serialized(self, name, build):
+        assert (FIXTURE_DIR / f"{name}.points").read_text() == serialize_points(build())
 
     def test_many_missing_colors_are_counted_not_listed(self):
         text = "40 40\n" + "0 0 0\n" * 39 + "1 1 1\n"

@@ -9,6 +9,8 @@ from colorspan import (
     InvalidInstanceError,
     Matching,
     Objective,
+    ParseError,
+    VertexColoredGraph,
     WeightedGraph,
     bottleneck_perfect_matching,
     brute_force_graph_matching,
@@ -17,6 +19,7 @@ from colorspan import (
     maxmin_perfect_matching,
     min_weight_perfect_matching,
 )
+from colorspan.fileio import parse_graph
 from colorspan.generate import generate_complete_weighted_graph, generate_uncolored_graph
 
 from conftest import perfect_pairings
@@ -77,6 +80,42 @@ class TestWeightedGraph:
     def test_rejects_missing_vertex(self):
         with pytest.raises(InvalidInstanceError):
             WeightedGraph(2, [(0, 2, 1.0)])
+
+
+# One bad edge on three vertices, and the message every edge check gives.
+# Range is checked before the self-loop, and both before the weight.
+BAD_EDGES = [
+    ((0, 3, 1.0), "edge (0, 3) references a missing vertex"),
+    ((-1, 2, 1.0), "edge (-1, 2) references a missing vertex"),
+    ((5, 5, -1.0), "edge (5, 5) references a missing vertex"),
+    ((1, 1, -1.0), "self-loop at vertex 1"),
+    ((2, 0, -0.5), "edge (2, 0) has invalid weight -0.5"),
+    ((0, 2, math.inf), "edge (0, 2) has invalid weight inf"),
+    ((0, 2, math.nan), "edge (0, 2) has invalid weight nan"),
+]
+
+
+@pytest.mark.parametrize("edge, message", BAD_EDGES, ids=[m for _, m in BAD_EDGES])
+def test_both_graph_types_and_the_parser_state_each_edge_rule_alike(edge, message):
+    u, v, w = edge
+    with pytest.raises(InvalidInstanceError) as weighted:
+        WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.0), edge])
+    with pytest.raises(InvalidInstanceError) as colored:
+        VertexColoredGraph(3, [0, 1, 1], [(0, 1), (1, 2), (u, v)], 2, [1.0, 2.0, w])
+    assert str(weighted.value) == str(colored.value) == message
+    if math.isfinite(w):  # a file's weight token must be finite first
+        for t, colors in ((0, "0\n0\n0\n"), (2, "0\n1\n1\n")):
+            text = f"3 3 {t}\n{colors}0 1 1.0\n1 2 2.0\n{u} {v} {w}\n"
+            with pytest.raises(ParseError) as parsed:
+                parse_graph(text)
+            assert str(parsed.value) == f"line 7: {message}"
+
+
+@pytest.mark.parametrize("edge", [(0, 1), (1, 0)])
+def test_colored_graph_names_a_repeated_edge(edge):
+    with pytest.raises(InvalidInstanceError) as colored:
+        VertexColoredGraph(3, [0, 1, 1], [(0, 1), edge], 2)
+    assert str(colored.value) == f"duplicate edge {edge}"
 
 
 class TestHasPerfectMatching:

@@ -30,8 +30,6 @@ from colorspan.oracles import _pairing_slots
 
 from conftest import perfect_pairings
 
-EPS = 0.1
-
 
 def naive_geometric_optimum(ps, objective):
     """Plain-itertools re-enumeration, independent of the numpy oracle."""
@@ -90,12 +88,12 @@ class TestPairings:
 
 class TestGeometricOracle:
     def test_two_squares_maxsum(self):
-        (got,) = brute_force_geometric(two_squares_point_set(EPS), (Objective.MAXSUM,))
+        (got,) = brute_force_geometric(two_squares_point_set(), (Objective.MAXSUM,))
         assert got.total_weight == pytest.approx(1 + math.sqrt(5), abs=1e-9)
         assert got.edges == ((0, 1), (3, 4))
 
     def test_stacked_rows_minsum_is_three(self):
-        (got,) = brute_force_geometric(stacked_rows_point_set(EPS), (Objective.MINSUM,))
+        (got,) = brute_force_geometric(stacked_rows_point_set(), (Objective.MINSUM,))
         assert got.total_weight == pytest.approx(3.0, abs=1e-9)
 
     def test_two_points_every_objective(self):

@@ -39,19 +39,19 @@ SOLVERS = {
 
 class TestTwoSquaresFixture:
     def test_minsum_value_and_pairs(self):
-        got = solve_minsum(two_squares_point_set(EPS))
+        got = solve_minsum(two_squares_point_set())
         assert got.total_weight == pytest.approx(2 - 2 * EPS, abs=1e-9)
         assert got.edges == ((0, 2), (1, 5))
 
     def test_maxmin_value(self):
-        got = solve_maxmin(two_squares_point_set(EPS))
+        got = solve_maxmin(two_squares_point_set())
         assert got.min_edge_weight == pytest.approx(math.sqrt(2), abs=1e-9)
         assert got.total_weight == pytest.approx(2 * math.sqrt(2), abs=1e-9)
         assert got.edges == ((0, 3), (1, 4))
 
     def test_objectives_separate(self):
         # The minsum and maxmin optima use different color-spanning sets.
-        ps = two_squares_point_set(EPS)
+        ps = two_squares_point_set()
         minsum = solve_minsum(ps)
         maxmin = solve_maxmin(ps)
         assert minsum.total_weight == pytest.approx(1.8, abs=1e-9)
@@ -61,20 +61,20 @@ class TestTwoSquaresFixture:
         }
 
     def test_closest_graph_edge_weight(self):
-        ps = two_squares_point_set(EPS)
+        ps = two_squares_point_set()
         assert build_closest_color_graph(ps).graph.weight(0, 2) == pytest.approx(
             1 - EPS, abs=1e-12
         )
 
     def test_farthest_graph_edge_weight(self):
-        ps = two_squares_point_set(EPS)
+        ps = two_squares_point_set()
         assert build_farthest_color_graph(ps).graph.weight(0, 2) >= math.sqrt(2) - 1e-12
 
 
 class TestColorSpanningPairs:
     # Two squares: points a..f have colors 0, 1, 2, 2, 3, 3.
     def test_pairs_are_canonical_and_weighted_by_distance(self):
-        ps = two_squares_point_set(EPS)
+        ps = two_squares_point_set()
         got = color_spanning_matching(ps, [(4, 1), (2, 0)])
         assert got.edges == ((0, 2), (1, 4))
         assert got.total_weight == ps.distance(0, 2) + ps.distance(1, 4)
@@ -95,17 +95,17 @@ class TestColorSpanningPairs:
     )
     def test_invalid_pairs_rejected(self, pairs, message):
         with pytest.raises(InvalidInstanceError, match=message):
-            color_spanning_matching(two_squares_point_set(EPS), pairs)
+            color_spanning_matching(two_squares_point_set(), pairs)
 
 
 class TestStackedRowsFixture:
     def test_minsum_value(self):
-        got = solve_minsum(stacked_rows_point_set(EPS))
+        got = solve_minsum(stacked_rows_point_set())
         assert got.total_weight == pytest.approx(3.0, abs=1e-9)
         assert got.edges == ((0, 1), (2, 3))
 
     def test_minmax_value(self):
-        got = solve_minmax(stacked_rows_point_set(EPS))
+        got = solve_minmax(stacked_rows_point_set())
         assert got.max_edge_weight == pytest.approx(1.5 + EPS, abs=1e-9)
         assert got.total_weight == pytest.approx(3 + 2 * EPS, abs=1e-9)
         assert got.edges == ((2, 4), (3, 5))
