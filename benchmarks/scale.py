@@ -21,11 +21,19 @@ least disturbed by other load on the host, and the spread of all its runs
   witness, on the same arguments the run gets there;
 - desk scale: ``colorspan check FILE`` through ``cli.main`` on generated
   matching instances at k = 2, 3 and 4 (the certify sweep's class caps),
-  one run checking every file of its k once.
+  one run checking every file of its k once;
+- cold start: ``python -m colorspan`` in a fresh child process, ``COLD_RUNS``
+  times, on a k = 3 desk file (``check``), a 10-vertex uncolored graph
+  (``certify --k 2``) and n = 10k, t = 20 clustered points (``solve
+  --objective minsum``, the one row that takes the kd-tree path and so
+  imports scipy).  These rows keep the best and median wall time, start to
+  exit, and the largest of the children's own peak RSS (``os.wait4``, so
+  no child's peak hides another's).
 
-The program is imported from ``src/`` of this checkout.  The results, with
-``nproc`` and the Python, numpy and scipy versions, go to
-``BENCH_scale.json`` at the checkout's root; progress goes to stdout.
+The program is imported from ``src/`` of this checkout, by this process
+and by the cold-start children.  The results, with ``nproc`` and the
+Python, numpy and scipy versions, go to ``BENCH_scale.json`` at the
+checkout's root; progress goes to stdout.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -58,11 +67,12 @@ from colorspan import (  # noqa: E402
     solve_minmax,
     solve_minsum,
 )
-from colorspan.fileio import parse_points, serialize_points  # noqa: E402
+from colorspan.fileio import parse_points, serialize_graph, serialize_points  # noqa: E402
 from colorspan.generate import (  # noqa: E402
     generate_complete_weighted_graph,
     generate_matching_instance,
     generate_points,
+    generate_uncolored_graph,
 )
 
 REPEATS = 3
@@ -74,6 +84,7 @@ WITNESS_SIZES = (20, 100, 200)
 # (k, class cap) of the desk-scale check rows, and the files per k.
 DESK_CAPS = ((2, 5), (3, 5), (4, 3))
 DESK_FILES = 8
+COLD_RUNS = 10
 
 
 def timed(name: str, call, repeats: int = REPEATS) -> dict:
@@ -192,8 +203,72 @@ def desk_rows() -> list[dict]:
     return rows
 
 
+# Starts the cold-start children and prints, per child, its wall time,
+# exit code and peak RSS.  A bare interpreter: Linux carries the peak RSS
+# of a process into its child's ``ru_maxrss`` when the child execs, so
+# children started from this process would all read at least its peak.
+LAUNCHER = """
+import json, os, sys, time
+argv = [sys.executable, "-m", "colorspan", *sys.argv[2:]]
+quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+runs = []
+for _ in range(int(sys.argv[1])):
+    start = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)
+    _, status, usage = os.wait4(pid, 0)
+    runs.append((time.perf_counter() - start, os.waitstatus_to_exitcode(status), usage.ru_maxrss))
+print(json.dumps(runs))
+"""
+
+
+def cold_row(name: str, argv: list[str], cwd: str) -> dict:
+    """``python -m colorspan *argv`` in ``COLD_RUNS`` fresh processes."""
+    launched = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, str(COLD_RUNS), *argv],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    runs = json.loads(launched.stdout)
+    if any(code != cli.EXIT_OK for _, code, _ in runs):
+        raise RuntimeError(f"{name} failed: {launched.stderr}")
+    walls = [wall for wall, _, _ in runs]
+    row = {
+        "name": name,
+        "runs": COLD_RUNS,
+        "best_s": min(walls),
+        "median_s": statistics.median(walls),
+        "peak_rss_mb": max(kib for _, _, kib in runs) / 1024,  # ru_maxrss is in KiB on Linux
+    }
+    print(
+        f"{name:50s} best {row['best_s']:9.4f} s  median {row['median_s']:9.4f} s  "
+        f"peak RSS {row['peak_rss_mb']:6.1f} MB",
+        flush=True,
+    )
+    return row
+
+
+def cold_rows() -> list[dict]:
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {
+            "desk.points": serialize_points(generate_matching_instance(3, SEED, 5)),
+            "desk.graph": serialize_graph(generate_uncolored_graph(10, SEED, 0.45)),
+            "clusters.points": serialize_points(generate_points(10_000, 20, SEED, "clusters")),
+        }
+        for name, text in files.items():
+            Path(tmp, name).write_text(text)
+        return [
+            cold_row("cold: check, k=3 cap=5 file", ["check", "desk.points"], tmp),
+            cold_row("cold: certify --k 2, n=10 uncolored", ["certify", "desk.graph", "--k", "2"], tmp),
+            cold_row(
+                "cold: solve minsum, n=10k t=20 clusters",
+                ["solve", "clusters.points", "--objective", "minsum"],
+                tmp,
+            ),
+        ]
+
+
 def main() -> int:
-    rows = desk_rows() + complete_graph_rows() + points_rows()
+    rows = cold_rows() + desk_rows() + complete_graph_rows() + points_rows()
     result = {
         "host": {
             "nproc": os.cpu_count(),

@@ -2,7 +2,7 @@
 
 Point file::
 
-    n t
+    n t        (non-negative counts)
     x y c      (n lines: two decimal reals and an integer color in [0, t))
 
 Graph file::
@@ -120,8 +120,8 @@ def parse_points(text: str) -> ColoredPointSet:
     tokens = head.split()
     if len(tokens) != 2:
         raise ParseError(head_no, f"header must be 'n t', got {head!r}")
-    n = _parse_int(tokens[0], head_no, "point count")
-    t = _parse_int(tokens[1], head_no, "color count")
+    n = _parse_count(tokens[0], head_no, "point count")
+    t = _parse_count(tokens[1], head_no, "color count")
     # loadtxt takes some non-ASCII tokens that ``float`` and ``int`` do not
     # (``3\u01fe`` as the int 492), so only ASCII text is read in bulk.
     columns = _point_columns(text.splitlines()[head_no:], n) if text.isascii() else None
@@ -137,7 +137,7 @@ def parse_points(text: str) -> ColoredPointSet:
     # Checked before counting colors, so a huge t costs no O(t) work.
     if t > n:
         raise ParseError(head_no, f"{n} points cannot cover {t} colors")
-    counts = np.bincount(np.array(colors, dtype=np.intp), minlength=max(t, 0))
+    counts = np.bincount(np.array(colors, dtype=np.intp), minlength=t)
     if not counts.all():
         raise ParseError(None, _never_used_message(counts))
     return ColoredPointSet(xs, ys, colors, t)

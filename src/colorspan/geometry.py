@@ -25,7 +25,8 @@ passes: an octagon of extreme points drops most of a raw class, then a
 32-gon of extreme points filters the distinct survivors; a ring through
 any points of the class is safe.  Builders are therefore exact and
 deterministic, with ties broken toward the lexicographically smallest pair
-of point indexes.
+of point indexes.  scipy is imported by the kd-tree pass alone, on the
+first closest build over more than ``_SCAN_CUTOFF`` points in a process.
 """
 
 from __future__ import annotations
@@ -33,13 +34,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidInstanceError
 from .matching import Matching, WeightedGraph
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 # Relative slack used when collecting candidates from the accelerated
 # passes; generous because the exact pass filters false positives anyway.
@@ -340,6 +343,10 @@ def _dual_tree_candidates(
     Each pair's bound is met by an actual pair, so the closest pair of
     every color pair is among the candidates.
     """
+    # Imported here, scipy's only user in the package: loading it costs a
+    # process about 35 MB, which no other path needs to pay.
+    from scipy.spatial import cKDTree
+
     t = point_set.num_colors
     reps = [_distinct_indices(point_set, point_set.color_indices(c)) for c in range(t)]
     trees = [cKDTree(np.column_stack((sx[r], sy[r]))) for r in reps]

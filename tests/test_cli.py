@@ -1104,3 +1104,58 @@ class TestParserReuse:
             capture_output=True, text=True, env={"PYTHONPATH": str(src)}, check=True,
         )
         assert record_lines(out) == record_lines(fresh.stdout)
+
+
+# Run by a fresh interpreter: each call must leave scipy unimported, and a
+# minsum solve on 300 points, the closest builder's kd-tree path, imports it.
+IMPORT_BOUNDARY_CHILD = """
+import contextlib, io, json, sys
+
+from colorspan import cli
+
+def call(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == cli.EXIT_OK, argv
+    return out.getvalue()
+
+assert "scipy" not in sys.modules
+for argv in json.loads(sys.argv[1]):
+    call(argv)
+    assert "scipy" not in sys.modules, argv
+out = call(["solve", "big.points", "--objective", "minsum"])
+assert "scipy" in sys.modules
+sys.stdout.write(out)
+"""
+
+
+class TestImportBoundary:
+    def test_only_the_kd_tree_path_imports_scipy(self, capsys, tmp_path, monkeypatch):
+        calls = [
+            ["gen", "points", "--n", "12", "--t", "4", "--seed", "1", "--out", "small.points"],
+            ["gen", "points", "--n", "300", "--t", "4", "--seed", "1", "--out", "big.points"],
+            ["gen", "graph", "--n", "8", "--k", "2", "--seed", "1", "--out", "colored.graph"],
+            ["gen", "graph", "--n", "8", "--uncolored", "--seed", "3", "--out", "g.graph"],
+            *[
+                ["solve", "small.points", "--objective", objective]
+                for objective in ("minsum", "minmax", "maxmin")
+            ],
+            ["solve", "big.points", "--objective", "maxmin"],
+            ["check", "small.points"],
+            ["check", "colored.graph"],
+            ["oracle", "small.points", "--objective", "maxsum"],
+            ["certify", "g.graph", "--k", "2"],
+            ["reduce", "g.graph", "--step", "is2mcis", "--k", "2", "--out", "g2.graph"],
+            ["render", "small.points", "--objective", "minmax", "--out", "small.svg"],
+        ]
+        src = Path(cli.__file__).resolve().parents[1]
+        child = subprocess.run(
+            [sys.executable, "-c", IMPORT_BOUNDARY_CHILD, json.dumps(calls)],
+            capture_output=True, text=True, cwd=tmp_path, env={"PYTHONPATH": str(src)},
+            timeout=300,
+        )
+        assert (child.returncode, child.stderr) == (0, "")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "solve", "big.points", "--objective", "minsum")
+        assert code == EXIT_OK
+        assert record_lines(child.stdout) == record_lines(out)

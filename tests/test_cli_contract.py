@@ -292,6 +292,20 @@ TABLE = [
         )
         for argv, name, text, error in GRAPH_FAULTS
     ],
+    # A point file's negative header count fails on the header line.
+    *[
+        Row(
+            f"solve {name}.points",
+            EXIT_INVALID,
+            "",
+            stderr=f"invalid input: line 1: {error}\n",
+            files={f"{name}.points": text},
+        )
+        for name, text, error in (
+            ("points", "-1 2\n", "point count must be non-negative, got -1"),
+            ("colors", "2 -3\n0 0 0\n1 0 0\n", "color count must be non-negative, got -3"),
+        )
+    ],
     # 3^1000 one-vertex-per-copy states.
     Row(
         "certify s.graph --k 1000",

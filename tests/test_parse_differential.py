@@ -35,6 +35,13 @@ def _ref_int(token, line, what):
         raise ParseError(line, f"{what} must be an integer, got {token!r}") from None
 
 
+def _ref_count(token, line, what):
+    count = _ref_int(token, line, what)
+    if count < 0:
+        raise ParseError(line, f"{what} must be non-negative, got {count}")
+    return count
+
+
 def _ref_float(token, line, what):
     try:
         value = float(token)
@@ -56,8 +63,8 @@ def reference_parse_points(text):
     tokens = head.split()
     if len(tokens) != 2:
         raise ParseError(head_no, f"header must be 'n t', got {head!r}")
-    n = _ref_int(tokens[0], head_no, "point count")
-    t = _ref_int(tokens[1], head_no, "color count")
+    n = _ref_count(tokens[0], head_no, "point count")
+    t = _ref_count(tokens[1], head_no, "color count")
     if len(lines) - 1 != n:
         raise ParseError(head_no, f"expected {n} point lines, found {len(lines) - 1}")
     xs, ys, colors = [], [], []
@@ -236,6 +243,7 @@ class TestParseMatchesReference:
             "0 0\n",
             "0 2\n",
             "-1 2\n",
+            "2 -3\n0 0 0\n1 1 0\n",
             "2 2\n0 0 0\n",
             "  \n\n 2 2 \n 0 0 0 \n\x0c1 1 1",
             # loadtxt reads \x1c as a space, splitlines as a line break.
