@@ -15,6 +15,10 @@ least disturbed by other load on the host, and the spread of all its runs
 - n = 1M points, t = 100, both distributions: both builders;
 - many colors, uniform: the closest builder at n = 3000, t = 300 and
   n = 5000, t = 500;
+- mixed scales: the closest builder on ``mixed_scale_points()``, 4002
+  points of which two lie near 1e6 and the rest within 1e-6 of the origin,
+  so at unit scale every cross-color pair of the small cluster is inside
+  the absolute candidate slack;
 - min-weight and bottleneck matching on the complete graph K_t with random
   weights, t in 20, 60, 100, 200 and 300, and at t in 20, 100 and 200 the
   one unit-weight blossom run by which bottleneck matching picks its
@@ -25,15 +29,17 @@ least disturbed by other load on the host, and the spread of all its runs
 - cold start: ``python -m colorspan`` in a fresh child process, ``COLD_RUNS``
   times, on a k = 3 desk file (``check``), a 10-vertex uncolored graph
   (``certify --k 2``) and n = 10k, t = 20 clustered points (``solve
-  --objective minsum``, the one row that takes the kd-tree path and so
-  imports scipy).  These rows keep the best and median wall time, start to
-  exit, and the largest of the children's own peak RSS (``os.wait4``, so
-  no child's peak hides another's).
+  --objective minsum``, past the full-scan cutoff of the closest builder),
+  and ``LARGE_COLD_RUNS`` times on n = 1M, t = 100 uniform points and on
+  the mixed-scale set (``solve --objective minsum``).  These rows keep the
+  best and median wall time, start to exit, and the largest of the
+  children's own peak RSS (``os.wait4``, so no child's peak hides
+  another's).
 
 The program is imported from ``src/`` of this checkout, by this process
 and by the cold-start children.  The results, with ``nproc`` and the
-Python, numpy and scipy versions, go to ``BENCH_scale.json`` at the
-checkout's root; progress goes to stdout.
+Python and numpy versions, go to ``BENCH_scale.json`` at the checkout's
+root; progress goes to stdout.
 """
 
 from __future__ import annotations
@@ -54,9 +60,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy  # noqa: E402
-import scipy  # noqa: E402
 
 from colorspan import (  # noqa: E402
+    ColoredPointSet,
     bottleneck_perfect_matching,
     build_closest_color_graph,
     build_farthest_color_graph,
@@ -85,6 +91,7 @@ WITNESS_SIZES = (20, 100, 200)
 DESK_CAPS = ((2, 5), (3, 5), (4, 3))
 DESK_FILES = 8
 COLD_RUNS = 10
+LARGE_COLD_RUNS = 3
 
 
 def timed(name: str, call, repeats: int = REPEATS) -> dict:
@@ -139,7 +146,20 @@ def points_rows() -> list[dict]:
         ps = generate_points(n, t, SEED)
         at = f"n={n} t={t} uniform"
         rows.append(timed(f"{at}: closest color graph", lambda: build_closest_color_graph(ps)))
+    ps = mixed_scale_points()
+    at = "n=4002 t=2 mixed scales"
+    rows.append(timed(f"{at}: closest color graph", lambda: build_closest_color_graph(ps)))
     return rows
+
+
+def mixed_scale_points() -> ColoredPointSet:
+    """Points 0 and 1, of colors 0 and 1, at (1e6, 0) and (1e6, 1), and
+    4000 points of random colors 0 and 1 in the square of side 1e-6 at the
+    origin."""
+    rng = numpy.random.default_rng(SEED)
+    xs = numpy.r_[1e6, 1e6, rng.random(4000) * 1e-6]
+    ys = numpy.r_[0.0, 1.0, rng.random(4000) * 1e-6]
+    return ColoredPointSet(xs, ys, numpy.r_[0, 1, rng.integers(0, 2, 4000)], 2)
 
 
 def witness_call(g) -> tuple:
@@ -221,10 +241,10 @@ print(json.dumps(runs))
 """
 
 
-def cold_row(name: str, argv: list[str], cwd: str) -> dict:
-    """``python -m colorspan *argv`` in ``COLD_RUNS`` fresh processes."""
+def cold_row(name: str, argv: list[str], cwd: str, runs: int = COLD_RUNS) -> dict:
+    """``python -m colorspan *argv`` in ``runs`` fresh processes."""
     launched = subprocess.run(
-        [sys.executable, "-c", LAUNCHER, str(COLD_RUNS), *argv],
+        [sys.executable, "-c", LAUNCHER, str(runs), *argv],
         cwd=cwd, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, check=True,
     )
@@ -234,7 +254,7 @@ def cold_row(name: str, argv: list[str], cwd: str) -> dict:
     walls = [wall for wall, _, _ in runs]
     row = {
         "name": name,
-        "runs": COLD_RUNS,
+        "runs": runs,
         "best_s": min(walls),
         "median_s": statistics.median(walls),
         "peak_rss_mb": max(kib for _, _, kib in runs) / 1024,  # ru_maxrss is in KiB on Linux
@@ -253,9 +273,12 @@ def cold_rows() -> list[dict]:
             "desk.points": serialize_points(generate_matching_instance(3, SEED, 5)),
             "desk.graph": serialize_graph(generate_uncolored_graph(10, SEED, 0.45)),
             "clusters.points": serialize_points(generate_points(10_000, 20, SEED, "clusters")),
+            "uniform.points": serialize_points(generate_points(1_000_000, 100, SEED)),
+            "mixed.points": serialize_points(mixed_scale_points()),
         }
         for name, text in files.items():
             Path(tmp, name).write_text(text)
+        del files
         return [
             cold_row("cold: check, k=3 cap=5 file", ["check", "desk.points"], tmp),
             cold_row("cold: certify --k 2, n=10 uncolored", ["certify", "desk.graph", "--k", "2"], tmp),
@@ -263,6 +286,18 @@ def cold_rows() -> list[dict]:
                 "cold: solve minsum, n=10k t=20 clusters",
                 ["solve", "clusters.points", "--objective", "minsum"],
                 tmp,
+            ),
+            cold_row(
+                "cold: solve minsum, n=1M t=100 uniform",
+                ["solve", "uniform.points", "--objective", "minsum"],
+                tmp,
+                LARGE_COLD_RUNS,
+            ),
+            cold_row(
+                "cold: solve minsum, n=4002 t=2 mixed scales",
+                ["solve", "mixed.points", "--objective", "minsum"],
+                tmp,
+                LARGE_COLD_RUNS,
             ),
         ]
 
@@ -274,7 +309,6 @@ def main() -> int:
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
         },
         "seed": SEED,
         "rows": rows,

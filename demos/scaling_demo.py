@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Timing of the closest color graph builder at increasing sizes.
 
-The builder bounds each color pair's closest distance by nearest-neighbour
-queries from a few seeds per class and color pair (the point facing the
-other class's centroid, plus a sparse stride sample), then collects the
-pairs within that bound with one dual kd-tree range search per color
-pair, so it stays fast far beyond what the exhaustive pair scan could
-handle; a small replica is verified against the scan for confidence.
+The builder collects candidate pairs in two tiers: one grid pass over all
+points settles every color pair whose closest pair lies well inside a cell,
+and a quadtree walk per remaining color pair prunes node pairs by bounds
+that actual pairs meet.  It stays fast far beyond what the exhaustive pair
+scan could handle; a small replica is verified against the scan for
+confidence.
 """
 
 import math

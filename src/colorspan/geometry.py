@@ -15,18 +15,32 @@ pair exceeds the float range.
 Distances are Euclidean.  Every distance that ends up in a result comes
 from ``math.hypot`` on the original coordinates, and only that exact final
 pass decides.  The earlier passes just narrow down candidates: a small set
-takes every bichromatic pair; in a larger one, closest candidates come from
-dual-tree range searches bounded per color pair, farthest candidates from
-the outer points of each class.  A color pair's bound is the distance of
-an actual pair, found by nearest-neighbour queries from a few seeds of
-each class aimed at the other: the point facing the other class's
-centroid and a sparse stride sample.  The outer points come from two
-passes: an octagon of extreme points drops most of a raw class, then a
-32-gon of extreme points filters the distinct survivors; a ring through
-any points of the class is safe.  Builders are therefore exact and
-deterministic, with ties broken toward the lexicographically smallest pair
-of point indexes.  scipy is imported by the kd-tree pass alone, on the
-first closest build over more than ``_SCAN_CUTOFF`` points in a process.
+takes every bichromatic pair; in a larger one, closest candidates come
+from two tiers over the distinct points of each class, farthest candidates
+from the outer points of each class.
+
+Both closest tiers keep a pair while it lies within the exact pass's cut
+of the least distance its color pair has shown so far.  That distance only
+falls, and the cut with it, so every pair the exact pass keeps survives.
+Tier 1 is one grid whose cell side is a power of two: the coarsest whose
+pairs in the same or neighbouring cells number at most
+``_GRID_PAIRS_PER_POINT`` per point, counted from the cell histogram, or
+the finest.  Cell indexes come from exact power-of-two scaling and
+flooring, so two points less than a side apart share or neighbour a cell,
+and a color pair whose cut, widened by the rounding of a float distance,
+is below the side has every pair the exact pass needs among the grid's.
+Tier 2 walks a quadtree per class, in Morton order, for the color pairs
+left open.  It drops a node pair only when the bounding boxes are farther
+apart than the widened cut of a bound that an actual pair meets: the
+least distance between the first points of a node pair, from the two
+roots down.  A node pair at the finest level, whose cells cannot split,
+is a leaf like a small one, and all its pairs are enumerated.
+
+The outer points come from two passes: an octagon of extreme points drops
+most of a raw class, then a 32-gon of extreme points filters the distinct
+survivors; a ring through any points of the class is safe.  Builders are
+therefore exact and deterministic, with ties broken toward the
+lexicographically smallest pair of point indexes.
 """
 
 from __future__ import annotations
@@ -34,15 +48,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInstanceError
 from .matching import Matching, WeightedGraph
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 # Relative slack used when collecting candidates from the accelerated
 # passes; generous because the exact pass filters false positives anyway.
@@ -59,9 +70,30 @@ _MISSING_SHOWN = 8
 # Up to this many points both builders take every bichromatic pair as a
 # candidate: below it, the per-class passes cost more than they save.
 _SCAN_CUTOFF = 256
-# Every this-many-th distinct point of a class seeds the per-pair bounds,
-# next to the class's point facing the other class.
-_SAMPLE_STRIDE = 256
+# The closest builder's grid pass takes the coarsest grid on which at
+# most this many point pairs per distinct point share or neighbour a cell.
+_GRID_PAIRS_PER_POINT = 2
+# Point pairs enumerated at once by either candidate tier, and grid cells
+# whose neighbours are looked up at once.
+_PAIR_CHUNK = 1 << 14
+_CELL_CHUNK = 1 << 14
+# Pieces of kept candidate pairs merged into one array at a time.
+_MERGED_PIECES = 64
+# A quadtree node pair with at most this many point pairs is a leaf, and
+# the walk takes this many node pairs at once.
+_LEAF_PAIRS = 16
+_NODE_CHUNK = 1 << 13
+# The 16 pairs of child ranks of a node pair.
+_CHILD_A, _CHILD_B = np.divmod(np.arange(16), 4)
+# Shifts and masks that spread the bits of a 32-bit integer to the even
+# bits of a 64-bit one.
+_SPREAD = [
+    (16, np.uint64(0x0000FFFF0000FFFF)),
+    (8, np.uint64(0x00FF00FF00FF00FF)),
+    (4, np.uint64(0x0F0F0F0F0F0F0F0F)),
+    (2, np.uint64(0x3333333333333333)),
+    (1, np.uint64(0x5555555555555555)),
+]
 
 # Directions, in angular order, whose extreme points span an inner polygon.
 _ANGLES = np.arange(2 * 16) * (np.pi / 16)
@@ -254,8 +286,9 @@ def _unit_scaled(point_set: ColoredPointSet) -> tuple[np.ndarray, np.ndarray, fl
 
     The scaling is exact (up to underflow far below any candidate slack),
     so the accelerated passes see well-scaled input at every coordinate
-    scale: kd-tree squared distances cannot overflow, outer-point and
-    candidate arithmetic cannot underflow, and no difference overflows.
+    scale: every coordinate lies in (-1, 1), where grid cell indexes are
+    exact, outer-point and candidate arithmetic cannot underflow, and no
+    difference overflows.
     The slack is ``_ABS_SLACK`` plus a few subnormal spacings taken to
     unit scale, so pairs whose exact distances tie on the subnormal grid
     stay candidates; at normal scales the spacings add under 1e-15.
@@ -302,65 +335,327 @@ def _scan_candidates(point_set: ColoredPointSet) -> tuple[np.ndarray, np.ndarray
     return np.where(swap, b, a), np.where(swap, a, b)
 
 
-def _pair_bounds(
-    reps: list[np.ndarray], trees: list[cKDTree], sx: np.ndarray, sy: np.ndarray
-) -> np.ndarray:
-    """A ``t x t`` symmetric matrix of upper bounds on the scaled closest
-    distance of each color pair.
+def _morton(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """Morton codes of the integer cell coordinates ``(ix, iy)``, each
+    below 2^31: their bits interleaved, those of ``ix`` higher."""
+    spread = []
+    for v in (ix, iy):
+        v = v.astype(np.uint64)
+        for shift, mask in _SPREAD:
+            v = (v | (v << shift)) & mask
+        spread.append(v)
+    return ((spread[0] << 1) | spread[1]).astype(np.int64)
 
-    Each ordered pair ``(c, j)`` is bounded from seeds of class ``c``
-    queried against class ``j``'s tree, one batched query per tree: the
-    point of ``c`` facing ``j`` (the one nearest to ``j``'s centroid) and
-    every ``_SAMPLE_STRIDE``-th point of ``c``.  The facing point is close
-    to ``j`` when the classes are compact; the sparse samples keep the
-    bound tight when a class has several far-apart parts.
+
+def _cell_pairs(codes: np.ndarray, shift: int) -> int:
+    """The point pairs that share a cell, given the sorted Morton codes
+    ``codes`` and the bits ``shift`` that a cell's codes differ in."""
+    cells = codes >> shift
+    first = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+    counts = np.diff(np.r_[first, len(cells)])
+    return int((counts * (counts - 1)).sum()) // 2
+
+
+class _Grid(NamedTuple):
+    """The occupied cells of one grid level in row-major order.
+
+    A cell's points take consecutive places: ``starts[k]`` is cell ``k``'s
+    first, and ``starts[-1]`` the point count.  ``above[k]`` counts the
+    points of the cell above cell ``k``, and the three cells to its right
+    hold the places ``right[k] .. right_end[k] - 1``.  Cell ``k``'s points
+    are those from position ``first[k]`` in Morton order.
     """
-    t = len(reps)
-    centroids = np.array([(sx[r].mean(), sy[r].mean()) for r in reps])
-    # facing[c, j]: the point of class c nearest to class j's centroid.
-    facing = np.array([r[tree.query(centroids)[1]] for r, tree in zip(reps, trees)])
-    samples = [r[::_SAMPLE_STRIDE] for r in reps]
-    sampled = np.concatenate(samples)
-    owner = np.concatenate((np.arange(t), np.repeat(np.arange(t), [len(s) for s in samples])))
-    bound = np.full((t, t), np.inf)
-    for j, tree in enumerate(trees):
-        keep = owner != j
-        idx, own = np.concatenate((facing[:, j], sampled))[keep], owner[keep]
-        dist, _ = tree.query(np.column_stack((sx[idx], sy[idx])))
-        # The first entry of each owner's run, ordered by distance.
-        order = np.lexsort((dist, own))
-        head = order[np.r_[True, own[order[1:]] != own[order[:-1]]]]
-        bound[own[head], j] = dist[head]
-    return np.minimum(bound, bound.T)
+
+    first: np.ndarray
+    starts: np.ndarray
+    above: np.ndarray
+    right: np.ndarray
+    right_end: np.ndarray
+
+    def pairs(self) -> int:
+        """The point pairs in the same or neighbouring cells."""
+        counts = np.diff(self.starts)
+        inside = (counts @ counts - self.starts[-1]) // 2
+        return int(inside + counts @ (self.above + self.right_end - self.right))
+
+    def positions(self) -> np.ndarray:
+        """The Morton position of the point at each place."""
+        counts = np.diff(self.starts)
+        return np.repeat(self.first - self.starts[:-1], counts) + np.arange(self.starts[-1])
+
+    def blocks(self) -> Iterable[tuple[np.ndarray, ...]]:
+        """Blocks of places for :func:`_block_pairs`, ``_CELL_CHUNK`` cells
+        at a time: each cell with itself and the cell above, and with the
+        cells to its right, so each neighbouring pair of cells once."""
+        cells = len(self.above)
+        for lo in range(0, cells, _CELL_CHUNK):
+            hi = min(lo + _CELL_CHUNK, cells)
+            starts = self.starts[lo:hi]
+            counts = self.starts[lo + 1 : hi + 1] - starts
+            right, right_end = self.right[lo:hi], self.right_end[lo:hi]
+            yield (
+                np.r_[starts, starts], np.r_[counts, counts],
+                np.r_[starts, right], np.r_[counts + self.above[lo:hi], right_end - right],
+            )
 
 
-def _dual_tree_candidates(
+def _grid(codes: np.ndarray, ix: np.ndarray, iy: np.ndarray, level: int, depth: int) -> _Grid:
+    """The grid of ``level`` over the points with sorted Morton codes
+    ``codes`` at ``depth`` and cell coordinates ``ix``, ``iy`` there."""
+    shift = depth - level
+    cells = codes >> 2 * shift
+    first = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+    del cells
+    # Row-major cell keys with a free row and column on each side: the
+    # neighbour at (dx, dy) has the key plus dx * width + dy.
+    width = (1 << level) + 2
+    keys = ((ix[first] >> shift) + 1) * width + (iy[first] >> shift) + 1
+    order = np.argsort(keys)
+    keys = keys[order]
+    counts = np.diff(np.r_[first, len(codes)])[order]
+    first = first[order]
+    del order
+    starts = np.r_[0, np.cumsum(counts)]
+    above = np.zeros_like(counts)
+    up = np.flatnonzero(keys[1:] == keys[:-1] + 1)
+    above[up] = counts[up + 1]
+    # The three cells to the right are among the three from the first key
+    # at or past the lowest of them.
+    right = np.searchsorted(keys, keys + width - 1)
+    right_end = right.copy()
+    last = keys + width + 1
+    keys = np.r_[keys, np.full(3, last.max() + 1)]
+    for k in range(3):
+        right_end += keys[right + k] <= last
+    del keys, last
+    return _Grid(first, starts, above, starts[right], starts[right_end])
+
+
+def _block_pairs(sa, na, sb, nb) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    """The position pairs ``(i, j)``, ``i < j``, with ``i`` in
+    ``sa .. sa + na - 1`` and ``j`` in ``sb .. sb + nb - 1`` of some block,
+    in chunks of about ``_PAIR_CHUNK`` pairs.  A block's rows either all
+    precede its columns or are them (``sa == sb``, ``na == nb``)."""
+    rows = np.repeat(sa - (np.cumsum(na) - na), na) + np.arange(na.sum())
+    # Each row's columns past the row, so a block on itself yields every
+    # pair once.
+    start = np.maximum(np.repeat(sb, na), rows + 1)
+    width = np.repeat(sb + nb, na) - start
+    ends = np.cumsum(width)
+    chunk = (ends - width) // _PAIR_CHUNK
+    bounds = np.flatnonzero(np.r_[True, chunk[1:] != chunk[:-1], True])
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        w = width[lo:hi]
+        # Within a row, j runs with the pair's place in the chunk.
+        place = ends[lo:hi] - w - (ends[lo] - w[0])
+        yield np.repeat(rows[lo:hi], w), np.arange(w.sum()) + np.repeat(start[lo:hi] - place, w)
+
+
+class _Scan(NamedTuple):
+    """What the candidate pairs of both tiers are scanned with: the point
+    colors and unit-scaled coordinates, the color count, the slack and,
+    per color pair code ``i * t + j``, the least distance seen so far."""
+
+    colors: np.ndarray
+    sx: np.ndarray
+    sy: np.ndarray
+    t: int
+    slack: float
+    best: np.ndarray
+
+    def keep(self, pairs: Iterable[tuple[np.ndarray, np.ndarray]]):
+        """The bichromatic pairs ``(a, b)`` among ``pairs``, ``a`` of the
+        lower color, within the ``_exact_edges`` cut of their color pair's
+        least distance so far, which each chunk lowers first.  The least
+        distance only falls and the cut with it, so every pair within the
+        cut of the final least distance is kept."""
+        colors, sx, sy, best, t = self.colors, self.sx, self.sy, self.best, self.t
+        kept, pieces = [np.empty((2, 0), np.intp)], []
+        for a, b in pairs:
+            ca, cb = colors[a], colors[b]
+            # A same-color pair lands on the diagonal, which nothing reads.
+            code = np.minimum(ca, cb) * t + np.maximum(ca, cb)
+            dist = np.hypot(sx[a] - sx[b], sy[a] - sy[b])
+            np.minimum.at(best, code, dist)
+            keep = np.flatnonzero((dist <= _cut(best[code], self.slack)) & (ca != cb))
+            a, b = a[keep], b[keep]
+            pieces.append(np.where(ca[keep] > cb[keep], [b, a], [a, b]))
+            # Merged as they come: many small pieces freed at once leave
+            # heap that the exact pass's Python objects cannot reuse.
+            if len(pieces) == _MERGED_PIECES:
+                kept.append(np.concatenate(pieces, axis=1))
+                pieces = []
+        a, b = np.concatenate(kept + pieces, axis=1)
+        return a, b
+
+
+def _cut(extreme: np.ndarray, slack: float) -> np.ndarray:
+    """The distance up to which ``_exact_edges`` keeps a candidate of a
+    color pair whose extreme candidate distance is ``extreme``."""
+    return extreme + np.maximum(np.abs(extreme) * _CANDIDATE_SLACK, slack)
+
+
+def _widened(bound: np.ndarray) -> np.ndarray:
+    """``bound`` plus twice the rounding of a hypot of two rounded
+    differences, relative and on the subnormal grid: a pair whose float
+    distance is at most ``bound`` is exactly nearer than this, and so is
+    any float lower bound on its distance."""
+    return bound * (1 + 8 * np.finfo(np.float64).eps) + np.finfo(np.float64).smallest_subnormal
+
+
+def _quadtree_pairs(
+    pts: np.ndarray, codes: np.ndarray, depth: int,
+    scan: _Scan, pi: np.ndarray, pj: np.ndarray,
+) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    """Point pairs that cover, for each color pair ``(pi, pj)``, every
+    pair within the cut of its closest distance; ``codes`` are the points'
+    Morton codes at ``depth``.
+
+    Each class, sorted by Morton code, is a quadtree whose nodes at a
+    level are the runs of equal code prefixes.  The walk starts from the
+    pair of roots of each color pair and goes down one level at a time,
+    ``_NODE_CHUNK`` node pairs at once.  A node pair with at most
+    ``_LEAF_PAIRS`` point pairs, or at ``depth``, is a leaf, whose pairs
+    are enumerated; any other is split into the pairs of its children.  A
+    new node pair first lowers the color pair's bound by the distance of
+    the two nodes' first points, and is dropped if its bounding boxes lie
+    farther apart than the widened cut of that bound.
+    """
+    keys = (scan.colors[pts].astype(np.int64) << 2 * depth) | codes
+    order = np.argsort(keys, kind="stable")
+    keys, pts = keys[order], pts[order]
+    del order
+    # A last entry that no node holds ends the last node's reduction.
+    px, py = scan.sx[np.r_[pts, 0]], scan.sy[np.r_[pts, 0]]
+
+    def nodes(level: int) -> np.ndarray:
+        """Each node's first position, and past the last node the end."""
+        prefix = keys >> 2 * (depth - level)
+        return np.r_[np.flatnonzero(np.r_[True, prefix[1:] != prefix[:-1]]), len(keys)]
+
+    def near(bounds: np.ndarray, code: np.ndarray, ka: np.ndarray, kb: np.ndarray):
+        """Whether each node pair ``(ka, kb)`` of the nodes that start at
+        ``bounds`` may hold a pair within the cut, after its first points
+        lower the bound."""
+        sa, sb = bounds[ka], bounds[kb]
+        np.minimum.at(scan.best, code, np.hypot(px[sa] - px[sb], py[sa] - py[sb]))
+        # Bounding boxes of the nodes in some pair, one reduction each over
+        # its own points; the points between two such nodes reduce to
+        # nothing that is read.
+        used = np.zeros(len(bounds) - 1, bool)
+        used[ka] = used[kb] = True
+        node = np.flatnonzero(used)
+        cuts = np.column_stack((bounds[node], bounds[node + 1])).ravel()
+        xlo, xhi, ylo, yhi = (
+            f.reduceat(c, cuts)[::2] for c in (px, py) for f in (np.minimum, np.maximum)
+        )
+        slot = np.cumsum(used) - 1
+        ra, rb = slot[ka], slot[kb]
+        gap_x = np.maximum(np.maximum(xlo[rb] - xhi[ra], xlo[ra] - xhi[rb]), 0)
+        gap_y = np.maximum(np.maximum(ylo[rb] - yhi[ra], ylo[ra] - yhi[rb]), 0)
+        return np.hypot(gap_x, gap_y) <= _widened(_cut(scan.best[code], scan.slack))
+
+    # Level 0 has one node per class, in class order.
+    bounds = nodes(0)
+    code = pi * scan.t + pj
+    live = near(bounds, code, pi, pj)
+    code, ka, kb = code[live], pi[live], pj[live]
+    for level in range(depth + 1):
+        first, sizes = bounds[:-1], np.diff(bounds)
+        if level < depth:
+            below = nodes(level + 1)
+            # A node's children are the nodes one level down that start in it.
+            kid = np.searchsorted(below, bounds)
+        kept = []
+        for lo in range(0, len(code), _NODE_CHUNK):
+            c, a, b = (v[lo : lo + _NODE_CHUNK] for v in (code, ka, kb))
+            na, nb = sizes[a], sizes[b]
+            leaf = (na * nb <= _LEAF_PAIRS) | (level == depth)
+            if leaf.any():
+                blocks = first[a[leaf]], na[leaf], first[b[leaf]], nb[leaf]
+                for i, j in _block_pairs(*blocks):
+                    yield pts[i], pts[j]
+            if leaf.all():
+                continue
+            c, a, b = c[~leaf], a[~leaf], b[~leaf]
+            # All 16 child pairs of each node pair, those past a last child
+            # dropped, and then those too far apart.
+            ca, cb = kid[a, None] + _CHILD_A, kid[b, None] + _CHILD_B
+            real = (ca < kid[a + 1, None]) & (cb < kid[b + 1, None])
+            c, a, b = np.repeat(c, 16)[real.ravel()], ca[real], cb[real]
+            live = near(below, c, a, b)
+            kept.append((c[live], a[live], b[live]))
+        if not kept:
+            return
+        code, ka, kb = (np.concatenate(part) for part in zip(*kept))
+        bounds = below
+
+
+def _closest_candidates(
     point_set: ColoredPointSet, sx: np.ndarray, sy: np.ndarray, slack: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bichromatic pairs ``(a, b)`` within each color pair's bound, ``a``
-    of the lower color, among the distinct points of each class.
+    """Bichromatic pairs ``(a, b)`` within the cut of each color pair's
+    closest distance, ``a`` of the lower color, among the distinct points
+    of each class.
 
-    Each pair's bound is met by an actual pair, so the closest pair of
-    every color pair is among the candidates.
+    Tier 1 enumerates the pairs in the same or neighbouring cells of one
+    grid and settles every color pair whose cut lies inside a cell side.
+    Tier 2, a quadtree walk, covers the color pairs left open.
     """
-    # Imported here, scipy's only user in the package: loading it costs a
-    # process about 35 MB, which no other path needs to pay.
-    from scipy.spatial import cKDTree
-
     t = point_set.num_colors
-    reps = [_distinct_indices(point_set, point_set.color_indices(c)) for c in range(t)]
-    trees = [cKDTree(np.column_stack((sx[r], sy[r]))) for r in reps]
-    bound = _pair_bounds(reps, trees, sx, sy).tolist()
-    pieces_a, pieces_b = [], []
-    for i in range(t):
-        for j in range(i + 1, t):
-            u = bound[i][j]
-            found = trees[i].sparse_distance_matrix(
-                trees[j], u + max(u * _CANDIDATE_SLACK, slack), output_type="ndarray"
-            )
-            pieces_a.append(reps[i][found["i"]])
-            pieces_b.append(reps[j][found["j"]])
-    return np.concatenate(pieces_a), np.concatenate(pieces_b)
+    pts = np.concatenate(
+        [_distinct_indices(point_set, point_set.color_indices(c)) for c in range(t)]
+    )
+    n = len(pts)
+    scan = _Scan(point_set.colors, sx, sy, t, slack, np.full(t * t, np.inf))
+    # Cells at ``depth`` have a side of 2^(1 - depth): unit-scaled
+    # coordinates lie in (-1, 1), and ldexp and floor are exact there.
+    # Codes leave room for the color above them in ``_quadtree_pairs``.
+    depth = min(30, (63 - (t - 1).bit_length()) // 2)
+    ix, iy = (
+        np.floor(np.ldexp(c[pts], depth - 1)).astype(np.int64) + (1 << depth - 1) for c in (sx, sy)
+    )
+    codes = _morton(ix, iy)
+    order = np.argsort(codes, kind="stable")
+    # Point arrays are reordered one at a time and dropped once done: at
+    # 10^6 points each is 8 MB, and the peak here must stay under that of
+    # parsing the point file.
+    pts = pts[order]
+    codes = codes[order]
+    ix = ix[order]
+    iy = iy[order]
+    del order
+    # Tier 1: the coarsest level whose neighbour pairs stay within the cap.
+    # Two points that share a cell one level up share or neighbour a cell,
+    # so no level below the first whose parent cells hold at most the cap
+    # in pairs can meet it.
+    cap = _GRID_PAIRS_PER_POINT * n
+    level = 0
+    while level < depth and _cell_pairs(codes, 2 * (depth - level + 1)) > cap:
+        level += 1
+    grid = _grid(codes, ix, iy, level, depth)
+    while level < depth and grid.pairs() > cap:
+        level += 1
+        del grid
+        grid = _grid(codes, ix, iy, level, depth)
+    del ix, iy
+    ranked = pts[grid.positions()]
+    a, b = scan.keep(
+        (ranked[i], ranked[j]) for blocks in grid.blocks() for i, j in _block_pairs(*blocks)
+    )
+    del ranked, grid
+    # Two points less than a cell side apart share or neighbour a cell,
+    # and no pair's float distance is below its exact one by more than the
+    # widening: a color pair whose widened cut is below the side has every
+    # pair within its cut among the grid's.
+    side = math.ldexp(1.0, 1 - level)
+    upper = np.arange(t)[:, None] < np.arange(t)
+    open_codes = np.flatnonzero(upper.ravel() & ~(_widened(_cut(scan.best, slack)) < side))
+    if not len(open_codes):
+        return a, b
+    pi, pj = np.divmod(open_codes, t)
+    a2, b2 = scan.keep(_quadtree_pairs(pts, codes, depth, scan, pi, pj))
+    return np.concatenate((a, a2)), np.concatenate((b, b2))
 
 
 def _exact_edges(
@@ -379,8 +674,7 @@ def _exact_edges(
     dist = sign * np.hypot(sx[a] - sx[b], sy[a] - sy[b])
     extreme = np.full(t * t, np.inf)
     np.minimum.at(extreme, code, dist)
-    cut = extreme + np.maximum(np.abs(extreme) * _CANDIDATE_SLACK, slack)
-    keep = dist <= cut[code]
+    keep = dist <= _cut(extreme, slack)[code]
     best: dict[int, tuple[float, int, int]] = {}
     for k, p, q in zip(code[keep].tolist(), a[keep].tolist(), b[keep].tolist()):
         key = (sign * point_set.distance(p, q), p, q)
@@ -481,7 +775,7 @@ def _build_color_graph(point_set: ColoredPointSet, sign: int) -> ColorGraph:
     if len(point_set) <= _SCAN_CUTOFF:
         a, b = _scan_candidates(point_set)
     elif sign > 0:
-        a, b = _dual_tree_candidates(point_set, sx, sy, slack)
+        a, b = _closest_candidates(point_set, sx, sy, slack)
     else:
         a, b = _outer_candidates(point_set, sx, sy, slack)
     witnesses = _exact_edges(point_set, a, b, sx, sy, slack, sign)

@@ -1106,42 +1106,60 @@ class TestParserReuse:
         assert record_lines(out) == record_lines(fresh.stdout)
 
 
-# Run by a fresh interpreter: each call must leave scipy unimported, and a
-# minsum solve on 300 points, the closest builder's kd-tree path, imports it.
+# Run by a fresh interpreter: no call may import scipy, and the solve
+# calls' outputs go to stdout.  With "blocked" as the second argument,
+# every scipy import fails (a None entry in sys.modules), so the calls
+# must run without it even where it is installed.
 IMPORT_BOUNDARY_CHILD = """
 import contextlib, io, json, sys
 
+blocked = sys.argv[2] == "blocked"
+if blocked:
+    sys.modules["scipy"] = None
+
 from colorspan import cli
 
-def call(argv):
+def scipy_untouched():
+    return sys.modules["scipy"] is None if blocked else "scipy" not in sys.modules
+
+assert scipy_untouched()
+outputs = []
+for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == cli.EXIT_OK, argv
-    return out.getvalue()
-
-assert "scipy" not in sys.modules
-for argv in json.loads(sys.argv[1]):
-    call(argv)
-    assert "scipy" not in sys.modules, argv
-out = call(["solve", "big.points", "--objective", "minsum"])
-assert "scipy" in sys.modules
-sys.stdout.write(out)
+    assert scipy_untouched(), argv
+    if argv[0] == "solve":
+        outputs.append(out.getvalue())
+json.dump(outputs, sys.stdout)
 """
 
 
 class TestImportBoundary:
-    def test_only_the_kd_tree_path_imports_scipy(self, capsys, tmp_path, monkeypatch):
+    def test_no_call_imports_scipy(self, capsys, tmp_path, monkeypatch):
+        files = {
+            "small.points": ["--n", "12", "--t", "4"],
+            "300.points": ["--n", "300", "--t", "4"],
+            "300-two.points": ["--n", "300", "--t", "2"],
+            "clusters.points": ["--n", "10000", "--t", "20", "--distribution", "clusters"],
+        }
+        solves = [
+            ["solve", name, "--objective", objective]
+            for name in ("300.points", "clusters.points")
+            for objective in ("minsum", "minmax")
+        ]
         calls = [
-            ["gen", "points", "--n", "12", "--t", "4", "--seed", "1", "--out", "small.points"],
-            ["gen", "points", "--n", "300", "--t", "4", "--seed", "1", "--out", "big.points"],
+            *[["gen", "points", *args, "--seed", "1", "--out", name] for name, args in files.items()],
             ["gen", "graph", "--n", "8", "--k", "2", "--seed", "1", "--out", "colored.graph"],
             ["gen", "graph", "--n", "8", "--uncolored", "--seed", "3", "--out", "g.graph"],
             *[
                 ["solve", "small.points", "--objective", objective]
                 for objective in ("minsum", "minmax", "maxmin")
             ],
-            ["solve", "big.points", "--objective", "maxmin"],
+            ["solve", "300.points", "--objective", "maxmin"],
+            *solves,
             ["check", "small.points"],
+            ["check", "300-two.points"],
             ["check", "colored.graph"],
             ["oracle", "small.points", "--objective", "maxsum"],
             ["certify", "g.graph", "--k", "2"],
@@ -1149,13 +1167,16 @@ class TestImportBoundary:
             ["render", "small.points", "--objective", "minmax", "--out", "small.svg"],
         ]
         src = Path(cli.__file__).resolve().parents[1]
-        child = subprocess.run(
-            [sys.executable, "-c", IMPORT_BOUNDARY_CHILD, json.dumps(calls)],
-            capture_output=True, text=True, cwd=tmp_path, env={"PYTHONPATH": str(src)},
-            timeout=300,
-        )
-        assert (child.returncode, child.stderr) == (0, "")
+        for mode, argvs in (("importable", calls), ("blocked", solves)):
+            child = subprocess.run(
+                [sys.executable, "-c", IMPORT_BOUNDARY_CHILD, json.dumps(argvs), mode],
+                capture_output=True, text=True, cwd=tmp_path, env={"PYTHONPATH": str(src)},
+                timeout=300,
+            )
+            assert (mode, child.returncode, child.stderr) == (mode, 0, "")
+        # The blocked child's records equal those of this process.
         monkeypatch.chdir(tmp_path)
-        code, out, _ = run(capsys, "solve", "big.points", "--objective", "minsum")
-        assert code == EXIT_OK
-        assert record_lines(child.stdout) == record_lines(out)
+        for argv, out in zip(solves, json.loads(child.stdout)):
+            code, expected, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            assert record_lines(out) == record_lines(expected)

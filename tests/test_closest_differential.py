@@ -10,12 +10,15 @@ of its points, so the point facing another class says little about it),
 classes at scales up to 2^1000 apart (float ties that exact distances
 would break), set sizes on both sides of the full-scan cutoff and class
 sizes on both sides of the 32 outer-point filter directions.  The closest
-bounds' sampling stride gets seeded cases of its own, as does a class in
-two far-apart blobs, and the benchmark's instances are checked against a
-numpy block reference.  The farthest graph is also built from the
-outer-point candidates at every set size, so the filter meets every input
-as well.  All-subnormal sets, whose exact distances tie on the 2^-1074
-grid, get seeded cases of their own on both sides of the cutoff.
+builder's two candidate tiers get seeded cases of their own: color pairs
+that only the grid pass settles and pairs that only the quadtree walk
+does, a class in two far-apart blobs, closest distances at exact cell
+sides, coincident points that force the grid to its finest level, and
+mixed scales; the benchmark's instances are checked against a numpy block
+reference.  The farthest graph is also built from the outer-point
+candidates at every set size, so the filter meets every input as well.
+All-subnormal sets, whose exact distances tie on the 2^-1074 grid, get
+seeded cases of their own on both sides of the cutoff.
 """
 
 import math
@@ -28,8 +31,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorspan import ColoredPointSet, build_closest_color_graph, build_farthest_color_graph
+from colorspan import geometry
 from colorspan.generate import generate_points
-from colorspan.geometry import _SAMPLE_STRIDE, _SCAN_CUTOFF, _dual_tree_candidates, _unit_scaled
+from colorspan.geometry import _SCAN_CUTOFF, _closest_candidates, _unit_scaled
 
 from conftest import exhaustive_color_extremes, outer_farthest_graph
 
@@ -146,20 +150,47 @@ def disc(rng, m: int, radius: float, x: float) -> np.ndarray:
     return np.column_stack((x + radii * np.cos(angles), radii * np.sin(angles)))
 
 
-class TestClosestBounds:
-    @pytest.mark.parametrize("layout", ["uniform", "clusters", "rings"])
-    @pytest.mark.parametrize("size", [_SAMPLE_STRIDE - 1, _SAMPLE_STRIDE, _SAMPLE_STRIDE + 1])
-    def test_class_sizes_around_the_sample_stride(self, size, layout):
-        rng = np.random.default_rng(size)
-        colors = rng.permutation(np.repeat(np.arange(3), size))
-        ps = ColoredPointSet(*layout_points(layout, colors, rng, 1), colors, 3)
-        assert build_closest_color_graph(ps).witnesses == exhaustive_color_extremes(ps, "closest")
+def walked_pairs(monkeypatch) -> list:
+    """The color pairs that each closest build hands to the quadtree walk,
+    recorded through a wrapper on ``geometry._quadtree_pairs``."""
+    walked = []
+
+    def recording(*args, walk=geometry._quadtree_pairs):
+        pi, pj = args[-2:]
+        walked.extend(zip(pi.tolist(), pj.tolist()))
+        return walk(*args)
+
+    monkeypatch.setattr(geometry, "_quadtree_pairs", recording)
+    return walked
+
+
+class TestClosestTiers:
+    def test_interleaved_classes_settle_in_the_grid(self, monkeypatch):
+        # Uniform classes interleave: every color pair has a pair far
+        # inside one cell side of the grid, so the walk never runs.
+        walked = walked_pairs(monkeypatch)
+        ps = generate_points(3000, 6, 5)
+        assert build_closest_color_graph(ps).witnesses == block_closest_witnesses(ps)
+        assert walked == []
+
+    def test_far_clusters_settle_in_the_walk(self, monkeypatch):
+        # Four tight clusters, one per color, far apart: no two colors
+        # share or neighbour a grid cell, so the walk decides every pair.
+        walked = walked_pairs(monkeypatch)
+        rng = np.random.default_rng(3)
+        points = np.concatenate([disc(rng, 150, 0.5, x) + (0, y) for x, y in
+                                 ((0, 0), (10, 0), (0, 10), (10, 10))])
+        colors = np.repeat(np.arange(4), 150)
+        order = rng.permutation(len(colors))
+        ps = ColoredPointSet(points[order, 0], points[order, 1], colors[order], 4)
+        assert build_closest_color_graph(ps).witnesses == block_closest_witnesses(ps)
+        assert sorted(walked) == [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
     def test_two_blob_class(self):
         # Each class has one blob near x = 0..1 and one at x = 20, where
-        # the closest pairs are.  Both facing points lie near x = 0..1,
-        # about 0.8 from the other class, so bounds from facing points
-        # alone take every pair of the two blobs at x = 20 as a candidate.
+        # the closest pairs are.  The blobs near x = 0..1 are about 0.8
+        # apart, so a bound from them alone would take every pair of the
+        # two blobs at x = 20 as a candidate.
         rng = np.random.default_rng(11)
         points = np.concatenate(
             [disc(rng, 1000, 0.1, 0), disc(rng, 1000, 0.3, 20),
@@ -168,9 +199,91 @@ class TestClosestBounds:
         colors = np.repeat([0, 0, 1, 1], [1000, 1000, 1800, 200])
         order = rng.permutation(len(colors))
         ps = ColoredPointSet(points[order, 0], points[order, 1], colors[order], 2)
-        a, _ = _dual_tree_candidates(ps, *_unit_scaled(ps))
+        a, _ = _closest_candidates(ps, *_unit_scaled(ps))
         assert len(a) <= len(ps)
         assert build_closest_color_graph(ps).witnesses == block_closest_witnesses(ps)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("exponent", [-30, -7, 0, 9])
+    def test_distances_at_cell_sides(self, exponent, seed):
+        # Lattice points times a power of two: closest distances are
+        # powers of two, the side of some grid level.  A third of the
+        # points sit one ulp below their site, so float distances round
+        # onto lattice distances that the exact ones exceed.
+        rng = np.random.default_rng(seed)
+        n = 400
+        xs = rng.integers(0, 64, n).astype(float)
+        ys = rng.integers(0, 64, n).astype(float)
+        nudged = rng.random(n) < 1 / 3
+        xs[nudged] = np.nextafter(xs[nudged], -np.inf)
+        colors = np.r_[np.arange(4), rng.integers(0, 4, n - 4)]
+        ps = ColoredPointSet(np.ldexp(xs, exponent), np.ldexp(ys, exponent), colors, 4)
+        assert build_closest_color_graph(ps).witnesses == exhaustive_color_extremes(ps, "closest")
+
+    def test_coincident_points_force_the_finest_level(self, monkeypatch):
+        # 300 sites within 2^-39 of each other, each holding a point of
+        # color 0 and one of color 1: they share one cell at every level
+        # and exceed the pair cap there, so the grid runs at its finest
+        # level.  Colors 2 and 3 hold six points each inside one finest
+        # cell, one and a half cell sides apart, so the walk reaches the
+        # finest level with 36 pairs in one node pair and must enumerate
+        # them there.
+        levels = []
+
+        def recording(codes, ix, iy, level, depth, grid=geometry._grid):
+            levels.append((level, depth))
+            return grid(codes, ix, iy, level, depth)
+
+        monkeypatch.setattr(geometry, "_grid", recording)
+        walked = walked_pairs(monkeypatch)
+        side = math.ldexp(1.0, -29)
+        offsets = np.arange(300) * math.ldexp(1.0, -48)
+        site_x = np.r_[0.25 + offsets, 0.25 + offsets]
+        site_y = np.r_[0.25 + offsets[::-1], 0.25 + offsets[::-1]]
+        six = np.arange(6) * math.ldexp(1.0, -40)
+        xs = np.r_[site_x, 0.5 + side / 4 + six, 0.5 + 7 * side / 4 + six]
+        ys = np.r_[site_y, 0.5 + six, 0.5 + six[::-1]]
+        colors = np.repeat([0, 1, 2, 3], [300, 300, 6, 6])
+        ps = ColoredPointSet(xs, ys, colors, 4)
+        assert build_closest_color_graph(ps).witnesses == block_closest_witnesses(ps)
+        level, depth = levels[-1]
+        assert level == depth
+        assert (2, 3) in walked
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [_SCAN_CUTOFF - 2, _SCAN_CUTOFF + 2, 2 * _SCAN_CUTOFF])
+    def test_mixed_scales_across_the_cutoff(self, n, seed):
+        # One pair near 1e6 and every other point within 1e-6 of the
+        # origin: at unit scale that cluster is inside the absolute slack,
+        # so all its cross-color pairs stay candidates and the exact pass
+        # breaks their ties.
+        rng = np.random.default_rng(seed)
+        xs = np.r_[1e6, 1e6 + 1, rng.random(n - 2) * 1e-6]
+        ys = np.r_[0.0, 1.0, rng.random(n - 2) * 1e-6]
+        colors = np.r_[0, 1, rng.integers(0, 3, n - 2)]
+        colors[2] = 2
+        ps = ColoredPointSet(xs, ys, colors, 3)
+        assert build_closest_color_graph(ps).witnesses == exhaustive_color_extremes(ps, "closest")
+
+    def test_subnormal_tie_inside_the_cut_in_the_walk(self, monkeypatch):
+        # Two far classes of subnormal points, in units of 2^-1074.  The
+        # pairs (0, 1) at distance sqrt(D^2 + 1) and (2, 3) at D tie once
+        # exact distances round to the subnormal grid, and the lower
+        # indexes win.  At unit scale (0, 1) is farther, by less than the
+        # cut, and the walk meets it as a node pair of its own, which a
+        # bound without the cut would drop.
+        walked = walked_pairs(monkeypatch)
+        rng = np.random.default_rng(8)
+        d = 100_000
+        far = rng.integers(20_000, 40_000, 300)
+        xs = np.r_[0, d, 0, d, -far[:150], d + far[150:]]
+        ys = np.r_[100_000, 100_001, 0, 0, rng.integers(0, 5000, 300)]
+        colors = np.r_[0, 1, 0, 1, np.zeros(150, int), np.ones(150, int)]
+        unit = math.ldexp(1.0, -1074)
+        ps = ColoredPointSet(xs * unit, ys * unit, colors, 2)
+        witnesses = build_closest_color_graph(ps).witnesses
+        assert witnesses == {(0, 1): (d * unit, 0, 1)} == exhaustive_color_extremes(ps, "closest")
+        assert walked == [(0, 1)]
 
     @pytest.mark.parametrize("i", range(3))
     def test_benchmark_instances(self, i):
