@@ -15,6 +15,9 @@ least disturbed by other load on the host, and the spread of all its runs
 - n = 1M points, t = 100, both distributions: both builders;
 - many colors, uniform: the closest builder at n = 3000, t = 300 and
   n = 5000, t = 500;
+- the many-points benchmark shape, n = 10k, t = 20, clustered: the minmax
+  and minsum solves on the first instance of seeds 1 to 3 (minmax builds
+  its closest graph bounded, minsum the whole graph);
 - mixed scales: the closest builder on ``mixed_scale_points()``, 4002
   points of which two lie near 1e6 and the rest within 1e-6 of the origin,
   so at unit scale every cross-color pair of the small cluster is inside
@@ -87,6 +90,8 @@ SEED = 7
 DISTRIBUTIONS = ("uniform", "clusters")
 K_SIZES = (20, 60, 100, 200, 300)
 WITNESS_SIZES = (20, 100, 200)
+# Seeds of the many-points rows; each takes the workload's first instance.
+MANY_POINTS_SEEDS = (1, 2, 3)
 # (k, class cap) of the desk-scale check rows, and the files per k.
 DESK_CAPS = ((2, 5), (3, 5), (4, 3))
 DESK_FILES = 8
@@ -146,6 +151,13 @@ def points_rows() -> list[dict]:
         ps = generate_points(n, t, SEED)
         at = f"n={n} t={t} uniform"
         rows.append(timed(f"{at}: closest color graph", lambda: build_closest_color_graph(ps)))
+    for seed in MANY_POINTS_SEEDS:
+        ps = generate_points(10_000, 20, seed * 1_000_003, "clusters")
+        at = f"n=10k t=20 clusters seed={seed}"
+        rows += [
+            timed(f"{at}: solve_minmax", lambda: solve_minmax(ps)),
+            timed(f"{at}: solve_minsum", lambda: solve_minsum(ps)),
+        ]
     ps = mixed_scale_points()
     at = "n=4002 t=2 mixed scales"
     rows.append(timed(f"{at}: closest color graph", lambda: build_closest_color_graph(ps)))

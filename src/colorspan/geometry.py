@@ -34,7 +34,25 @@ left open.  It drops a node pair only when the bounding boxes are farther
 apart than the widened cut of a bound that an actual pair meets: the
 least distance between the first points of a node pair, from the two
 roots down.  A node pair at the finest level, whose cells cannot split,
-is a leaf like a small one, and all its pairs are enumerated.
+is a leaf like a small one, and all its pairs are enumerated.  Both tiers
+run on the distinct points of each class, which come out of the Morton
+sort: only points that share a code are compared exactly.
+
+The closest builder also has a bounded mode, for a bottleneck perfect
+matching, whose answer and witness depend only on the color pairs at or
+below its optimum λ* (Gabow & Tarjan, 1988).  After tier 1, Λ is the
+bottleneck value of a perfect matching over tier 1's least distance per
+color pair; each is an actual pair's distance, so λ* is at most Λ up to
+rounding.  Every cut is then capped at the cut of Λ: tier 2 runs only for
+the color pairs that can still hold a pair within the capped cut, drops a
+node pair beyond its widening, and the color pairs whose closest distance
+lies beyond the cap are dropped.  Each color pair kept sees every
+candidate the full build gives it, so it has the same witness, and the
+color pairs within λ* are all kept: the threshold search finds the same
+level and the same witness on the reduced graph.  When tier 1's distances
+admit no perfect matching, Λ is infinite and the bounded build is the
+full one; so is it on a set whose distances may exceed the float range,
+which only the full build reports.
 
 The outer points come from two passes: an octagon of extreme points drops
 most of a raw class, then a 32-gon of extreme points filters the distinct
@@ -53,7 +71,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import InvalidInstanceError
-from .matching import Matching, WeightedGraph
+from .matching import Matching, WeightedGraph, _perfect_matching_exists, _threshold_prefix
 
 # Relative slack used when collecting candidates from the accelerated
 # passes; generous because the exact pass filters false positives anyway.
@@ -257,8 +275,9 @@ class ColorGraph:
     edge to its witness ``(weight, a, b)``: ``a`` the point (or vertex) of
     color ``i``, ``b`` that of color ``j``.  ``graph`` is the
     ``WeightedGraph`` on the colors with those weights.  The geometric
-    builders fill in every color pair; a vertex-colored graph's
-    contraction can miss some.
+    builders fill in every color pair, except for the closest builder's
+    bottleneck-bounded mode; a vertex-colored graph's contraction can
+    miss some.
     """
 
     graph: WeightedGraph
@@ -279,6 +298,18 @@ def _require_finite_distances(distances: Iterable[tuple[tuple[int, int], float]]
             )
 
 
+def _peak(point_set: ColoredPointSet) -> float:
+    """The largest coordinate magnitude."""
+    return max(float(np.abs(point_set.xs).max()), float(np.abs(point_set.ys).max()))
+
+
+def _distances_fit(point_set: ColoredPointSet) -> bool:
+    """Whether every distance between two of the points is within the
+    float range: no coordinate difference exceeds twice the peak."""
+    twice = 2 * _peak(point_set)
+    return math.hypot(twice, twice) < math.inf
+
+
 def _unit_scaled(point_set: ColoredPointSet) -> tuple[np.ndarray, np.ndarray, float]:
     """The coordinates times the one power of two that brings the largest
     magnitude into ``[0.5, 1)``, and the absolute candidate slack at that
@@ -293,8 +324,7 @@ def _unit_scaled(point_set: ColoredPointSet) -> tuple[np.ndarray, np.ndarray, fl
     unit scale, so pairs whose exact distances tie on the subnormal grid
     stay candidates; at normal scales the spacings add under 1e-15.
     """
-    peak = max(float(np.abs(point_set.xs).max()), float(np.abs(point_set.ys).max()))
-    exponent = -math.frexp(peak)[1]
+    exponent = -math.frexp(_peak(point_set))[1]
     return (
         np.ldexp(point_set.xs, exponent),
         np.ldexp(point_set.ys, exponent),
@@ -453,8 +483,10 @@ def _block_pairs(sa, na, sb, nb) -> Iterable[tuple[np.ndarray, np.ndarray]]:
 
 class _Scan(NamedTuple):
     """What the candidate pairs of both tiers are scanned with: the point
-    colors and unit-scaled coordinates, the color count, the slack and,
-    per color pair code ``i * t + j``, the least distance seen so far."""
+    colors and unit-scaled coordinates, the color count, the slack, per
+    color pair code ``i * t + j`` the least distance seen so far, and the
+    cap: the largest least distance a color pair can have and still be
+    built (infinite unless the build is bounded)."""
 
     colors: np.ndarray
     sx: np.ndarray
@@ -462,13 +494,19 @@ class _Scan(NamedTuple):
     t: int
     slack: float
     best: np.ndarray
+    cap: float = math.inf
+
+    def cut(self, code=slice(None)) -> np.ndarray:
+        """The ``_exact_edges`` cut of each color pair's least distance so
+        far, or of the cap where that is lower."""
+        return _cut(np.minimum(self.best[code], self.cap), self.slack)
 
     def keep(self, pairs: Iterable[tuple[np.ndarray, np.ndarray]]):
         """The bichromatic pairs ``(a, b)`` among ``pairs``, ``a`` of the
-        lower color, within the ``_exact_edges`` cut of their color pair's
-        least distance so far, which each chunk lowers first.  The least
-        distance only falls and the cut with it, so every pair within the
-        cut of the final least distance is kept."""
+        lower color, within the ``cut`` of their color pair, which each
+        chunk lowers first.  The least distance only falls and the cut
+        with it, so every pair within the cut of the final least distance,
+        or of the cap, is kept."""
         colors, sx, sy, best, t = self.colors, self.sx, self.sy, self.best, self.t
         kept, pieces = [np.empty((2, 0), np.intp)], []
         for a, b in pairs:
@@ -477,7 +515,7 @@ class _Scan(NamedTuple):
             code = np.minimum(ca, cb) * t + np.maximum(ca, cb)
             dist = np.hypot(sx[a] - sx[b], sy[a] - sy[b])
             np.minimum.at(best, code, dist)
-            keep = np.flatnonzero((dist <= _cut(best[code], self.slack)) & (ca != cb))
+            keep = np.flatnonzero((dist <= self.cut(code)) & (ca != cb))
             a, b = a[keep], b[keep]
             pieces.append(np.where(ca[keep] > cb[keep], [b, a], [a, b]))
             # Merged as they come: many small pieces freed at once leave
@@ -508,8 +546,8 @@ def _quadtree_pairs(
     scan: _Scan, pi: np.ndarray, pj: np.ndarray,
 ) -> Iterable[tuple[np.ndarray, np.ndarray]]:
     """Point pairs that cover, for each color pair ``(pi, pj)``, every
-    pair within the cut of its closest distance; ``codes`` are the points'
-    Morton codes at ``depth``.
+    pair within the cut of its closest distance, or of ``scan.cap`` where
+    that is lower; ``codes`` are the points' Morton codes at ``depth``.
 
     Each class, sorted by Morton code, is a quadtree whose nodes at a
     level are the runs of equal code prefixes.  The walk starts from the
@@ -519,7 +557,7 @@ def _quadtree_pairs(
     are enumerated; any other is split into the pairs of its children.  A
     new node pair first lowers the color pair's bound by the distance of
     the two nodes' first points, and is dropped if its bounding boxes lie
-    farther apart than the widened cut of that bound.
+    farther apart than the widened ``scan.cut`` of that bound.
     """
     keys = (scan.colors[pts].astype(np.int64) << 2 * depth) | codes
     order = np.argsort(keys, kind="stable")
@@ -553,7 +591,7 @@ def _quadtree_pairs(
         ra, rb = slot[ka], slot[kb]
         gap_x = np.maximum(np.maximum(xlo[rb] - xhi[ra], xlo[ra] - xhi[rb]), 0)
         gap_y = np.maximum(np.maximum(ylo[rb] - yhi[ra], ylo[ra] - yhi[rb]), 0)
-        return np.hypot(gap_x, gap_y) <= _widened(_cut(scan.best[code], scan.slack))
+        return np.hypot(gap_x, gap_y) <= _widened(scan.cut(code))
 
     # Level 0 has one node per class, in class order.
     bounds = nodes(0)
@@ -592,49 +630,35 @@ def _quadtree_pairs(
 
 
 def _closest_candidates(
-    point_set: ColoredPointSet, sx: np.ndarray, sy: np.ndarray, slack: float
+    point_set: ColoredPointSet, sx: np.ndarray, sy: np.ndarray, slack: float, bounded=False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bichromatic pairs ``(a, b)`` within the cut of each color pair's
     closest distance, ``a`` of the lower color, among the distinct points
-    of each class.
+    of each class; ``bounded``, only those of the color pairs a bottleneck
+    perfect matching on the closest color graph can use.
 
     Tier 1 enumerates the pairs in the same or neighbouring cells of one
     grid and settles every color pair whose cut lies inside a cell side.
-    Tier 2, a quadtree walk, covers the color pairs left open.
+    Tier 2, a quadtree walk, covers the color pairs left open.  A bounded
+    build caps every cut at the cut of Λ, the bottleneck value of a perfect
+    matching over tier 1's least distances, and drops the color pairs
+    whose closest distance lies beyond that cap (see ``_bottleneck_cap``).
     """
     t = point_set.num_colors
-    pts = np.concatenate(
-        [_distinct_indices(point_set, point_set.color_indices(c)) for c in range(t)]
-    )
-    n = len(pts)
     scan = _Scan(point_set.colors, sx, sy, t, slack, np.full(t * t, np.inf))
-    # Cells at ``depth`` have a side of 2^(1 - depth): unit-scaled
-    # coordinates lie in (-1, 1), and ldexp and floor are exact there.
     # Codes leave room for the color above them in ``_quadtree_pairs``.
     depth = min(30, (63 - (t - 1).bit_length()) // 2)
-    ix, iy = (
-        np.floor(np.ldexp(c[pts], depth - 1)).astype(np.int64) + (1 << depth - 1) for c in (sx, sy)
-    )
-    codes = _morton(ix, iy)
-    order = np.argsort(codes, kind="stable")
-    # Point arrays are reordered one at a time and dropped once done: at
-    # 10^6 points each is 8 MB, and the peak here must stay under that of
-    # parsing the point file.
-    pts = pts[order]
-    codes = codes[order]
-    ix = ix[order]
-    iy = iy[order]
-    del order
-    # Tier 1: the coarsest level whose neighbour pairs stay within the cap.
-    # Two points that share a cell one level up share or neighbour a cell,
-    # so no level below the first whose parent cells hold at most the cap
-    # in pairs can meet it.
-    cap = _GRID_PAIRS_PER_POINT * n
+    pts, codes, ix, iy = _morton_distinct(point_set, sx, sy, depth)
+    # Tier 1: the coarsest level whose neighbour pairs stay within the
+    # budget.  Two points that share a cell one level up share or
+    # neighbour a cell, so no level below the first whose parent cells
+    # hold at most the budget in pairs can meet it.
+    budget = _GRID_PAIRS_PER_POINT * len(pts)
     level = 0
-    while level < depth and _cell_pairs(codes, 2 * (depth - level + 1)) > cap:
+    while level < depth and _cell_pairs(codes, 2 * (depth - level + 1)) > budget:
         level += 1
     grid = _grid(codes, ix, iy, level, depth)
-    while level < depth and grid.pairs() > cap:
+    while level < depth and grid.pairs() > budget:
         level += 1
         del grid
         grid = _grid(codes, ix, iy, level, depth)
@@ -644,18 +668,89 @@ def _closest_candidates(
         (ranked[i], ranked[j]) for blocks in grid.blocks() for i, j in _block_pairs(*blocks)
     )
     del ranked, grid
+    if bounded:
+        scan = scan._replace(cap=_bottleneck_cap(scan.best, t, slack))
     # Two points less than a cell side apart share or neighbour a cell,
     # and no pair's float distance is below its exact one by more than the
     # widening: a color pair whose widened cut is below the side has every
     # pair within its cut among the grid's.
     side = math.ldexp(1.0, 1 - level)
     upper = np.arange(t)[:, None] < np.arange(t)
-    open_codes = np.flatnonzero(upper.ravel() & ~(_widened(_cut(scan.best, slack)) < side))
-    if not len(open_codes):
-        return a, b
-    pi, pj = np.divmod(open_codes, t)
-    a2, b2 = scan.keep(_quadtree_pairs(pts, codes, depth, scan, pi, pj))
-    return np.concatenate((a, a2)), np.concatenate((b, b2))
+    open_codes = np.flatnonzero(upper.ravel() & ~(_widened(scan.cut()) < side))
+    if len(open_codes):
+        pi, pj = np.divmod(open_codes, t)
+        a2, b2 = scan.keep(_quadtree_pairs(pts, codes, depth, scan, pi, pj))
+        a, b = np.concatenate((a, a2)), np.concatenate((b, b2))
+    if scan.cap < math.inf:
+        built = scan.best[point_set.colors[a] * t + point_set.colors[b]] <= scan.cap
+        a, b = a[built], b[built]
+    return a, b
+
+
+def _morton_distinct(
+    point_set: ColoredPointSet, sx: np.ndarray, sy: np.ndarray, depth: int
+) -> tuple[np.ndarray, ...]:
+    """The points that ``_distinct_indices`` keeps of each class, sorted by
+    their Morton codes at ``depth`` with ties in index order, and their
+    codes and cell coordinates there.
+
+    Coincident points share a code, so only runs of equal codes need the
+    exact ``(color, x, y)`` comparison (0.0 and -0.0 compare equal).
+    """
+    # Cells at ``depth`` have a side of 2^(1 - depth): unit-scaled
+    # coordinates lie in (-1, 1), and ldexp and floor are exact there.
+    ix, iy = (
+        np.floor(np.ldexp(c, depth - 1)).astype(np.int64) + (1 << depth - 1) for c in (sx, sy)
+    )
+    codes = _morton(ix, iy)
+    pts = np.argsort(codes, kind="stable")
+    # Point arrays are reordered one at a time and dropped once done: at
+    # 10^6 points each is 8 MB, and the peak here must stay under that of
+    # parsing the point file.
+    codes = codes[pts]
+    same = codes[1:] == codes[:-1]
+    tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+    if len(tied):
+        run = np.cumsum(np.r_[True, ~same])[tied]
+        p = pts[tied]
+        keys = (point_set.ys[p], point_set.xs[p], point_set.colors[p], run)
+        # lexsort is stable, so each run of equal keys starts at its
+        # lowest index.
+        order = np.lexsort(keys)
+        repeat = np.ones(len(order) - 1, dtype=bool)
+        for key in keys:
+            key = key[order]
+            repeat &= key[1:] == key[:-1]
+        distinct = np.ones(len(pts), dtype=bool)
+        distinct[tied[order[1:][repeat]]] = False
+        pts = pts[distinct]
+        codes = codes[distinct]
+        del distinct
+    return pts, codes, ix[pts], iy[pts]
+
+
+def _bottleneck_cap(best: np.ndarray, t: int, slack: float) -> float:
+    """The cut of Λ, the bottleneck value of a perfect matching on the
+    ``t`` colors whose edges weigh the finite least distances ``best``
+    (per color pair code ``i * t + j``), or infinity when they admit no
+    perfect matching.
+
+    Each least distance is an actual pair's, so the exact optimum λ* of
+    the closest color graph, at unit scale, is at most Λ up to the
+    rounding of a distance, which the cut covers many times over.  Every
+    color pair within λ* then has its closest distance within the cap,
+    and a build capped there sees every candidate that the full build
+    gives such a pair: its witness is the same.  The threshold search
+    finds the same first feasible level on the reduced graph, whose edges
+    up to that level are the full graph's, and the same witness.
+    """
+    i, j = np.triu_indices(t, 1)
+    bound = best[i * t + j]
+    finite = np.isfinite(bound)
+    edges = list(zip(i[finite].tolist(), j[finite].tolist(), bound[finite].tolist()))
+    if not _perfect_matching_exists(t, edges):
+        return math.inf
+    return float(_cut(_threshold_prefix(t, edges, True)[-1][2], slack))
 
 
 def _exact_edges(
@@ -769,26 +864,37 @@ def _outer_candidates(
     return np.concatenate(pieces_a), np.concatenate(pieces_b)
 
 
-def _build_color_graph(point_set: ColoredPointSet, sign: int) -> ColorGraph:
-    """The closest color graph for ``sign = 1``, the farthest for ``-1``."""
+def _build_color_graph(point_set: ColoredPointSet, sign: int, bottleneck=False) -> ColorGraph:
+    """The closest color graph for ``sign = 1``, the farthest for ``-1``;
+    with ``bottleneck``, the closest one bounded as ``_closest_candidates``
+    bounds it, past the full-scan cutoff and unless a distance may exceed
+    the float range, which only the full build reports."""
     sx, sy, slack = _unit_scaled(point_set)
+    bounded = bottleneck and len(point_set) > _SCAN_CUTOFF and _distances_fit(point_set)
     if len(point_set) <= _SCAN_CUTOFF:
         a, b = _scan_candidates(point_set)
     elif sign > 0:
-        a, b = _closest_candidates(point_set, sx, sy, slack)
+        a, b = _closest_candidates(point_set, sx, sy, slack, bounded)
     else:
         a, b = _outer_candidates(point_set, sx, sy, slack)
     witnesses = _exact_edges(point_set, a, b, sx, sy, slack, sign)
     _require_finite_distances((key, d) for key, (d, _, _) in witnesses.items())
     t = point_set.num_colors
-    if len(witnesses) != t * (t - 1) // 2:
+    if not bounded and len(witnesses) != t * (t - 1) // 2:
         raise InvalidInstanceError("color graph must have one edge per color pair")
     return ColorGraph(t, witnesses)
 
 
-def build_closest_color_graph(point_set: ColoredPointSet) -> ColorGraph:
-    """Complete color graph whose edges are bichromatic closest pairs."""
-    return _build_color_graph(point_set, 1)
+def build_closest_color_graph(point_set: ColoredPointSet, bottleneck=False) -> ColorGraph:
+    """Complete color graph whose edges are bichromatic closest pairs.
+
+    With ``bottleneck``, only the edges that a bottleneck perfect matching
+    can use: every edge at or below the optimum λ* and some above it, each
+    with the witness the complete graph gives it, so
+    :func:`~colorspan.matching.bottleneck_perfect_matching` returns the
+    same matching on both.
+    """
+    return _build_color_graph(point_set, 1, bottleneck)
 
 
 def build_farthest_color_graph(point_set: ColoredPointSet) -> ColorGraph:

@@ -31,7 +31,9 @@ existence in the edge set.  Only the witness comes from the blossom
 engine: one unit-weight, maximum-cardinality run on the prefix found,
 given in ``(u, v)`` order.  That is the edge order of the subgraph
 filtered from the input by weight, so the witness is the one a
-blossom-probed search would return.
+blossom-probed search would return.  The search alone,
+``_threshold_prefix``, also gives the closest color graph builder the
+bound by which minmax builds only part of that graph.
 
 Infeasibility (no perfect matching) is reported by returning ``None``;
 malformed graphs raise :class:`~colorspan.errors.InvalidInstanceError`.
@@ -357,8 +359,23 @@ def _threshold_perfect_matching(g: WeightedGraph, minimize_max: bool) -> Matchin
     """
     if not has_perfect_matching(g):
         return None
-    n = g.num_vertices
-    order = sorted(g.edges, key=itemgetter(2), reverse=not minimize_max)
+    prefix = sorted(_threshold_prefix(g.num_vertices, g.edges, minimize_max))
+    return _blossom_matching(g.num_vertices, prefix, [1] * len(prefix))
+
+
+def _threshold_prefix(
+    n: int, edges: Iterable[tuple[int, int, float]], minimize_max: bool
+) -> list[tuple[int, int, float]]:
+    """The edges within the first threshold level at which the graph on
+    ``n`` vertices with ``edges`` has a perfect matching, in threshold
+    order, so its last edge weighs the optimal threshold.  The whole graph
+    must have a perfect matching.
+
+    A binary search with cardinality probes over the distinct levels of
+    ``edges`` sorted from the most to the least restrictive threshold;
+    the blossom engine does not run.
+    """
+    order = sorted(edges, key=itemgetter(2), reverse=not minimize_max)
     # ends[i] is the length of the prefix within the i-th distinct level.
     ends = [i for i in range(1, len(order)) if order[i][2] != order[i - 1][2]]
     ends.append(len(order))
@@ -367,8 +384,7 @@ def _threshold_perfect_matching(g: WeightedGraph, minimize_max: bool) -> Matchin
     level = bisect.bisect_left(
         range(len(ends) - 1), True, key=lambda i: _perfect_matching_exists(n, order[: ends[i]])
     )
-    prefix = sorted(order[: ends[level]])
-    return _blossom_matching(n, prefix, [1] * len(prefix))
+    return order[: ends[level]]
 
 
 def bottleneck_perfect_matching(g: WeightedGraph) -> Matching | None:

@@ -28,6 +28,16 @@ set its edges are point-index pairs.  :func:`solve_geometric` solves a
 point set at several objectives at once, building each color graph at
 most once (minsum and minmax share the closest one); the three
 single-objective solvers call it.
+
+When minmax is the only objective that needs the closest graph, that
+graph is built bottleneck-bounded: only the color pairs whose closest
+distance lies within the cut of Λ, the bottleneck value of a perfect
+matching over the grid pass's distances (see :mod:`colorspan.geometry`).
+Λ bounds the optimum λ*, so every color pair at or below λ* is built,
+with the complete graph's witness.  The threshold search then finds the
+same level on the reduced graph, and the witness run sees the same
+``(u, v)``-sorted prefix of edges, so the matching is the complete
+graph's.
 """
 
 from __future__ import annotations
@@ -96,8 +106,12 @@ def solve_geometric(
     for objective in objectives:
         build, match = _pipeline(objective)
         if build not in graphs:
-            graphs[build] = build(point_set)
-        # A complete color graph on an even color count always has a perfect matching.
+            # Minmax alone reads only the closest graph's edges up to its
+            # optimum, so then the closest graph is built bounded.
+            bounded = objective is Objective.MINMAX and Objective.MINSUM not in objectives
+            graphs[build] = build(point_set, bottleneck=True) if bounded else build(point_set)
+        # A complete color graph on an even color count always has a perfect
+        # matching, and a bounded one keeps an optimal one.
         solved.append(_match_color_graph(graphs[build], match))
     return tuple(solved)
 

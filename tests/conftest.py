@@ -33,9 +33,9 @@ def build_counts(monkeypatch) -> Counter:
     counts: Counter = Counter()
     for name in ("build_closest_color_graph", "build_farthest_color_graph"):
 
-        def counted(point_set, name=name, build=getattr(solvers, name)):
+        def counted(point_set, *args, name=name, build=getattr(solvers, name), **kwargs):
             counts[name] += 1
-            return build(point_set)
+            return build(point_set, *args, **kwargs)
 
         monkeypatch.setattr(solvers, name, counted)
     return counts

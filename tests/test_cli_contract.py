@@ -75,6 +75,17 @@ OVERFLOW_POINTS = "2 2\n1e308 0 0\n-1e308 0 1\n"
 # farthest distance exceeds the float range, no closest one does.
 SPLIT_POINTS = "8 4\n" + "".join(f"{x} {c} {c}\n" for c in range(4) for x in ("-1e308", "1e308"))
 OVERFLOW_ERROR = "invalid input: the distance between colors 0 and 1 exceeds the float range\n"
+# 260 points, past the full-scan cutoff: colors 0 and 1 alternate on the
+# line x = -1e308, colors 2 and 3 on x = 1e308.  Minmax pairs only near
+# colors, but the closest distance of colors 0 and 2 exceeds the float
+# range, so minmax's bounded build, which drops far color pairs, must not
+# run.
+FAR_POINTS = "260 4\n" + "".join(
+    f"{('-1e308', '1e308')[c // 2]} {2 * k + c % 2}e300 {c}\n"
+    for c in range(4)
+    for k in range(65)
+)
+FAR_ERROR = "invalid input: the distance between colors 0 and 2 exceeds the float range\n"
 TOTAL_ERROR = "invalid input: the total edge weight exceeds the float range\n"
 SPLIT_RECORD = {
     "minsum": record("points", "minsum", "2.0", "0:2 4:6", "2.0", "1.0", "1.0"),
@@ -245,6 +256,16 @@ TABLE = [
             ("split", SPLIT_POINTS, ("maxmin", "maxsum")),
         )
         for objective in objectives
+    ],
+    *[
+        Row(
+            f"solve far.points --objective {objective}",
+            EXIT_INVALID,
+            "",
+            stderr=FAR_ERROR,
+            files={"far.points": FAR_POINTS},
+        )
+        for objective in ("minmax", "minsum")
     ],
     # Only the farthest distances of split.points overflow.
     *[
