@@ -16,8 +16,13 @@ least disturbed by other load on the host, and the spread of all its runs
 - many colors, uniform: the closest builder at n = 3000, t = 300 and
   n = 5000, t = 500;
 - the many-points benchmark shape, n = 10k, t = 20, clustered: the minmax
-  and minsum solves on the first instance of seeds 1 to 3 (minmax builds
-  its closest graph bounded, minsum the whole graph);
+  and minsum solves on the first instance of seeds 1 to 3, and on three
+  more instances whose grid pass leaves paths of their own: seed 3
+  instance 1 and seed 6 instance 0, where one color has no settled pair
+  and is walked first, and seed 9 instance 0, whose grid pairs admit no
+  perfect matching, so minmax walks without a cap and minsum grows into
+  the whole graph (minmax builds its closest graph bounded, minsum
+  priced);
 - mixed scales: the closest builder on ``mixed_scale_points()``, 4002
   points of which two lie near 1e6 and the rest within 1e-6 of the origin,
   so at unit scale every cross-color pair of the small cluster is inside
@@ -90,8 +95,8 @@ SEED = 7
 DISTRIBUTIONS = ("uniform", "clusters")
 K_SIZES = (20, 60, 100, 200, 300)
 WITNESS_SIZES = (20, 100, 200)
-# Seeds of the many-points rows; each takes the workload's first instance.
-MANY_POINTS_SEEDS = (1, 2, 3)
+# (seed, instance) of the many-points rows.
+MANY_POINTS_INSTANCES = ((1, 0), (2, 0), (3, 0), (3, 1), (6, 0), (9, 0))
 # (k, class cap) of the desk-scale check rows, and the files per k.
 DESK_CAPS = ((2, 5), (3, 5), (4, 3))
 DESK_FILES = 8
@@ -151,9 +156,9 @@ def points_rows() -> list[dict]:
         ps = generate_points(n, t, SEED)
         at = f"n={n} t={t} uniform"
         rows.append(timed(f"{at}: closest color graph", lambda: build_closest_color_graph(ps)))
-    for seed in MANY_POINTS_SEEDS:
-        ps = generate_points(10_000, 20, seed * 1_000_003, "clusters")
-        at = f"n=10k t=20 clusters seed={seed}"
+    for seed, i in MANY_POINTS_INSTANCES:
+        ps = generate_points(10_000, 20, seed * 1_000_003 + i, "clusters")
+        at = f"n=10k t=20 clusters seed={seed}" + (f" instance={i}" if i else "")
         rows += [
             timed(f"{at}: solve_minmax", lambda: solve_minmax(ps)),
             timed(f"{at}: solve_minsum", lambda: solve_minsum(ps)),

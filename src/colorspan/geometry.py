@@ -38,21 +38,37 @@ is a leaf like a small one, and all its pairs are enumerated.  Both tiers
 run on the distinct points of each class, which come out of the Morton
 sort: only points that share a code are compared exactly.
 
-The closest builder also has a bounded mode, for a bottleneck perfect
+Each color pair has a cap, infinite unless the build is bounded or
+priced, and every cut is capped at the cut of its cap: tier 2 runs only
+for the color pairs that can still hold a pair within the capped cut,
+and drops a node pair beyond its widening.  A color pair whose closest
+distance is within its cap still sees every candidate the full build
+gives it, so it gets the same witness.
+
+The closest builder has a bounded mode, for a bottleneck perfect
 matching, whose answer and witness depend only on the color pairs at or
-below its optimum λ* (Gabow & Tarjan, 1988).  After tier 1, Λ is the
-bottleneck value of a perfect matching over tier 1's least distance per
-color pair; each is an actual pair's distance, so λ* is at most Λ up to
-rounding.  Every cut is then capped at the cut of Λ: tier 2 runs only for
-the color pairs that can still hold a pair within the capped cut, drops a
-node pair beyond its widening, and the color pairs whose closest distance
-lies beyond the cap are dropped.  Each color pair kept sees every
-candidate the full build gives it, so it has the same witness, and the
+below its optimum λ* (Gabow & Tarjan, 1988).  After tier 1, every color
+pair of each color that has no pair in the grid is walked, with no cap.
+Λ is then the bottleneck value of a perfect matching over the least
+distance per color pair so far; each is an actual pair's distance, so λ*
+is at most Λ up to rounding.  Every color pair's cap is the cut of Λ, and
+the color pairs whose closest distance lies beyond it are dropped.  The
 color pairs within λ* are all kept: the threshold search finds the same
-level and the same witness on the reduced graph.  When tier 1's distances
-admit no perfect matching, Λ is infinite and the bounded build is the
-full one; so is it on a set whose distances may exceed the float range,
-which only the full build reports.
+level and the same witness on the reduced graph.  When the distances so
+far admit no perfect matching, Λ is infinite and the bounded build is
+the full one.
+
+Its priced mode, for a minimum-weight perfect matching, builds a
+:class:`PricedColorGraph`: the color pairs tier 1 settles, and every pair
+of each color that has none of those, walked.  It grows by a limit per
+missing color pair, which becomes that pair's cap: a pair whose capped cut
+the grid covers is priced from the grid's candidates, any other by a
+walk under its cap.  The solver takes the limits from the optimal duals
+of a matching on the graph so far (see :mod:`colorspan.solvers`).
+
+Neither mode applies to a set whose distances may exceed the float
+range, which only the full build reports, or to a set small enough for
+the full scan; those get the complete graph.
 
 The outer points come from two passes: an octagon of extreme points drops
 most of a raw class, then a 32-gon of extreme points filters the distinct
@@ -66,12 +82,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInstanceError
 from .matching import Matching, WeightedGraph, _perfect_matching_exists, _threshold_prefix
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Relative slack used when collecting candidates from the accelerated
 # passes; generous because the exact pass filters false positives anyway.
@@ -275,8 +294,8 @@ class ColorGraph:
     edge to its witness ``(weight, a, b)``: ``a`` the point (or vertex) of
     color ``i``, ``b`` that of color ``j``.  ``graph`` is the
     ``WeightedGraph`` on the colors with those weights.  The geometric
-    builders fill in every color pair, except for the closest builder's
-    bottleneck-bounded mode; a vertex-colored graph's contraction can
+    builders fill in every color pair, except in the closest builder's
+    bounded and priced modes; a vertex-colored graph's contraction can
     miss some.
     """
 
@@ -324,12 +343,18 @@ def _unit_scaled(point_set: ColoredPointSet) -> tuple[np.ndarray, np.ndarray, fl
     unit scale, so pairs whose exact distances tie on the subnormal grid
     stay candidates; at normal scales the spacings add under 1e-15.
     """
-    exponent = -math.frexp(_peak(point_set))[1]
+    exponent = _unit_exponent(point_set)
     return (
         np.ldexp(point_set.xs, exponent),
         np.ldexp(point_set.ys, exponent),
         _ABS_SLACK + math.ldexp(_SUBNORMAL_SPACINGS * 5e-324, exponent),
     )
+
+
+def _unit_exponent(point_set: ColoredPointSet) -> int:
+    """The exponent of the power of two by which :func:`_unit_scaled`
+    scales the coordinates."""
+    return -math.frexp(_peak(point_set))[1]
 
 
 def _distinct_indices(point_set: ColoredPointSet, idx: np.ndarray) -> np.ndarray:
@@ -483,10 +508,10 @@ def _block_pairs(sa, na, sb, nb) -> Iterable[tuple[np.ndarray, np.ndarray]]:
 
 class _Scan(NamedTuple):
     """What the candidate pairs of both tiers are scanned with: the point
-    colors and unit-scaled coordinates, the color count, the slack, per
-    color pair code ``i * t + j`` the least distance seen so far, and the
-    cap: the largest least distance a color pair can have and still be
-    built (infinite unless the build is bounded)."""
+    colors and unit-scaled coordinates, the color count, the slack, and
+    per color pair code ``i * t + j`` the least distance seen so far and
+    the cap: the largest least distance the color pair can have and still
+    be built (infinite unless the build is bounded or priced)."""
 
     colors: np.ndarray
     sx: np.ndarray
@@ -494,12 +519,12 @@ class _Scan(NamedTuple):
     t: int
     slack: float
     best: np.ndarray
-    cap: float = math.inf
+    cap: np.ndarray
 
     def cut(self, code=slice(None)) -> np.ndarray:
         """The ``_exact_edges`` cut of each color pair's least distance so
-        far, or of the cap where that is lower."""
-        return _cut(np.minimum(self.best[code], self.cap), self.slack)
+        far, or of its cap where that is lower."""
+        return _cut(np.minimum(self.best[code], self.cap[code]), self.slack)
 
     def keep(self, pairs: Iterable[tuple[np.ndarray, np.ndarray]]):
         """The bichromatic pairs ``(a, b)`` among ``pairs``, ``a`` of the
@@ -546,8 +571,9 @@ def _quadtree_pairs(
     scan: _Scan, pi: np.ndarray, pj: np.ndarray,
 ) -> Iterable[tuple[np.ndarray, np.ndarray]]:
     """Point pairs that cover, for each color pair ``(pi, pj)``, every
-    pair within the cut of its closest distance, or of ``scan.cap`` where
-    that is lower; ``codes`` are the points' Morton codes at ``depth``.
+    pair within the cut of its closest distance, or of its ``scan.cap``
+    where that is lower; ``codes`` are the points' Morton codes at
+    ``depth``.
 
     Each class, sorted by Morton code, is a quadtree whose nodes at a
     level are the runs of equal code prefixes.  The walk starts from the
@@ -629,6 +655,85 @@ def _quadtree_pairs(
         bounds = below
 
 
+class _ClosestTiers:
+    """The closest builder's tier 1 over a point set, and tier 2 on demand.
+
+    Construction runs tier 1: ``a`` and ``b`` are the grid's candidate
+    pairs, ``a`` of the lower color, and ``scan.best`` holds each color
+    pair's least distance among them.  :meth:`open` names the color pairs
+    whose candidates the grid may lack, and :meth:`walk` covers such pairs
+    with tier 2, under their ``scan.cap``.
+    """
+
+    def __init__(
+        self, point_set: ColoredPointSet, sx: np.ndarray, sy: np.ndarray, slack: float
+    ):
+        t = point_set.num_colors
+        self.point_set = point_set
+        self.scan = scan = _Scan(
+            point_set.colors, sx, sy, t, slack, np.full(t * t, np.inf), np.full(t * t, np.inf)
+        )
+        self.upper = (np.arange(t)[:, None] < np.arange(t)).ravel()
+        # Codes leave room for the color above them in ``_quadtree_pairs``.
+        self.depth = depth = min(30, (63 - (t - 1).bit_length()) // 2)
+        self.pts, self.codes, ix, iy = _morton_distinct(point_set, sx, sy, depth)
+        pts, codes = self.pts, self.codes
+        # The coarsest level whose neighbour pairs stay within the budget.
+        # Two points that share a cell one level up share or neighbour a
+        # cell, so no level below the first whose parent cells hold at most
+        # the budget in pairs can meet it.
+        budget = _GRID_PAIRS_PER_POINT * len(pts)
+        level = 0
+        while level < depth and _cell_pairs(codes, 2 * (depth - level + 1)) > budget:
+            level += 1
+        grid = _grid(codes, ix, iy, level, depth)
+        while level < depth and grid.pairs() > budget:
+            level += 1
+            del grid
+            grid = _grid(codes, ix, iy, level, depth)
+        del ix, iy
+        ranked = pts[grid.positions()]
+        self.a, self.b = scan.keep(
+            (ranked[i], ranked[j]) for blocks in grid.blocks() for i, j in _block_pairs(*blocks)
+        )
+        del ranked, grid
+        self.side = math.ldexp(1.0, 1 - level)
+
+    def open(self) -> np.ndarray:
+        """Per color pair code, True for the pairs ``i < j`` whose capped
+        cut the grid may not cover.
+
+        Two points less than a cell side apart share or neighbour a cell,
+        and no pair's float distance is below its exact one by more than
+        the widening: a color pair whose widened cut is below the side has
+        every pair within its cut among the grid's.
+        """
+        return self.upper & ~(_widened(self.scan.cut()) < self.side)
+
+    def lone(self, paired: np.ndarray) -> np.ndarray:
+        """Per color pair code, True for the pairs ``i < j`` of each color
+        that no pair where ``paired`` holds touches."""
+        t = self.scan.t
+        paired = (paired & self.upper).reshape(t, t)
+        alone = ~(paired.any(axis=0) | paired.any(axis=1))
+        return self.upper & (alone[:, None] | alone).ravel()
+
+    def walk(self, walked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tier 2's candidate pairs for the color pairs whose code is
+        True in ``walked``: every pair within the cut of each one's
+        closest distance, or of its cap where that is lower."""
+        pi, pj = np.divmod(np.flatnonzero(walked), self.scan.t)
+        if not len(pi):
+            return np.empty(0, np.intp), np.empty(0, np.intp)
+        return self.scan.keep(_quadtree_pairs(self.pts, self.codes, self.depth, self.scan, pi, pj))
+
+    def code(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The color pair code of each pair ``(a, b)``, ``a`` of the lower
+        color."""
+        colors = self.scan.colors
+        return colors[a] * self.scan.t + colors[b]
+
+
 def _closest_candidates(
     point_set: ColoredPointSet, sx: np.ndarray, sy: np.ndarray, slack: float, bounded=False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -640,50 +745,35 @@ def _closest_candidates(
     Tier 1 enumerates the pairs in the same or neighbouring cells of one
     grid and settles every color pair whose cut lies inside a cell side.
     Tier 2, a quadtree walk, covers the color pairs left open.  A bounded
-    build caps every cut at the cut of Λ, the bottleneck value of a perfect
-    matching over tier 1's least distances, and drops the color pairs
-    whose closest distance lies beyond that cap (see ``_bottleneck_cap``).
+    build first walks every color pair of each color that has no pair in
+    the grid.  It then caps every cut at the cut of Λ, the bottleneck
+    value of a perfect matching over the least distances so far, and drops
+    the color pairs whose closest distance lies beyond that cap (see
+    ``_bottleneck_cap``).
     """
-    t = point_set.num_colors
-    scan = _Scan(point_set.colors, sx, sy, t, slack, np.full(t * t, np.inf))
-    # Codes leave room for the color above them in ``_quadtree_pairs``.
-    depth = min(30, (63 - (t - 1).bit_length()) // 2)
-    pts, codes, ix, iy = _morton_distinct(point_set, sx, sy, depth)
-    # Tier 1: the coarsest level whose neighbour pairs stay within the
-    # budget.  Two points that share a cell one level up share or
-    # neighbour a cell, so no level below the first whose parent cells
-    # hold at most the budget in pairs can meet it.
-    budget = _GRID_PAIRS_PER_POINT * len(pts)
-    level = 0
-    while level < depth and _cell_pairs(codes, 2 * (depth - level + 1)) > budget:
-        level += 1
-    grid = _grid(codes, ix, iy, level, depth)
-    while level < depth and grid.pairs() > budget:
-        level += 1
-        del grid
-        grid = _grid(codes, ix, iy, level, depth)
-    del ix, iy
-    ranked = pts[grid.positions()]
-    a, b = scan.keep(
-        (ranked[i], ranked[j]) for blocks in grid.blocks() for i, j in _block_pairs(*blocks)
-    )
-    del ranked, grid
+    tiers = _ClosestTiers(point_set, sx, sy, slack)
+    scan = tiers.scan
+    walked = np.zeros_like(tiers.upper)
+    a, b = tiers.a, tiers.b
     if bounded:
-        scan = scan._replace(cap=_bottleneck_cap(scan.best, t, slack))
-    # Two points less than a cell side apart share or neighbour a cell,
-    # and no pair's float distance is below its exact one by more than the
-    # widening: a color pair whose widened cut is below the side has every
-    # pair within its cut among the grid's.
-    side = math.ldexp(1.0, 1 - level)
-    upper = np.arange(t)[:, None] < np.arange(t)
-    open_codes = np.flatnonzero(upper.ravel() & ~(_widened(scan.cut()) < side))
-    if len(open_codes):
-        pi, pj = np.divmod(open_codes, t)
-        a2, b2 = scan.keep(_quadtree_pairs(pts, codes, depth, scan, pi, pj))
-        a, b = np.concatenate((a, a2)), np.concatenate((b, b2))
-    if scan.cap < math.inf:
-        built = scan.best[point_set.colors[a] * t + point_set.colors[b]] <= scan.cap
+        walked = tiers.lone(np.isfinite(scan.best))
+        a, b = _joined((a, b), tiers.walk(walked))
+        scan.cap[:] = _bottleneck_cap(scan.best, scan.t, slack)
+    a, b = _joined((a, b), tiers.walk(tiers.open() & ~walked))
+    if bounded:
+        code = tiers.code(a, b)
+        built = scan.best[code] <= scan.cap[code]
         a, b = a[built], b[built]
+    return a, b
+
+
+def _joined(*pieces: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``(a, b)`` of all ``pieces`` in one pair of arrays; when
+    only one piece holds pairs, that piece itself."""
+    full = [piece for piece in pieces if len(piece[0])] or pieces[:1]
+    if len(full) == 1:
+        return full[0]
+    a, b = (np.concatenate(ends) for ends in zip(*full))
     return a, b
 
 
@@ -864,13 +954,21 @@ def _outer_candidates(
     return np.concatenate(pieces_a), np.concatenate(pieces_b)
 
 
-def _build_color_graph(point_set: ColoredPointSet, sign: int, bottleneck=False) -> ColorGraph:
-    """The closest color graph for ``sign = 1``, the farthest for ``-1``;
-    with ``bottleneck``, the closest one bounded as ``_closest_candidates``
-    bounds it, past the full-scan cutoff and unless a distance may exceed
-    the float range, which only the full build reports."""
+def _partial(point_set: ColoredPointSet) -> bool:
+    """Whether a closest color graph of this set may be built in part:
+    past the full-scan cutoff, and unless a distance may exceed the float
+    range, which only the full build reports."""
+    return len(point_set) > _SCAN_CUTOFF and _distances_fit(point_set)
+
+
+def _build_color_graph(
+    point_set: ColoredPointSet, sign: int, bottleneck=False, kind: type[ColorGraph] = ColorGraph
+) -> ColorGraph:
+    """The closest color graph for ``sign = 1``, the farthest for ``-1``,
+    as a ``kind``; with ``bottleneck``, the closest one bounded as
+    ``_closest_candidates`` bounds it where :func:`_partial` allows."""
     sx, sy, slack = _unit_scaled(point_set)
-    bounded = bottleneck and len(point_set) > _SCAN_CUTOFF and _distances_fit(point_set)
+    bounded = bottleneck and _partial(point_set)
     if len(point_set) <= _SCAN_CUTOFF:
         a, b = _scan_candidates(point_set)
     elif sign > 0:
@@ -882,10 +980,106 @@ def _build_color_graph(point_set: ColoredPointSet, sign: int, bottleneck=False) 
     t = point_set.num_colors
     if not bounded and len(witnesses) != t * (t - 1) // 2:
         raise InvalidInstanceError("color graph must have one edge per color pair")
-    return ColorGraph(t, witnesses)
+    return kind(t, witnesses)
 
 
-def build_closest_color_graph(point_set: ColoredPointSet, bottleneck=False) -> ColorGraph:
+class PricedColorGraph(ColorGraph):
+    """A closest color graph built in part, which grows by pricing the
+    color pairs it lacks.
+
+    Every color pair it holds has the complete graph's witness.  It starts
+    from the color pairs that tier 1 settles, plus every color pair of each
+    color that has none of those, walked; on a set the full build must
+    take, it is the complete graph, with no ``tiers``.  :meth:`grown` adds
+    the missing color pairs whose closest distance is within a limit of
+    their own; with the limits of a minimum-weight perfect matching's
+    optimal duals (see :class:`~colorspan.matching.EdgeLimits`), a graph
+    that does not grow holds a minimum-weight perfect matching of the
+    complete one.
+    """
+
+    def __init__(
+        self, num_colors: int, witnesses: dict[tuple[int, int], tuple[float, int, int]],
+        tiers: _ClosestTiers | None = None,
+    ):
+        super().__init__(num_colors, witnesses)
+        object.__setattr__(self, "_tiers", tiers)
+
+    def grown(self, limit: Callable[[int, int], Fraction] | None) -> PricedColorGraph | None:
+        """This graph plus each color pair ``(i, j)`` it lacks whose
+        closest distance is at most ``limit(i, j)``, or None when there is
+        none; with ``limit`` None, plus every color pair it lacks.
+
+        Each missing color pair is priced at its limit's cap at unit scale:
+        where the grid covers the cut of that cap, from the grid's
+        candidates, and by a walk under that cap elsewhere.  Either way
+        every pair within the cap is a candidate, so a color pair whose
+        closest distance is within its limit gets its exact witness.
+        """
+        tiers = self._tiers
+        if tiers is None:
+            return None
+        scan, t = tiers.scan, tiers.scan.t
+        missing = tiers.upper.copy()
+        missing[[i * t + j for i, j in self.witnesses]] = False
+        codes = np.flatnonzero(missing)
+        if not len(codes):
+            return None
+        if limit is None:
+            limits = dict.fromkeys(codes.tolist(), math.inf)
+            scan.cap[codes] = np.inf
+        else:
+            limits = {k: limit(*divmod(k, t)) for k in codes.tolist()}
+            exponent = _unit_exponent(tiers.point_set)
+            scan.cap[codes] = [_unit_cap(r, exponent) for r in limits.values()]
+        a, b = _joined((tiers.a, tiers.b), tiers.walk(tiers.open() & missing))
+        # A color pair whose least distance lies beyond the cut of its cap
+        # has no pair within it, wherever its candidates come from.
+        code = tiers.code(a, b)
+        priced = missing[code] & (scan.best[code] <= _cut(scan.cap[code], scan.slack))
+        found = _exact_edges(tiers.point_set, a[priced], b[priced], scan.sx, scan.sy, scan.slack, 1)
+        added = {key: w for key, w in found.items() if w[0] <= limits[key[0] * t + key[1]]}
+        if not added:
+            return None
+        return PricedColorGraph(t, dict(sorted({**self.witnesses, **added}.items())), tiers)
+
+
+def _unit_cap(limit: Fraction, exponent: int) -> float:
+    """``limit`` times ``2 ** exponent``, rounded to a float; beyond every
+    unit-scaled distance, which is below 4, it is 4 or -4."""
+    num, den = limit.numerator, limit.denominator
+    if exponent >= 0:
+        num <<= exponent
+    else:
+        den <<= -exponent
+    return num / den if abs(num) < 4 * den else math.copysign(4.0, num)
+
+
+def _priced_closest(point_set: ColoredPointSet) -> PricedColorGraph:
+    """The start of a :class:`PricedColorGraph`: the color pairs tier 1
+    settles, with the grid's candidates, and every color pair of each
+    color that has no such pair, walked with no cap."""
+    tiers = _ClosestTiers(point_set, *_unit_scaled(point_set))
+    scan = tiers.scan
+    settled = tiers.upper & ~tiers.open()
+    grid = settled[tiers.code(tiers.a, tiers.b)]
+    # The tiers keep only the open color pairs' candidates, which pricing
+    # reads; when the grid settles every color pair, no array is copied.
+    if grid.all():
+        a, b = tiers.a, tiers.b
+        tiers.a, tiers.b = a[:0], b[:0]
+    else:
+        a, b = tiers.a[grid], tiers.b[grid]
+        tiers.a, tiers.b = tiers.a[~grid], tiers.b[~grid]
+    del grid
+    a, b = _joined((a, b), tiers.walk(tiers.lone(settled)))
+    witnesses = _exact_edges(point_set, a, b, scan.sx, scan.sy, scan.slack, 1)
+    return PricedColorGraph(scan.t, witnesses, tiers)
+
+
+def build_closest_color_graph(
+    point_set: ColoredPointSet, bottleneck=False, priced=False
+) -> ColorGraph:
     """Complete color graph whose edges are bichromatic closest pairs.
 
     With ``bottleneck``, only the edges that a bottleneck perfect matching
@@ -893,8 +1087,18 @@ def build_closest_color_graph(point_set: ColoredPointSet, bottleneck=False) -> C
     with the witness the complete graph gives it, so
     :func:`~colorspan.matching.bottleneck_perfect_matching` returns the
     same matching on both.
+
+    With ``priced``, a :class:`PricedColorGraph`, the start of a sparse
+    graph that grows by the limits of a minimum-weight perfect matching on
+    it.  On a set of at most ``_SCAN_CUTOFF`` points, or one whose
+    distances may exceed the float range, either option gives the
+    complete graph.
     """
-    return _build_color_graph(point_set, 1, bottleneck)
+    if bottleneck and priced:
+        raise ValueError("a closest color graph is either bottleneck-bounded or priced")
+    if priced and _partial(point_set):
+        return _priced_closest(point_set)
+    return _build_color_graph(point_set, 1, bottleneck, PricedColorGraph if priced else ColorGraph)
 
 
 def build_farthest_color_graph(point_set: ColoredPointSet) -> ColorGraph:

@@ -11,8 +11,10 @@ the largest such denominator turns all weights into ints without
 rounding, and negating and shifting them makes minimizing total weight
 maximizing it.  The answer is exactly the float optimum, with no rational
 arithmetic anywhere.  The engine (``_blossom``, edge-indexed lists after
-van Rantwijk's ``mwmatching``) returns its final duals with the mate map;
-the queries here read only the mate map.
+van Rantwijk's ``mwmatching``) returns its final duals with the mate map.
+On request, :func:`min_weight_perfect_matching` hands them back as
+:class:`EdgeLimits`, which price the edges a graph lacks: the minsum
+solver grows a sparse closest color graph by them.
 
 Perfect-matching existence is Edmonds' cardinality search (1965) on
 adjacency lists, with no weights and no duals: a greedy start, then one
@@ -50,10 +52,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ._blossom import maximum_weight_matching
+from ._blossom import Duals, maximum_weight_matching
 from .errors import InvalidInstanceError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Objective(enum.Enum):
@@ -311,25 +316,70 @@ def _augment(root: int, adj: list[list[int]], mate: list[int]) -> bool:
 
 def _blossom_matching(
     n: int, edges: Sequence[tuple[int, int, float]], int_weights: Iterable[int]
-) -> Matching:
+) -> tuple[Matching, Duals]:
     """The blossom engine's matching of the graph on ``n`` vertices whose
-    ``edges`` carry ``int_weights`` in place of their own weights.
+    ``edges`` carry ``int_weights`` in place of their own weights, and the
+    engine's final duals.
 
     The graph must have a perfect matching, so the engine's
     maximum-cardinality answer covers every vertex.  The result keeps the
-    chosen edges' own weights; the engine's duals are dropped.
+    chosen edges' own weights.
     """
-    mate, _ = maximum_weight_matching(
+    mate, duals = maximum_weight_matching(
         n, {(u, v): iw for (u, v, _), iw in zip(edges, int_weights)}
     )
     assert len(mate) == n
-    return Matching.from_weighted_edges(e for e in edges if mate[e[0]] == e[1])
+    return Matching.from_weighted_edges(e for e in edges if mate[e[0]] == e[1]), duals
 
 
-def min_weight_perfect_matching(g: WeightedGraph) -> Matching | None:
-    """A perfect matching of minimum total weight, or None if infeasible."""
+class EdgeLimits:
+    """Prices for the edges a graph lacks, from the optimal duals of its
+    minimum-weight perfect matching.
+
+    ``limit(u, v)`` is the weight at which an edge ``(u, v)`` added to the
+    graph has zero reduced cost under those duals.  At or above it the
+    duals stay feasible, so the matching is still a minimum-weight one on
+    the larger graph; strictly above it no minimum-weight perfect matching
+    of the larger graph uses the edge (complementary slackness).
+    """
+
+    def __init__(self, duals: Duals, top: int, scale: int):
+        # The engine maximized top - w * scale over edges of weight w, and
+        # its duals are doubled: the reduced cost of (u, v) is
+        # vertex[u] + vertex[v] + z - 2 * (top - w * scale), with z summed
+        # over the blossoms that hold both ends.
+        self._vertex, self._blossoms = duals
+        self._top2, self._scale2 = 2 * top, 2 * scale
+
+    @cached_property
+    def _holding(self) -> list[list[tuple[frozenset[int], int]]]:
+        """Per vertex, the members and dual of each blossom holding it."""
+        holding: list[list[tuple[frozenset[int], int]]] = [[] for _ in self._vertex]
+        for leaves, z in self._blossoms:
+            if z:
+                members = frozenset(leaves)
+                for u in leaves:
+                    holding[u].append((members, z))
+        return holding
+
+    def limit(self, u: int, v: int) -> Fraction:
+        """The weight at which an edge ``(u, v)`` has zero reduced cost."""
+        # Imported here: only pricing needs it, and it adds about 2 ms to
+        # every start of the command line.
+        from fractions import Fraction
+
+        z = sum(z for members, z in self._holding[u] if v in members)
+        return Fraction(self._top2 - self._vertex[u] - self._vertex[v] - z, self._scale2)
+
+
+def min_weight_perfect_matching(g: WeightedGraph, duals=False):
+    """A perfect matching of minimum total weight, or None if infeasible.
+
+    With ``duals``, the pair of that result and the :class:`EdgeLimits`
+    of the matching's optimal duals (None if infeasible).
+    """
     if not has_perfect_matching(g):
-        return None
+        return (None, None) if duals else None
     # Scale to ints exactly: each weight is num / den with den a power of
     # two, so den divides the largest denominator and num * (scale // den)
     # is the weight times scale.  Then negate and shift so the
@@ -339,7 +389,8 @@ def min_weight_perfect_matching(g: WeightedGraph) -> Matching | None:
     scale = max((den for _, den in ratios), default=1)
     scaled = [num * (scale // den) for num, den in ratios]
     top = max(scaled, default=0)
-    return _blossom_matching(g.num_vertices, g.edges, [top - iw for iw in scaled])
+    matched, final = _blossom_matching(g.num_vertices, g.edges, [top - iw for iw in scaled])
+    return (matched, EdgeLimits(final, top, scale)) if duals else matched
 
 
 def _threshold_perfect_matching(g: WeightedGraph, minimize_max: bool) -> Matching | None:
@@ -360,7 +411,7 @@ def _threshold_perfect_matching(g: WeightedGraph, minimize_max: bool) -> Matchin
     if not has_perfect_matching(g):
         return None
     prefix = sorted(_threshold_prefix(g.num_vertices, g.edges, minimize_max))
-    return _blossom_matching(g.num_vertices, prefix, [1] * len(prefix))
+    return _blossom_matching(g.num_vertices, prefix, [1] * len(prefix))[0]
 
 
 def _threshold_prefix(

@@ -38,6 +38,18 @@ with the complete graph's witness.  The threshold search then finds the
 same level on the reduced graph, and the witness run sees the same
 ``(u, v)``-sorted prefix of edges, so the matching is the complete
 graph's.
+
+When minsum is the only one, the closest graph is priced instead: it
+starts from the color pairs the grid pass settles (and every pair of a
+color with none), and grows by the optimal duals of a minimum-weight
+perfect matching on it (the pricing loop of Cook & Rohe, 1999).  Each
+round adds every missing color pair whose closest distance is at most
+its limit, the weight at which the duals give it zero reduced cost, and
+solves again.  When no pair is added, every missing pair has a positive
+reduced cost, so the duals are feasible on the complete graph: the last
+matching is optimal there, and every minimum-weight perfect matching of
+the complete graph lies in the sparse one.  A start that has no perfect
+matching grows by every missing pair, into the complete graph.
 """
 
 from __future__ import annotations
@@ -48,6 +60,7 @@ from .errors import InvalidInstanceError
 from .geometry import (
     ColoredPointSet,
     ColorGraph,
+    PricedColorGraph,
     _require_matching_instance,
     build_closest_color_graph,
     build_farthest_color_graph,
@@ -62,16 +75,32 @@ from .matching import (
 )
 
 
-def _match_color_graph(cg: ColorGraph, match) -> Matching | None:
-    """The matching ``match`` finds on ``cg.graph``, each matched color
-    pair expanded to its witness ``(a, b)`` with the witness's weight, or
-    None when it finds no perfect matching."""
-    matched = match(cg.graph)
-    if matched is None:
-        return None
+def _expand(cg: ColorGraph, matched: Matching) -> Matching:
+    """Each color pair of a matching on ``cg.graph`` expanded to its
+    witness ``(a, b)``, with the witness's weight."""
     return Matching.from_weighted_edges(
         (a, b, w) for w, a, b in map(cg.witnesses.__getitem__, matched.edges)
     )
+
+
+def _match_color_graph(cg: ColorGraph, match) -> Matching | None:
+    """The matching ``match`` finds on ``cg.graph``, expanded, or None
+    when it finds no perfect matching."""
+    matched = match(cg.graph)
+    return None if matched is None else _expand(cg, matched)
+
+
+def _priced_min_weight(cg: PricedColorGraph) -> Matching:
+    """A minimum-weight perfect matching of the complete closest color
+    graph that ``cg`` starts, expanded: solve, grow ``cg`` by the duals'
+    limits, and solve again until it does not grow.  A start with no
+    perfect matching grows by every missing color pair."""
+    while True:
+        matched, duals = min_weight_perfect_matching(cg.graph, duals=True)
+        grown = cg.grown(None if matched is None else duals.limit)
+        if grown is None:
+            return _expand(cg, matched)
+        cg = grown
 
 
 def _pipeline(objective: Objective):
@@ -98,17 +127,23 @@ def solve_geometric(
     Each color graph is built at most once, when the first objective that
     needs it comes up, and shared by the objectives after it; so an error
     is raised where solving the objectives one by one would raise it
-    first.
+    first.  The exception is minsum alone among the objectives that need
+    the closest graph: it matches a priced closest graph of its own.
     """
     _require_matching_instance(point_set)
+    closest = {o for o in objectives if o in (Objective.MINSUM, Objective.MINMAX)}
     graphs: dict = {}
     solved = []
     for objective in objectives:
         build, match = _pipeline(objective)
+        if objective is Objective.MINSUM and closest == {objective}:
+            # Minsum alone builds only the color pairs its optimum can use.
+            solved.append(_priced_min_weight(build(point_set, priced=True)))
+            continue
         if build not in graphs:
             # Minmax alone reads only the closest graph's edges up to its
-            # optimum, so then the closest graph is built bounded.
-            bounded = objective is Objective.MINMAX and Objective.MINSUM not in objectives
+            # optimum.
+            bounded = closest == {objective}
             graphs[build] = build(point_set, bottleneck=True) if bounded else build(point_set)
         # A complete color graph on an even color count always has a perfect
         # matching, and a bounded one keeps an optimal one.

@@ -3,10 +3,13 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterator, Sequence
 
+import numpy as np
 import pytest
 
 from colorspan import ColoredPointSet, solvers
+from colorspan.generate import generate_points
 from colorspan.geometry import (
+    _SCAN_CUTOFF,
     ColorGraph,
     _exact_edges,
     _outer_candidates,
@@ -14,6 +17,9 @@ from colorspan.geometry import (
 )
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+# The point-set families of ``varied_set``.
+FAMILIES = ("uniform", "clusters", "lattice", "coincident", "scaled", "mixed")
 
 
 @pytest.fixture(scope="session")
@@ -90,3 +96,46 @@ def outer_farthest_graph(ps: ColoredPointSet) -> ColorGraph:
     sx, sy, slack = _unit_scaled(ps)
     witnesses = _exact_edges(ps, *_outer_candidates(ps, sx, sy, slack), sx, sy, slack, -1)
     return ColorGraph(ps.num_colors, witnesses)
+
+
+def many_points(seed: int, i: int) -> ColoredPointSet:
+    """Instance ``i`` of the many-points benchmark workload at ``seed``."""
+    return generate_points(10_000, 20, seed * 1_000_003 + i, "clusters")
+
+
+def varied_set(seed: int) -> ColoredPointSet:
+    """A set of one of ``FAMILIES``, past the full-scan cutoff."""
+    rng = np.random.default_rng(seed)
+    family = FAMILIES[seed % len(FAMILIES)]
+    n = int(rng.integers(_SCAN_CUTOFF + 1, 5001))
+    t = 2 * int(rng.integers(1, 21))
+    colors = rng.permutation(np.r_[np.arange(t), rng.integers(0, t, n - t)])
+    if family == "lattice":
+        side = max(2, int(math.sqrt(n)) // 3)
+        xs, ys = rng.integers(0, side, (2, n)).astype(float)
+    elif family == "coincident":
+        sites = rng.random((2, n // 20 + 1))
+        xs, ys = sites[:, rng.integers(0, sites.shape[1], n)]
+    elif family in ("clusters", "mixed"):
+        centers = rng.random((2, t))
+        xs, ys = centers[:, colors] + rng.normal(0, 0.05, (2, n))
+    else:
+        xs, ys = rng.random((2, n))
+    if family == "scaled":
+        scale = 10.0 ** int(rng.integers(-200, 201))
+        xs, ys = xs * scale, ys * scale
+    if family == "mixed":
+        # One scale per class: the far classes' closest pairs span many
+        # binades, and the near ones crowd into one grid cell.
+        exponent = rng.integers(-15, 16, t)[colors]
+        xs, ys = np.ldexp(xs, exponent), np.ldexp(ys, exponent)
+    return ColoredPointSet(xs, ys, colors, t)
+
+
+def far_clusters() -> ColoredPointSet:
+    """Four tight clusters, one per color, far apart: no color pair has a
+    pair in the grid, so every color's pairs are walked before Λ."""
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([x + rng.normal(0, 0.1, 150) for x in (0, 10, 0, 10)])
+    ys = np.concatenate([y + rng.normal(0, 0.1, 150) for y in (0, 0, 10, 10)])
+    return ColoredPointSet(xs, ys, np.repeat(np.arange(4), 150), 4)

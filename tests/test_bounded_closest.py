@@ -12,9 +12,11 @@ Inputs: the benchmark's many-points shape (n = 10k, t = 20, clusters) at
 seeds 1 to 10; uniform, clustered, lattice, coincident, scaled (1e-200 to
 1e200) and per-class-scaled sets with n from 257 to 5000 and t from 2 to
 40; one set with t = 300; and float ties that only the cap's cut keeps.
-Recorders on ``_bottleneck_cap`` and ``_quadtree_pairs`` tell which path
-a bounded build took: no walk, a walk under a finite cap, or no cap
-(Λ infinite, when some color has no pair in the grid).
+Recorders on ``_closest_candidates``, ``_bottleneck_cap`` and
+``_quadtree_pairs`` tell which path a bounded build took: a walk of
+every color pair of each color that has no pair in the grid (lone walk),
+then no walk, a walk under a finite cap, or no cap (Λ infinite, when the
+color pairs known by then admit no perfect matching).
 """
 
 import math
@@ -25,12 +27,11 @@ import pytest
 from colorspan import ColoredPointSet, build_closest_color_graph, solve_minmax
 from colorspan import geometry
 from colorspan.generate import generate_points
-from colorspan.geometry import _SCAN_CUTOFF, _distinct_indices, _morton_distinct, _unit_scaled
+from colorspan.geometry import _distinct_indices, _morton_distinct, _unit_scaled
 from colorspan.matching import bottleneck_perfect_matching
 from colorspan.solvers import _match_color_graph
 
-FAMILIES = ("uniform", "clusters", "lattice", "coincident", "scaled", "mixed")
-
+from conftest import FAMILIES, far_clusters, many_points, varied_set
 
 class Paths:
     """The cap of each bounded build, and the path it took."""
@@ -43,18 +44,35 @@ class Paths:
 @pytest.fixture
 def paths(monkeypatch) -> Paths:
     seen = Paths()
+    # The stages of the bounded build under way, if one is.
+    stages: list[list[str]] = []
+
+    def candidates(ps, sx, sy, slack, bounded=False, inner=geometry._closest_candidates):
+        if not bounded:
+            return inner(ps, sx, sy, slack)
+        stages.append([])
+        try:
+            return inner(ps, sx, sy, slack, bounded)
+        finally:
+            seen.taken.append(" + ".join(stages.pop()) or "no walk")
 
     def cap(*args, bound=geometry._bottleneck_cap):
         value = bound(*args)
         seen.caps.append(value)
-        seen.taken.append("no walk" if value < math.inf else "no cap")
+        if value == math.inf:
+            stages[-1].append("no cap")
         return value
 
     def walk(*args, pairs=geometry._quadtree_pairs):
-        if args[3].cap < math.inf:
-            seen.taken[-1] = "capped walk"
+        # A walk before Λ is the lone colors'; one after an infinite Λ
+        # is the uncapped walk that "no cap" names.
+        if stages and np.isfinite(args[3].cap).any():
+            stages[-1].append("capped walk")
+        elif stages and not stages[-1]:
+            stages[-1].append("lone walk")
         return pairs(*args)
 
+    monkeypatch.setattr(geometry, "_closest_candidates", candidates)
     monkeypatch.setattr(geometry, "_bottleneck_cap", cap)
     monkeypatch.setattr(geometry, "_quadtree_pairs", walk)
     return seen
@@ -74,49 +92,6 @@ def assert_bounded_equals_full(ps: ColoredPointSet, paths: Paths) -> None:
     assert solve_minmax(ps) == _match_color_graph(full, bottleneck_perfect_matching)
 
 
-def many_points(seed: int, i: int) -> ColoredPointSet:
-    """Instance ``i`` of the many-points benchmark workload at ``seed``."""
-    return generate_points(10_000, 20, seed * 1_000_003 + i, "clusters")
-
-
-def varied_set(seed: int) -> ColoredPointSet:
-    """A set of one of ``FAMILIES``, past the full-scan cutoff."""
-    rng = np.random.default_rng(seed)
-    family = FAMILIES[seed % len(FAMILIES)]
-    n = int(rng.integers(_SCAN_CUTOFF + 1, 5001))
-    t = 2 * int(rng.integers(1, 21))
-    colors = rng.permutation(np.r_[np.arange(t), rng.integers(0, t, n - t)])
-    if family == "lattice":
-        side = max(2, int(math.sqrt(n)) // 3)
-        xs, ys = rng.integers(0, side, (2, n)).astype(float)
-    elif family == "coincident":
-        sites = rng.random((2, n // 20 + 1))
-        xs, ys = sites[:, rng.integers(0, sites.shape[1], n)]
-    elif family in ("clusters", "mixed"):
-        centers = rng.random((2, t))
-        xs, ys = centers[:, colors] + rng.normal(0, 0.05, (2, n))
-    else:
-        xs, ys = rng.random((2, n))
-    if family == "scaled":
-        scale = 10.0 ** int(rng.integers(-200, 201))
-        xs, ys = xs * scale, ys * scale
-    if family == "mixed":
-        # One scale per class: the far classes' closest pairs span many
-        # binades, and the near ones crowd into one grid cell.
-        exponent = rng.integers(-15, 16, t)[colors]
-        xs, ys = np.ldexp(xs, exponent), np.ldexp(ys, exponent)
-    return ColoredPointSet(xs, ys, colors, t)
-
-
-def far_clusters() -> ColoredPointSet:
-    """Four tight clusters, one per color, far apart: no color pair has a
-    pair in the grid, so Λ is infinite and every pair is walked."""
-    rng = np.random.default_rng(3)
-    xs = np.concatenate([x + rng.normal(0, 0.1, 150) for x in (0, 10, 0, 10)])
-    ys = np.concatenate([y + rng.normal(0, 0.1, 150) for y in (0, 0, 10, 10)])
-    return ColoredPointSet(xs, ys, np.repeat(np.arange(4), 150), 4)
-
-
 class TestBoundedMatchesFull:
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_many_points(self, paths, seed):
@@ -134,7 +109,12 @@ class TestBoundedMatchesFull:
         cases = (
             (many_points(1, 0), "no walk"),
             (many_points(2, 0), "capped walk"),
-            (far_clusters(), "no cap"),
+            # The grid's 54 color pairs admit no perfect matching.
+            (many_points(9, 0), "no cap"),
+            (far_clusters(), "lone walk"),
+            # One color has no pair in the grid; once its pairs are
+            # walked, Λ is finite.
+            (many_points(3, 1), "lone walk + capped walk"),
         )
         for ps, path in cases:
             paths.taken.clear()
