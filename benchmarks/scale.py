@@ -25,8 +25,8 @@ least disturbed by other load on the host, and the spread of all its runs
   priced);
 - mixed scales: the closest builder on ``mixed_scale_points()``, 4002
   points of which two lie near 1e6 and the rest within 1e-6 of the origin,
-  so at unit scale every cross-color pair of the small cluster is inside
-  the absolute candidate slack;
+  so at unit scale the small cluster is under 1e-12 wide; the row also
+  records how many candidate pairs reach the builder's exact pass;
 - min-weight and bottleneck matching on the complete graph K_t with random
   weights, t in 20, 60, 100, 200 and 300, and at t in 20, 100 and 200 the
   one unit-weight blossom run by which bottleneck matching picks its
@@ -75,6 +75,7 @@ from colorspan import (  # noqa: E402
     build_closest_color_graph,
     build_farthest_color_graph,
     cli,
+    geometry,
     matching,
     min_weight_perfect_matching,
     solve_maxmin,
@@ -166,6 +167,7 @@ def points_rows() -> list[dict]:
     ps = mixed_scale_points()
     at = "n=4002 t=2 mixed scales"
     rows.append(timed(f"{at}: closest color graph", lambda: build_closest_color_graph(ps)))
+    rows[-1]["exact_candidates"] = exact_candidates(ps)
     return rows
 
 
@@ -177,6 +179,25 @@ def mixed_scale_points() -> ColoredPointSet:
     xs = numpy.r_[1e6, 1e6, rng.random(4000) * 1e-6]
     ys = numpy.r_[0.0, 1.0, rng.random(4000) * 1e-6]
     return ColoredPointSet(xs, ys, numpy.r_[0, 1, rng.integers(0, 2, 4000)], 2)
+
+
+def exact_candidates(ps: ColoredPointSet) -> int:
+    """The candidate pairs that the closest builder passes to its exact
+    pass on ``ps``."""
+    exact = geometry._exact_edges
+    counts = []
+
+    def recording(point_set, a, *args):
+        counts.append(len(a))
+        return exact(point_set, a, *args)
+
+    geometry._exact_edges = recording
+    try:
+        build_closest_color_graph(ps)
+    finally:
+        geometry._exact_edges = exact
+    (count,) = counts
+    return count
 
 
 def witness_call(g) -> tuple:

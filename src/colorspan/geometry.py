@@ -38,37 +38,39 @@ is a leaf like a small one, and all its pairs are enumerated.  Both tiers
 run on the distinct points of each class, which come out of the Morton
 sort: only points that share a code are compared exactly.
 
-Each color pair has a cap, infinite unless the build is bounded or
-priced, and every cut is capped at the cut of its cap: tier 2 runs only
-for the color pairs that can still hold a pair within the capped cut,
-and drops a node pair beyond its widening.  A color pair whose closest
-distance is within its cap still sees every candidate the full build
-gives it, so it gets the same witness.
+One coverage rule serves every closest build.  Each color pair has a
+cap, and every cut is capped at the cut of its cap.  The grid covers a
+color pair whose widened capped cut is below the cell side; tier 2 walks
+the others under their caps and drops a node pair beyond the widened
+capped cut.  Every candidate either tier finds is kept, and each color
+pair's walk is recorded with its cap, so no color pair is walked twice
+under a cap that is not higher.  A color pair whose closest distance is
+within its cap then has every candidate the complete build gives it, and
+so the same witness.  The complete build caps nothing.
 
-The closest builder has a bounded mode, for a bottleneck perfect
-matching, whose answer and witness depend only on the color pairs at or
-below its optimum λ* (Gabow & Tarjan, 1988).  After tier 1, every color
-pair of each color that has no pair in the grid is walked, with no cap.
-Λ is then the bottleneck value of a perfect matching over the least
-distance per color pair so far; each is an actual pair's distance, so λ*
-is at most Λ up to rounding.  Every color pair's cap is the cut of Λ, and
-the color pairs whose closest distance lies beyond it are dropped.  The
-color pairs within λ* are all kept: the threshold search finds the same
-level and the same witness on the reduced graph.  When the distances so
-far admit no perfect matching, Λ is infinite and the bounded build is
-the full one.
+A closest graph that serves one objective is built in part, from one of
+two starts:
 
-Its priced mode, for a minimum-weight perfect matching, builds a
-:class:`PricedColorGraph`: the color pairs tier 1 settles, and every pair
-of each color that has none of those, walked.  It grows by a limit per
-missing color pair, which becomes that pair's cap: a pair whose capped cut
-the grid covers is priced from the grid's candidates, any other by a
-walk under its cap.  The solver takes the limits from the optimal duals
-of a matching on the graph so far (see :mod:`colorspan.solvers`).
+- Minmax.  A bottleneck perfect matching's answer and witness depend
+  only on the color pairs at or below its optimum λ* (Gabow & Tarjan,
+  1988).  After tier 1, every color pair of each color that has no pair
+  in the grid is walked with no cap.  Λ is then the bottleneck value of a
+  perfect matching over the least distance per color pair so far; each
+  is an actual pair's distance, so λ* is at most Λ up to rounding.  Every
+  color pair is capped at the cut of Λ, and only those within their cap
+  are built: the threshold search finds the same level and the same
+  witness on the reduced graph.  When the distances so far admit no
+  perfect matching, Λ is infinite and the graph is the complete one.
+- Minsum.  A :class:`PricedColorGraph` starts from the color pairs the
+  grid settles, and every pair of each color that has none of those,
+  walked with no cap.  It grows by a limit per missing color pair, whose
+  cut becomes that pair's cap; the solver takes the limits from the
+  optimal duals of a matching on the graph so far (Cook & Rohe, 1999; see
+  :mod:`colorspan.solvers`).
 
-Neither mode applies to a set whose distances may exceed the float
-range, which only the full build reports, or to a set small enough for
-the full scan; those get the complete graph.
+A set whose distances may exceed the float range, which only the
+complete build reports, or one small enough for the full scan gets the
+complete graph.
 
 The outer points come from two passes: an octagon of extreme points drops
 most of a raw class, then a 32-gon of extreme points filters the distinct
@@ -87,7 +89,13 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 import numpy as np
 
 from .errors import InvalidInstanceError
-from .matching import Matching, WeightedGraph, _perfect_matching_exists, _threshold_prefix
+from .matching import (
+    Matching,
+    Objective,
+    WeightedGraph,
+    _perfect_matching_exists,
+    _threshold_prefix,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -95,10 +103,10 @@ if TYPE_CHECKING:
 # Relative slack used when collecting candidates from the accelerated
 # passes; generous because the exact pass filters false positives anyway.
 _CANDIDATE_SLACK = 1e-9
+# The farthest builder's absolute slack at unit scale (see ``_cut``).
 _ABS_SLACK = 1e-12
-# Subnormal spacings (2^-1074 each) added to the absolute slack: exact
-# distances between subnormal coordinates round to that grid and tie
-# where the unit-scaled ones do not.
+# Subnormal spacings (2^-1074 each) of the original and of the unit scale
+# in the absolute slack (see ``_cut``).
 _SUBNORMAL_SPACINGS = 4
 
 # A "colors never used" message lists at most this many colors.
@@ -294,9 +302,9 @@ class ColorGraph:
     edge to its witness ``(weight, a, b)``: ``a`` the point (or vertex) of
     color ``i``, ``b`` that of color ``j``.  ``graph`` is the
     ``WeightedGraph`` on the colors with those weights.  The geometric
-    builders fill in every color pair, except in the closest builder's
-    bounded and priced modes; a vertex-colored graph's contraction can
-    miss some.
+    builders fill in every color pair, except where a closest graph is
+    built in part for one objective; a vertex-colored graph's contraction
+    can miss some.
     """
 
     graph: WeightedGraph
@@ -334,20 +342,20 @@ def _unit_scaled(point_set: ColoredPointSet) -> tuple[np.ndarray, np.ndarray, fl
     magnitude into ``[0.5, 1)``, and the absolute candidate slack at that
     scale.
 
-    The scaling is exact (up to underflow far below any candidate slack),
-    so the accelerated passes see well-scaled input at every coordinate
-    scale: every coordinate lies in (-1, 1), where grid cell indexes are
-    exact, outer-point and candidate arithmetic cannot underflow, and no
-    difference overflows.
-    The slack is ``_ABS_SLACK`` plus a few subnormal spacings taken to
-    unit scale, so pairs whose exact distances tie on the subnormal grid
-    stay candidates; at normal scales the spacings add under 1e-15.
+    The scaling is exact up to underflow, which the slack covers, so the
+    accelerated passes see well-scaled input at every coordinate scale:
+    every coordinate lies in (-1, 1), where grid cell indexes are exact,
+    outer-point and candidate arithmetic cannot underflow, and no
+    difference overflows.  The slack is ``_SUBNORMAL_SPACINGS`` subnormal
+    spacings of the original scale, taken to unit scale, plus as many of
+    the unit scale (see :func:`_cut`).
     """
     exponent = _unit_exponent(point_set)
+    spacings = _SUBNORMAL_SPACINGS * 5e-324
     return (
         np.ldexp(point_set.xs, exponent),
         np.ldexp(point_set.ys, exponent),
-        _ABS_SLACK + math.ldexp(_SUBNORMAL_SPACINGS * 5e-324, exponent),
+        math.ldexp(spacings, exponent) + spacings,
     )
 
 
@@ -506,55 +514,30 @@ def _block_pairs(sa, na, sb, nb) -> Iterable[tuple[np.ndarray, np.ndarray]]:
         yield np.repeat(rows[lo:hi], w), np.arange(w.sum()) + np.repeat(start[lo:hi] - place, w)
 
 
-class _Scan(NamedTuple):
-    """What the candidate pairs of both tiers are scanned with: the point
-    colors and unit-scaled coordinates, the color count, the slack, and
-    per color pair code ``i * t + j`` the least distance seen so far and
-    the cap: the largest least distance the color pair can have and still
-    be built (infinite unless the build is bounded or priced)."""
-
-    colors: np.ndarray
-    sx: np.ndarray
-    sy: np.ndarray
-    t: int
-    slack: float
-    best: np.ndarray
-    cap: np.ndarray
-
-    def cut(self, code=slice(None)) -> np.ndarray:
-        """The ``_exact_edges`` cut of each color pair's least distance so
-        far, or of its cap where that is lower."""
-        return _cut(np.minimum(self.best[code], self.cap[code]), self.slack)
-
-    def keep(self, pairs: Iterable[tuple[np.ndarray, np.ndarray]]):
-        """The bichromatic pairs ``(a, b)`` among ``pairs``, ``a`` of the
-        lower color, within the ``cut`` of their color pair, which each
-        chunk lowers first.  The least distance only falls and the cut
-        with it, so every pair within the cut of the final least distance,
-        or of the cap, is kept."""
-        colors, sx, sy, best, t = self.colors, self.sx, self.sy, self.best, self.t
-        kept, pieces = [np.empty((2, 0), np.intp)], []
-        for a, b in pairs:
-            ca, cb = colors[a], colors[b]
-            # A same-color pair lands on the diagonal, which nothing reads.
-            code = np.minimum(ca, cb) * t + np.maximum(ca, cb)
-            dist = np.hypot(sx[a] - sx[b], sy[a] - sy[b])
-            np.minimum.at(best, code, dist)
-            keep = np.flatnonzero((dist <= self.cut(code)) & (ca != cb))
-            a, b = a[keep], b[keep]
-            pieces.append(np.where(ca[keep] > cb[keep], [b, a], [a, b]))
-            # Merged as they come: many small pieces freed at once leave
-            # heap that the exact pass's Python objects cannot reuse.
-            if len(pieces) == _MERGED_PIECES:
-                kept.append(np.concatenate(pieces, axis=1))
-                pieces = []
-        a, b = np.concatenate(kept + pieces, axis=1)
-        return a, b
-
-
 def _cut(extreme: np.ndarray, slack: float) -> np.ndarray:
     """The distance up to which ``_exact_edges`` keeps a candidate of a
-    color pair whose extreme candidate distance is ``extreme``."""
+    color pair whose extreme candidate distance is ``extreme``.
+
+    Candidates are ranked by unit-scaled float distances and the exact
+    pass by ``math.hypot`` on the original coordinates, so the cut must
+    keep every pair that the exact pass could rank first.  The two
+    distances of a pair differ only by rounding:
+
+    - relative rounding, a few ulps at either scale, which
+      ``_CANDIDATE_SLACK`` covers many times over;
+    - the subnormal grid of the original scale: exact distances between
+      subnormal coordinates round to multiples of 2^-1074, so they tie
+      where the unit-scaled ones differ;
+    - the subnormal grid of the unit scale: scaling by a negative power of
+      two can take a coordinate below the normal range, where it rounds
+      to a multiple of 2^-1074.
+
+    ``_unit_scaled``'s slack is ``_SUBNORMAL_SPACINGS`` spacings of each
+    subnormal grid at unit scale, and nothing more: that is the closest
+    builder's.  The farthest builder adds ``_ABS_SLACK``, because its
+    outer-point filter needs a margin far above the rounding of its
+    orientation test (see :func:`_off_ring`).
+    """
     return extreme + np.maximum(np.abs(extreme) * _CANDIDATE_SLACK, slack)
 
 
@@ -566,43 +549,61 @@ def _widened(bound: np.ndarray) -> np.ndarray:
     return bound * (1 + 8 * np.finfo(np.float64).eps) + np.finfo(np.float64).smallest_subnormal
 
 
+class _ClassTree:
+    """A quadtree per class over the distinct points, which tier 2 walks.
+
+    The points are sorted by color and then by Morton code at ``depth``, so
+    a class is a run and its nodes at a level are the runs of equal code
+    prefixes within it.  :meth:`nodes` finds a level's node starts on the
+    first walk that reaches the level.
+    """
+
+    def __init__(
+        self, pts: np.ndarray, codes: np.ndarray, colors: np.ndarray, depth: int,
+        sx: np.ndarray, sy: np.ndarray,
+    ):
+        keys = (colors[pts].astype(np.int64) << 2 * depth) | codes
+        order = np.argsort(keys, kind="stable")
+        self.keys, self.pts, self.depth = keys[order], pts[order], depth
+        # A last entry that no node holds ends the last node's reduction.
+        self.px, self.py = sx[np.r_[self.pts, 0]], sy[np.r_[self.pts, 0]]
+        self._starts: dict[int, np.ndarray] = {}
+
+    def nodes(self, level: int) -> np.ndarray:
+        """Each node's first position at ``level``, and past the last node
+        the end."""
+        if level not in self._starts:
+            prefix = self.keys >> 2 * (self.depth - level)
+            first = np.flatnonzero(np.r_[True, prefix[1:] != prefix[:-1]])
+            self._starts[level] = np.r_[first, len(prefix)]
+        return self._starts[level]
+
+
 def _quadtree_pairs(
-    pts: np.ndarray, codes: np.ndarray, depth: int,
-    scan: _Scan, pi: np.ndarray, pj: np.ndarray,
+    tiers: _ClosestTiers, pi: np.ndarray, pj: np.ndarray
 ) -> Iterable[tuple[np.ndarray, np.ndarray]]:
     """Point pairs that cover, for each color pair ``(pi, pj)``, every
-    pair within the cut of its closest distance, or of its ``scan.cap``
-    where that is lower; ``codes`` are the points' Morton codes at
-    ``depth``.
+    pair within its ``tiers.cut``: that of its closest distance, or of its
+    cap where that is lower.
 
-    Each class, sorted by Morton code, is a quadtree whose nodes at a
-    level are the runs of equal code prefixes.  The walk starts from the
-    pair of roots of each color pair and goes down one level at a time,
-    ``_NODE_CHUNK`` node pairs at once.  A node pair with at most
-    ``_LEAF_PAIRS`` point pairs, or at ``depth``, is a leaf, whose pairs
-    are enumerated; any other is split into the pairs of its children.  A
-    new node pair first lowers the color pair's bound by the distance of
-    the two nodes' first points, and is dropped if its bounding boxes lie
-    farther apart than the widened ``scan.cut`` of that bound.
+    The walk descends ``tiers.tree`` from the pair of roots of each color
+    pair, one level at a time, ``_NODE_CHUNK`` node pairs at once.  A node
+    pair with at most ``_LEAF_PAIRS`` point pairs, or at the tree's depth,
+    is a leaf, whose pairs are enumerated; any other is split into the
+    pairs of its children.  A new node pair first lowers the color pair's
+    least distance by the distance of the two nodes' first points, and is
+    dropped if its bounding boxes lie farther apart than the widened
+    ``tiers.cut`` of that bound.
     """
-    keys = (scan.colors[pts].astype(np.int64) << 2 * depth) | codes
-    order = np.argsort(keys, kind="stable")
-    keys, pts = keys[order], pts[order]
-    del order
-    # A last entry that no node holds ends the last node's reduction.
-    px, py = scan.sx[np.r_[pts, 0]], scan.sy[np.r_[pts, 0]]
-
-    def nodes(level: int) -> np.ndarray:
-        """Each node's first position, and past the last node the end."""
-        prefix = keys >> 2 * (depth - level)
-        return np.r_[np.flatnonzero(np.r_[True, prefix[1:] != prefix[:-1]]), len(keys)]
+    tree = tiers.tree
+    pts, px, py, depth = tree.pts, tree.px, tree.py, tree.depth
 
     def near(bounds: np.ndarray, code: np.ndarray, ka: np.ndarray, kb: np.ndarray):
         """Whether each node pair ``(ka, kb)`` of the nodes that start at
         ``bounds`` may hold a pair within the cut, after its first points
         lower the bound."""
         sa, sb = bounds[ka], bounds[kb]
-        np.minimum.at(scan.best, code, np.hypot(px[sa] - px[sb], py[sa] - py[sb]))
+        np.minimum.at(tiers.best, code, np.hypot(px[sa] - px[sb], py[sa] - py[sb]))
         # Bounding boxes of the nodes in some pair, one reduction each over
         # its own points; the points between two such nodes reduce to
         # nothing that is read.
@@ -617,17 +618,17 @@ def _quadtree_pairs(
         ra, rb = slot[ka], slot[kb]
         gap_x = np.maximum(np.maximum(xlo[rb] - xhi[ra], xlo[ra] - xhi[rb]), 0)
         gap_y = np.maximum(np.maximum(ylo[rb] - yhi[ra], ylo[ra] - yhi[rb]), 0)
-        return np.hypot(gap_x, gap_y) <= _widened(scan.cut(code))
+        return np.hypot(gap_x, gap_y) <= _widened(tiers.cut(code))
 
     # Level 0 has one node per class, in class order.
-    bounds = nodes(0)
-    code = pi * scan.t + pj
+    bounds = tree.nodes(0)
+    code = pi * tiers.t + pj
     live = near(bounds, code, pi, pj)
     code, ka, kb = code[live], pi[live], pj[live]
     for level in range(depth + 1):
         first, sizes = bounds[:-1], np.diff(bounds)
         if level < depth:
-            below = nodes(level + 1)
+            below = tree.nodes(level + 1)
             # A node's children are the nodes one level down that start in it.
             kid = np.searchsorted(below, bounds)
         kept = []
@@ -656,25 +657,29 @@ def _quadtree_pairs(
 
 
 class _ClosestTiers:
-    """The closest builder's tier 1 over a point set, and tier 2 on demand.
+    """The closest builder's candidate pairs over a point set, from tier 1
+    at construction and tier 2 on demand.
 
-    Construction runs tier 1: ``a`` and ``b`` are the grid's candidate
-    pairs, ``a`` of the lower color, and ``scan.best`` holds each color
-    pair's least distance among them.  :meth:`open` names the color pairs
-    whose candidates the grid may lack, and :meth:`walk` covers such pairs
-    with tier 2, under their ``scan.cap``.
+    ``a`` and ``b`` hold every candidate pair found so far, ``a`` of the
+    lower color, and ``best`` holds, per color pair code ``i * t + j``,
+    the least distance among them.  :meth:`candidates` is the one place
+    that decides which color pairs the grid covers and which the walk
+    must take.
     """
 
     def __init__(
         self, point_set: ColoredPointSet, sx: np.ndarray, sy: np.ndarray, slack: float
     ):
         t = point_set.num_colors
-        self.point_set = point_set
-        self.scan = scan = _Scan(
-            point_set.colors, sx, sy, t, slack, np.full(t * t, np.inf), np.full(t * t, np.inf)
-        )
+        self.point_set, self.colors, self.t = point_set, point_set.colors, t
+        self.sx, self.sy, self.slack = sx, sy, slack
+        self.best = np.full(t * t, np.inf)
+        # The caps of the ``candidates`` call under way, and the highest
+        # cap each color pair has been walked under.
+        self.cap = np.full(t * t, np.inf)
+        self.walked = np.full(t * t, -np.inf)
         self.upper = (np.arange(t)[:, None] < np.arange(t)).ravel()
-        # Codes leave room for the color above them in ``_quadtree_pairs``.
+        # Codes leave room for the color above them in the class tree.
         self.depth = depth = min(30, (63 - (t - 1).bit_length()) // 2)
         self.pts, self.codes, ix, iy = _morton_distinct(point_set, sx, sy, depth)
         pts, codes = self.pts, self.codes
@@ -693,78 +698,95 @@ class _ClosestTiers:
             grid = _grid(codes, ix, iy, level, depth)
         del ix, iy
         ranked = pts[grid.positions()]
-        self.a, self.b = scan.keep(
+        self.a, self.b = self._keep(
             (ranked[i], ranked[j]) for blocks in grid.blocks() for i, j in _block_pairs(*blocks)
         )
         del ranked, grid
         self.side = math.ldexp(1.0, 1 - level)
 
-    def open(self) -> np.ndarray:
-        """Per color pair code, True for the pairs ``i < j`` whose capped
-        cut the grid may not cover.
+    @cached_property
+    def tree(self) -> _ClassTree:
+        """The class quadtrees, built on the first walk."""
+        return _ClassTree(self.pts, self.codes, self.colors, self.depth, self.sx, self.sy)
+
+    def cut(self, code: np.ndarray) -> np.ndarray:
+        """The ``_exact_edges`` cut of each color pair's least distance so
+        far, or of its cap where that is lower."""
+        return _cut(np.minimum(self.best[code], self.cap[code]), self.slack)
+
+    def _keep(self, pairs: Iterable[tuple[np.ndarray, np.ndarray]]):
+        """The bichromatic pairs ``(a, b)`` among ``pairs``, ``a`` of the
+        lower color, within the ``cut`` of their color pair, which each
+        chunk lowers first.  The least distance only falls and the cut
+        with it, so every pair within the cut of the final least distance,
+        or of the cap, is kept."""
+        colors, sx, sy, best, t = self.colors, self.sx, self.sy, self.best, self.t
+        kept, pieces = [np.empty((2, 0), np.intp)], []
+        for a, b in pairs:
+            ca, cb = colors[a], colors[b]
+            # A same-color pair lands on the diagonal, which nothing reads.
+            code = np.minimum(ca, cb) * t + np.maximum(ca, cb)
+            dist = np.hypot(sx[a] - sx[b], sy[a] - sy[b])
+            np.minimum.at(best, code, dist)
+            keep = np.flatnonzero((dist <= self.cut(code)) & (ca != cb))
+            a, b = a[keep], b[keep]
+            pieces.append(np.where(ca[keep] > cb[keep], [b, a], [a, b]))
+            # Merged as they come: many small pieces freed at once leave
+            # heap that the exact pass's Python objects cannot reuse.
+            if len(pieces) == _MERGED_PIECES:
+                kept.append(np.concatenate(pieces, axis=1))
+                pieces = []
+        a, b = np.concatenate(kept + pieces, axis=1)
+        return a, b
+
+    def covered(self, cap) -> np.ndarray:
+        """Per color pair code, True for the pairs ``i < j`` whose grid
+        candidates hold every pair within the cut of their least distance,
+        or of ``cap`` where that is lower.
 
         Two points less than a cell side apart share or neighbour a cell,
         and no pair's float distance is below its exact one by more than
         the widening: a color pair whose widened cut is below the side has
         every pair within its cut among the grid's.
         """
-        return self.upper & ~(_widened(self.scan.cut()) < self.side)
+        return self.upper & (_widened(_cut(np.minimum(self.best, cap), self.slack)) < self.side)
 
     def lone(self, paired: np.ndarray) -> np.ndarray:
         """Per color pair code, True for the pairs ``i < j`` of each color
         that no pair where ``paired`` holds touches."""
-        t = self.scan.t
+        t = self.t
         paired = (paired & self.upper).reshape(t, t)
         alone = ~(paired.any(axis=0) | paired.any(axis=1))
         return self.upper & (alone[:, None] | alone).ravel()
 
-    def walk(self, walked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Tier 2's candidate pairs for the color pairs whose code is
-        True in ``walked``: every pair within the cut of each one's
-        closest distance, or of its cap where that is lower."""
-        pi, pj = np.divmod(np.flatnonzero(walked), self.scan.t)
-        if not len(pi):
-            return np.empty(0, np.intp), np.empty(0, np.intp)
-        return self.scan.keep(_quadtree_pairs(self.pts, self.codes, self.depth, self.scan, pi, pj))
+    def candidates(self, wanted: np.ndarray, cap=math.inf) -> tuple[np.ndarray, np.ndarray]:
+        """The candidate pairs ``(a, b)`` of the color pairs whose code is
+        True in ``wanted`` and whose least distance is at most their cap:
+        ``cap``, one for every color pair or one per code.
 
-    def code(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The color pair code of each pair ``(a, b)``, ``a`` of the lower
-        color."""
-        colors = self.scan.colors
-        return colors[a] * self.scan.t + colors[b]
+        The grid covers some color pairs under their caps; the others are
+        walked under them, except those already walked under a cap as
+        high.  Every pair a walk finds is kept, so each color pair's
+        candidates hold every pair within the cut of its least distance,
+        or of the highest cap it was walked under where that is lower.  A
+        color pair returned has every candidate the complete build gives
+        it, and so the same witness.
+        """
+        self.cap[:] = cap
+        walk = wanted & ~self.covered(self.cap) & (self.cap > self.walked)
+        if walk.any():
+            self.walked[walk] = self.cap[walk]
+            pi, pj = np.divmod(np.flatnonzero(walk), self.t)
+            self.a, self.b = _joined((self.a, self.b), self._keep(_quadtree_pairs(self, pi, pj)))
+        built = wanted & (self.best <= self.cap)
+        if built[self.upper].all():
+            return self.a, self.b
+        built = built[self.colors[self.a] * self.t + self.colors[self.b]]
+        return self.a[built], self.b[built]
 
-
-def _closest_candidates(
-    point_set: ColoredPointSet, sx: np.ndarray, sy: np.ndarray, slack: float, bounded=False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bichromatic pairs ``(a, b)`` within the cut of each color pair's
-    closest distance, ``a`` of the lower color, among the distinct points
-    of each class; ``bounded``, only those of the color pairs a bottleneck
-    perfect matching on the closest color graph can use.
-
-    Tier 1 enumerates the pairs in the same or neighbouring cells of one
-    grid and settles every color pair whose cut lies inside a cell side.
-    Tier 2, a quadtree walk, covers the color pairs left open.  A bounded
-    build first walks every color pair of each color that has no pair in
-    the grid.  It then caps every cut at the cut of Λ, the bottleneck
-    value of a perfect matching over the least distances so far, and drops
-    the color pairs whose closest distance lies beyond that cap (see
-    ``_bottleneck_cap``).
-    """
-    tiers = _ClosestTiers(point_set, sx, sy, slack)
-    scan = tiers.scan
-    walked = np.zeros_like(tiers.upper)
-    a, b = tiers.a, tiers.b
-    if bounded:
-        walked = tiers.lone(np.isfinite(scan.best))
-        a, b = _joined((a, b), tiers.walk(walked))
-        scan.cap[:] = _bottleneck_cap(scan.best, scan.t, slack)
-    a, b = _joined((a, b), tiers.walk(tiers.open() & ~walked))
-    if bounded:
-        code = tiers.code(a, b)
-        built = scan.best[code] <= scan.cap[code]
-        a, b = a[built], b[built]
-    return a, b
+    def exact(self, a: np.ndarray, b: np.ndarray) -> dict[tuple[int, int], tuple[float, int, int]]:
+        """The witness of each color pair among the candidates ``(a, b)``."""
+        return _exact_edges(self.point_set, a, b, self.sx, self.sy, self.slack, 1)
 
 
 def _joined(*pieces: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -829,10 +851,10 @@ def _bottleneck_cap(best: np.ndarray, t: int, slack: float) -> float:
     the closest color graph, at unit scale, is at most Λ up to the
     rounding of a distance, which the cut covers many times over.  Every
     color pair within λ* then has its closest distance within the cap,
-    and a build capped there sees every candidate that the full build
+    and a build capped there sees every candidate that the complete build
     gives such a pair: its witness is the same.  The threshold search
     finds the same first feasible level on the reduced graph, whose edges
-    up to that level are the full graph's, and the same witness.
+    up to that level are the complete graph's, and the same witness.
     """
     i, j = np.triu_indices(t, 1)
     bound = best[i * t + j]
@@ -957,45 +979,46 @@ def _outer_candidates(
 def _partial(point_set: ColoredPointSet) -> bool:
     """Whether a closest color graph of this set may be built in part:
     past the full-scan cutoff, and unless a distance may exceed the float
-    range, which only the full build reports."""
+    range, which only the complete build reports."""
     return len(point_set) > _SCAN_CUTOFF and _distances_fit(point_set)
 
 
-def _build_color_graph(
-    point_set: ColoredPointSet, sign: int, bottleneck=False, kind: type[ColorGraph] = ColorGraph
-) -> ColorGraph:
-    """The closest color graph for ``sign = 1``, the farthest for ``-1``,
-    as a ``kind``; with ``bottleneck``, the closest one bounded as
-    ``_closest_candidates`` bounds it where :func:`_partial` allows."""
+def _complete_witnesses(
+    point_set: ColoredPointSet, sign: int
+) -> dict[tuple[int, int], tuple[float, int, int]]:
+    """Every color pair's witness in the complete closest color graph for
+    ``sign = 1``, the farthest for ``-1``."""
     sx, sy, slack = _unit_scaled(point_set)
-    bounded = bottleneck and _partial(point_set)
+    if sign < 0:
+        slack += _ABS_SLACK
     if len(point_set) <= _SCAN_CUTOFF:
         a, b = _scan_candidates(point_set)
     elif sign > 0:
-        a, b = _closest_candidates(point_set, sx, sy, slack, bounded)
+        tiers = _ClosestTiers(point_set, sx, sy, slack)
+        a, b = tiers.candidates(tiers.upper)
+        # Freed before the exact pass, whose Python objects set the peak.
+        del tiers
     else:
         a, b = _outer_candidates(point_set, sx, sy, slack)
     witnesses = _exact_edges(point_set, a, b, sx, sy, slack, sign)
     _require_finite_distances((key, d) for key, (d, _, _) in witnesses.items())
     t = point_set.num_colors
-    if not bounded and len(witnesses) != t * (t - 1) // 2:
+    if len(witnesses) != t * (t - 1) // 2:
         raise InvalidInstanceError("color graph must have one edge per color pair")
-    return kind(t, witnesses)
+    return witnesses
 
 
 class PricedColorGraph(ColorGraph):
-    """A closest color graph built in part, which grows by pricing the
-    color pairs it lacks.
+    """A closest color graph, complete or built in part, which grows by
+    pricing the color pairs it lacks.
 
-    Every color pair it holds has the complete graph's witness.  It starts
-    from the color pairs that tier 1 settles, plus every color pair of each
-    color that has none of those, walked; on a set the full build must
-    take, it is the complete graph, with no ``tiers``.  :meth:`grown` adds
-    the missing color pairs whose closest distance is within a limit of
-    their own; with the limits of a minimum-weight perfect matching's
-    optimal duals (see :class:`~colorspan.matching.EdgeLimits`), a graph
-    that does not grow holds a minimum-weight perfect matching of the
-    complete one.
+    Every color pair it holds has the complete graph's witness.  A graph
+    built in part keeps its ``_ClosestTiers``; a complete one has none and
+    never grows.  :meth:`grown` adds the missing color pairs whose closest
+    distance is within a limit of their own; with the limits of a
+    minimum-weight perfect matching's optimal duals (see
+    :class:`~colorspan.matching.EdgeLimits`), a graph that does not grow
+    holds a minimum-weight perfect matching of the complete one.
     """
 
     def __init__(
@@ -1010,35 +1033,29 @@ class PricedColorGraph(ColorGraph):
         closest distance is at most ``limit(i, j)``, or None when there is
         none; with ``limit`` None, plus every color pair it lacks.
 
-        Each missing color pair is priced at its limit's cap at unit scale:
-        where the grid covers the cut of that cap, from the grid's
-        candidates, and by a walk under that cap elsewhere.  Either way
-        every pair within the cap is a candidate, so a color pair whose
-        closest distance is within its limit gets its exact witness.
+        Each missing color pair's cap is the cut of its limit at unit
+        scale, and its candidates then hold every pair within the cut of
+        its closest distance when that is within the limit: such a color
+        pair gets its exact witness.
         """
         tiers = self._tiers
         if tiers is None:
             return None
-        scan, t = tiers.scan, tiers.scan.t
+        t = tiers.t
         missing = tiers.upper.copy()
         missing[[i * t + j for i, j in self.witnesses]] = False
         codes = np.flatnonzero(missing)
         if not len(codes):
             return None
-        if limit is None:
-            limits = dict.fromkeys(codes.tolist(), math.inf)
-            scan.cap[codes] = np.inf
-        else:
+        cap = np.full(t * t, np.inf)
+        if limit is not None:
             limits = {k: limit(*divmod(k, t)) for k in codes.tolist()}
             exponent = _unit_exponent(tiers.point_set)
-            scan.cap[codes] = [_unit_cap(r, exponent) for r in limits.values()]
-        a, b = _joined((tiers.a, tiers.b), tiers.walk(tiers.open() & missing))
-        # A color pair whose least distance lies beyond the cut of its cap
-        # has no pair within it, wherever its candidates come from.
-        code = tiers.code(a, b)
-        priced = missing[code] & (scan.best[code] <= _cut(scan.cap[code], scan.slack))
-        found = _exact_edges(tiers.point_set, a[priced], b[priced], scan.sx, scan.sy, scan.slack, 1)
-        added = {key: w for key, w in found.items() if w[0] <= limits[key[0] * t + key[1]]}
+            unit = np.array([_unit_cap(r, exponent) for r in limits.values()])
+            cap[codes] = _cut(unit, tiers.slack)
+        added = tiers.exact(*tiers.candidates(missing, cap))
+        if limit is not None:
+            added = {key: w for key, w in added.items() if w[0] <= limits[key[0] * t + key[1]]}
         if not added:
             return None
         return PricedColorGraph(t, dict(sorted({**self.witnesses, **added}.items())), tiers)
@@ -1055,52 +1072,39 @@ def _unit_cap(limit: Fraction, exponent: int) -> float:
     return num / den if abs(num) < 4 * den else math.copysign(4.0, num)
 
 
-def _priced_closest(point_set: ColoredPointSet) -> PricedColorGraph:
-    """The start of a :class:`PricedColorGraph`: the color pairs tier 1
-    settles, with the grid's candidates, and every color pair of each
-    color that has no such pair, walked with no cap."""
-    tiers = _ClosestTiers(point_set, *_unit_scaled(point_set))
-    scan = tiers.scan
-    settled = tiers.upper & ~tiers.open()
-    grid = settled[tiers.code(tiers.a, tiers.b)]
-    # The tiers keep only the open color pairs' candidates, which pricing
-    # reads; when the grid settles every color pair, no array is copied.
-    if grid.all():
-        a, b = tiers.a, tiers.b
-        tiers.a, tiers.b = a[:0], b[:0]
-    else:
-        a, b = tiers.a[grid], tiers.b[grid]
-        tiers.a, tiers.b = tiers.a[~grid], tiers.b[~grid]
-    del grid
-    a, b = _joined((a, b), tiers.walk(tiers.lone(settled)))
-    witnesses = _exact_edges(point_set, a, b, scan.sx, scan.sy, scan.slack, 1)
-    return PricedColorGraph(scan.t, witnesses, tiers)
-
-
 def build_closest_color_graph(
-    point_set: ColoredPointSet, bottleneck=False, priced=False
-) -> ColorGraph:
-    """Complete color graph whose edges are bichromatic closest pairs.
+    point_set: ColoredPointSet, objective: Objective | None = None
+) -> PricedColorGraph:
+    """Color graph whose edges are bichromatic closest pairs: complete,
+    or the part of it that a matching for ``objective`` needs.
 
-    With ``bottleneck``, only the edges that a bottleneck perfect matching
-    can use: every edge at or below the optimum λ* and some above it, each
-    with the witness the complete graph gives it, so
+    For minmax, only the edges that a bottleneck perfect matching can use:
+    every edge at or below the optimum λ* and some above it, so
     :func:`~colorspan.matching.bottleneck_perfect_matching` returns the
-    same matching on both.
-
-    With ``priced``, a :class:`PricedColorGraph`, the start of a sparse
-    graph that grows by the limits of a minimum-weight perfect matching on
-    it.  On a set of at most ``_SCAN_CUTOFF`` points, or one whose
-    distances may exceed the float range, either option gives the
+    same matching on both.  For minsum, the start of a sparse graph that
+    grows by the limits of a minimum-weight perfect matching on it (see
+    :meth:`PricedColorGraph.grown`).  Each edge has the complete graph's
+    witness.  Any other objective, a set of at most ``_SCAN_CUTOFF``
+    points, or one whose distances may exceed the float range gets the
     complete graph.
     """
-    if bottleneck and priced:
-        raise ValueError("a closest color graph is either bottleneck-bounded or priced")
-    if priced and _partial(point_set):
-        return _priced_closest(point_set)
-    return _build_color_graph(point_set, 1, bottleneck, PricedColorGraph if priced else ColorGraph)
+    t = point_set.num_colors
+    if objective not in (Objective.MINMAX, Objective.MINSUM) or not _partial(point_set):
+        return PricedColorGraph(t, _complete_witnesses(point_set, 1))
+    tiers = _ClosestTiers(point_set, *_unit_scaled(point_set))
+    if objective is Objective.MINMAX:
+        # Every pair of each color that has no pair in the grid, and then
+        # the color pairs within the cut of Λ.
+        tiers.candidates(tiers.lone(np.isfinite(tiers.best)))
+        a, b = tiers.candidates(tiers.upper, _bottleneck_cap(tiers.best, t, tiers.slack))
+    else:
+        # The color pairs the grid settles, and every pair of each color
+        # that has none of those.
+        settled = tiers.covered(math.inf)
+        a, b = tiers.candidates(settled | tiers.lone(settled))
+    return PricedColorGraph(t, tiers.exact(a, b), tiers)
 
 
 def build_farthest_color_graph(point_set: ColoredPointSet) -> ColorGraph:
     """Complete color graph whose edges are bichromatic farthest pairs."""
-    return _build_color_graph(point_set, -1)
+    return ColorGraph(point_set.num_colors, _complete_witnesses(point_set, -1))

@@ -29,32 +29,35 @@ point set at several objectives at once, building each color graph at
 most once (minsum and minmax share the closest one); the three
 single-objective solvers call it.
 
-When minmax is the only objective that needs the closest graph, that
-graph is built bottleneck-bounded: only the color pairs whose closest
-distance lies within the cut of Λ, the bottleneck value of a perfect
-matching over the grid pass's distances (see :mod:`colorspan.geometry`).
-Λ bounds the optimum λ*, so every color pair at or below λ* is built,
-with the complete graph's witness.  The threshold search then finds the
-same level on the reduced graph, and the witness run sees the same
-``(u, v)``-sorted prefix of edges, so the matching is the complete
-graph's.
+When minsum or minmax is the only objective that needs the closest
+graph, that graph is built for it alone: only the part its matching can
+use (see :mod:`colorspan.geometry`).  Every color pair built has the
+complete graph's witness.
 
-When minsum is the only one, the closest graph is priced instead: it
-starts from the color pairs the grid pass settles (and every pair of a
-color with none), and grows by the optimal duals of a minimum-weight
-perfect matching on it (the pricing loop of Cook & Rohe, 1999).  Each
-round adds every missing color pair whose closest distance is at most
-its limit, the weight at which the duals give it zero reduced cost, and
-solves again.  When no pair is added, every missing pair has a positive
-reduced cost, so the duals are feasible on the complete graph: the last
-matching is optimal there, and every minimum-weight perfect matching of
-the complete graph lies in the sparse one.  A start that has no perfect
-matching grows by every missing pair, into the complete graph.
+* Minmax: every color pair whose closest distance lies within the cut of
+  Λ, the bottleneck value of a perfect matching over the distances the
+  grid pass found.  Λ bounds the optimum λ*, so every color pair at or
+  below λ* is built.  The threshold search then finds the same level on
+  the reduced graph, and the witness run sees the same ``(u, v)``-sorted
+  prefix of edges, so the matching is the complete graph's.
+* Minsum: the color pairs the grid pass settles (and every pair of a
+  color with none), grown by the optimal duals of a minimum-weight
+  perfect matching on it (the pricing loop of Cook & Rohe, 1999).  Each
+  round adds every missing color pair whose closest distance is at most
+  its limit, the weight at which the duals give it zero reduced cost,
+  and solves again.  When no pair is added, every missing pair has a
+  positive reduced cost, so the duals are feasible on the complete graph:
+  the last matching is optimal there, and every minimum-weight perfect
+  matching of the complete graph lies in the sparse one.  A start that
+  has no perfect matching grows by every missing pair, into the complete
+  graph.  Minsum matches every closest graph this way; on a complete one
+  the first round adds nothing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import partial
 
 from .errors import InvalidInstanceError
 from .geometry import (
@@ -92,9 +95,9 @@ def _match_color_graph(cg: ColorGraph, match) -> Matching | None:
 
 def _priced_min_weight(cg: PricedColorGraph) -> Matching:
     """A minimum-weight perfect matching of the complete closest color
-    graph that ``cg`` starts, expanded: solve, grow ``cg`` by the duals'
-    limits, and solve again until it does not grow.  A start with no
-    perfect matching grows by every missing color pair."""
+    graph that ``cg`` is part of, expanded: solve, grow ``cg`` by the
+    duals' limits, and solve again until it does not grow.  A graph with
+    no perfect matching grows by every missing color pair."""
     while True:
         matched, duals = min_weight_perfect_matching(cg.graph, duals=True)
         grown = cg.grown(None if matched is None else duals.limit)
@@ -104,19 +107,22 @@ def _priced_min_weight(cg: PricedColorGraph) -> Matching:
 
 
 def _pipeline(objective: Objective):
-    """The color graph builder and matching query that solve ``objective``.
+    """The color graph builder and the matcher of its color graphs that
+    solve ``objective``.
 
     The names are read from this module's globals at each call, so a
     wrapper put on one of them (``perfbench``'s tracer wraps all five) is
     the one that runs.
     """
     if objective is Objective.MINSUM:
-        return build_closest_color_graph, min_weight_perfect_matching
+        return build_closest_color_graph, _priced_min_weight
     if objective is Objective.MINMAX:
-        return build_closest_color_graph, bottleneck_perfect_matching
-    if objective is Objective.MAXMIN:
-        return build_farthest_color_graph, maxmin_perfect_matching
-    raise InvalidInstanceError(f"objective {objective.value!r} has no solver")
+        build, match = build_closest_color_graph, bottleneck_perfect_matching
+    elif objective is Objective.MAXMIN:
+        build, match = build_farthest_color_graph, maxmin_perfect_matching
+    else:
+        raise InvalidInstanceError(f"objective {objective.value!r} has no solver")
+    return build, partial(_match_color_graph, match=match)
 
 
 def solve_geometric(
@@ -127,8 +133,8 @@ def solve_geometric(
     Each color graph is built at most once, when the first objective that
     needs it comes up, and shared by the objectives after it; so an error
     is raised where solving the objectives one by one would raise it
-    first.  The exception is minsum alone among the objectives that need
-    the closest graph: it matches a priced closest graph of its own.
+    first.  A closest graph that only one objective needs is built for
+    that objective.
     """
     _require_matching_instance(point_set)
     closest = {o for o in objectives if o in (Objective.MINSUM, Objective.MINMAX)}
@@ -136,18 +142,12 @@ def solve_geometric(
     solved = []
     for objective in objectives:
         build, match = _pipeline(objective)
-        if objective is Objective.MINSUM and closest == {objective}:
-            # Minsum alone builds only the color pairs its optimum can use.
-            solved.append(_priced_min_weight(build(point_set, priced=True)))
-            continue
         if build not in graphs:
-            # Minmax alone reads only the closest graph's edges up to its
-            # optimum.
-            bounded = closest == {objective}
-            graphs[build] = build(point_set, bottleneck=True) if bounded else build(point_set)
+            alone = closest == {objective}
+            graphs[build] = build(point_set, objective) if alone else build(point_set)
         # A complete color graph on an even color count always has a perfect
-        # matching, and a bounded one keeps an optimal one.
-        solved.append(_match_color_graph(graphs[build], match))
+        # matching, and one built for its objective keeps an optimal one.
+        solved.append(match(graphs[build]))
     return tuple(solved)
 
 

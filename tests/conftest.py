@@ -9,6 +9,7 @@ import pytest
 from colorspan import ColoredPointSet, solvers
 from colorspan.generate import generate_points
 from colorspan.geometry import (
+    _ABS_SLACK,
     _SCAN_CUTOFF,
     ColorGraph,
     _exact_edges,
@@ -90,10 +91,16 @@ def exhaustive_color_extremes(ps: ColoredPointSet, mode: str):
     return out
 
 
+def farthest_scaled(ps: ColoredPointSet) -> tuple[np.ndarray, np.ndarray, float]:
+    """The unit-scaled coordinates and the slack of the farthest builder."""
+    sx, sy, slack = _unit_scaled(ps)
+    return sx, sy, slack + _ABS_SLACK
+
+
 def outer_farthest_graph(ps: ColoredPointSet) -> ColorGraph:
     """The farthest color graph from the outer-point candidates, which the
     builder uses only above its full-scan cutoff, at any set size."""
-    sx, sy, slack = _unit_scaled(ps)
+    sx, sy, slack = farthest_scaled(ps)
     witnesses = _exact_edges(ps, *_outer_candidates(ps, sx, sy, slack), sx, sy, slack, -1)
     return ColorGraph(ps.num_colors, witnesses)
 

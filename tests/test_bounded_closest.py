@@ -12,11 +12,12 @@ Inputs: the benchmark's many-points shape (n = 10k, t = 20, clusters) at
 seeds 1 to 10; uniform, clustered, lattice, coincident, scaled (1e-200 to
 1e200) and per-class-scaled sets with n from 257 to 5000 and t from 2 to
 40; one set with t = 300; and float ties that only the cap's cut keeps.
-Recorders on ``_closest_candidates``, ``_bottleneck_cap`` and
-``_quadtree_pairs`` tell which path a bounded build took: a walk of
-every color pair of each color that has no pair in the grid (lone walk),
-then no walk, a walk under a finite cap, or no cap (Λ infinite, when the
-color pairs known by then admit no perfect matching).
+Recorders on the solvers' ``build_closest_color_graph``, on
+``_bottleneck_cap`` and on ``_quadtree_pairs`` tell which path a bounded
+build took: a walk of every color pair of each color that has no pair in
+the grid (lone walk), then no walk, a walk under a finite cap, or no cap
+(Λ infinite, when the color pairs known by then admit no perfect
+matching).
 """
 
 import math
@@ -25,10 +26,10 @@ import numpy as np
 import pytest
 
 from colorspan import ColoredPointSet, build_closest_color_graph, solve_minmax
-from colorspan import geometry
+from colorspan import geometry, solvers
 from colorspan.generate import generate_points
 from colorspan.geometry import _distinct_indices, _morton_distinct, _unit_scaled
-from colorspan.matching import bottleneck_perfect_matching
+from colorspan.matching import Objective, bottleneck_perfect_matching
 from colorspan.solvers import _match_color_graph
 
 from conftest import FAMILIES, far_clusters, many_points, varied_set
@@ -47,12 +48,12 @@ def paths(monkeypatch) -> Paths:
     # The stages of the bounded build under way, if one is.
     stages: list[list[str]] = []
 
-    def candidates(ps, sx, sy, slack, bounded=False, inner=geometry._closest_candidates):
-        if not bounded:
-            return inner(ps, sx, sy, slack)
+    def build(ps, objective=None, inner=solvers.build_closest_color_graph):
+        if objective is not Objective.MINMAX or not geometry._partial(ps):
+            return inner(ps, objective)
         stages.append([])
         try:
-            return inner(ps, sx, sy, slack, bounded)
+            return inner(ps, objective)
         finally:
             seen.taken.append(" + ".join(stages.pop()) or "no walk")
 
@@ -66,13 +67,13 @@ def paths(monkeypatch) -> Paths:
     def walk(*args, pairs=geometry._quadtree_pairs):
         # A walk before Λ is the lone colors'; one after an infinite Λ
         # is the uncapped walk that "no cap" names.
-        if stages and np.isfinite(args[3].cap).any():
+        if stages and np.isfinite(args[0].cap).any():
             stages[-1].append("capped walk")
         elif stages and not stages[-1]:
             stages[-1].append("lone walk")
         return pairs(*args)
 
-    monkeypatch.setattr(geometry, "_closest_candidates", candidates)
+    monkeypatch.setattr(solvers, "build_closest_color_graph", build)
     monkeypatch.setattr(geometry, "_bottleneck_cap", cap)
     monkeypatch.setattr(geometry, "_quadtree_pairs", walk)
     return seen
@@ -80,7 +81,7 @@ def paths(monkeypatch) -> Paths:
 
 def assert_bounded_equals_full(ps: ColoredPointSet, paths: Paths) -> None:
     full = build_closest_color_graph(ps)
-    bounded = build_closest_color_graph(ps, bottleneck=True)
+    bounded = solvers.build_closest_color_graph(ps, Objective.MINMAX)
     cap = paths.caps[-1]
     sx, sy, _ = _unit_scaled(ps)
     within = {

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from colorspan import ColoredPointSet, build_closest_color_graph, build_farthest_color_graph
 from colorspan import geometry
 from colorspan.generate import generate_points
-from colorspan.geometry import _SCAN_CUTOFF, _closest_candidates, _unit_scaled
+from colorspan.geometry import _SCAN_CUTOFF, _ClosestTiers, _unit_scaled
 
 from conftest import exhaustive_color_extremes, outer_farthest_graph
 
@@ -199,7 +199,8 @@ class TestClosestTiers:
         colors = np.repeat([0, 0, 1, 1], [1000, 1000, 1800, 200])
         order = rng.permutation(len(colors))
         ps = ColoredPointSet(points[order, 0], points[order, 1], colors[order], 2)
-        a, _ = _closest_candidates(ps, *_unit_scaled(ps))
+        tiers = _ClosestTiers(ps, *_unit_scaled(ps))
+        a, _ = tiers.candidates(tiers.upper)
         assert len(a) <= len(ps)
         assert build_closest_color_graph(ps).witnesses == block_closest_witnesses(ps)
 
@@ -254,9 +255,9 @@ class TestClosestTiers:
     @pytest.mark.parametrize("n", [_SCAN_CUTOFF - 2, _SCAN_CUTOFF + 2, 2 * _SCAN_CUTOFF])
     def test_mixed_scales_across_the_cutoff(self, n, seed):
         # One pair near 1e6 and every other point within 1e-6 of the
-        # origin: at unit scale that cluster is inside the absolute slack,
-        # so all its cross-color pairs stay candidates and the exact pass
-        # breaks their ties.
+        # origin: at unit scale that cluster is under 1e-12 wide, and the
+        # exact pass on the original coordinates breaks the ties of its
+        # unit-scaled distances.
         rng = np.random.default_rng(seed)
         xs = np.r_[1e6, 1e6 + 1, rng.random(n - 2) * 1e-6]
         ys = np.r_[0.0, 1.0, rng.random(n - 2) * 1e-6]
@@ -264,6 +265,29 @@ class TestClosestTiers:
         colors[2] = 2
         ps = ColoredPointSet(xs, ys, colors, 3)
         assert build_closest_color_graph(ps).witnesses == exhaustive_color_extremes(ps, "closest")
+
+    @pytest.mark.parametrize("far, side", [(1e6, 1e-6), (1e300, 1e-10)])
+    def test_tiny_cluster_beside_far_points(self, monkeypatch, far, side):
+        # Two points near ``far`` and 2000 within ``side`` of the origin.
+        # At unit scale the cluster is under 1e-12 wide, and at 1e300 its
+        # coordinates are subnormal there.  The closest cut has no
+        # absolute slack beyond rounding, so only pairs near each color
+        # pair's least distance reach the exact pass, not every
+        # cross-color pair of the cluster.
+        sizes = []
+
+        def recording(ps, a, *args, exact=geometry._exact_edges):
+            sizes.append(len(a))
+            return exact(ps, a, *args)
+
+        monkeypatch.setattr(geometry, "_exact_edges", recording)
+        rng = np.random.default_rng(4)
+        xs = np.r_[far, far, rng.random(2000) * side]
+        ys = np.r_[0.0, far * 1e-6, rng.random(2000) * side]
+        colors = np.r_[0, 1, rng.integers(0, 2, 2000)]
+        ps = ColoredPointSet(xs, ys, colors, 2)
+        assert build_closest_color_graph(ps).witnesses == block_closest_witnesses(ps)
+        assert sizes == [sizes[0]] and sizes[0] < 100
 
     def test_subnormal_tie_inside_the_cut_in_the_walk(self, monkeypatch):
         # Two far classes of subnormal points, in units of 2^-1074.  The

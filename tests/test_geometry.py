@@ -16,10 +16,10 @@ from colorspan import (
     solve_minsum,
 )
 from colorspan.generate import generate_points
-from colorspan.geometry import _SCAN_CUTOFF, _outer_indices, _unit_scaled
+from colorspan.geometry import _SCAN_CUTOFF, _outer_indices
 from colorspan.render import render_svg
 
-from conftest import exhaustive_color_extremes, outer_farthest_graph
+from conftest import exhaustive_color_extremes, farthest_scaled, outer_farthest_graph
 
 
 def random_point_set(seed, n=30, t=6):
@@ -230,7 +230,7 @@ class TestColorGraphs:
         xs = [-0.0, 0.0] * 17 + [3.0]
         ys = [float(k) for k in range(17) for _ in range(2)] + [0.0]
         ps = ColoredPointSet(xs, ys, [0] * 34 + [1], 2)
-        outer = _outer_indices(ps, ps.color_indices(0), *_unit_scaled(ps))
+        outer = _outer_indices(ps, ps.color_indices(0), *farthest_scaled(ps))
         assert outer.tolist() == list(range(0, 34, 2))
         expected = {(0, 1): (math.hypot(3.0, 16.0), 32, 34)}
         assert build_farthest_color_graph(ps).witnesses == expected
@@ -239,7 +239,7 @@ class TestColorGraphs:
         # A filter that kept every point would pass every other test.
         g = generate_points(500, 2, seed=11)
         ps = ColoredPointSet(np.append(g.xs, 2.0), np.append(g.ys, 2.0), [0] * 500 + [1], 2)
-        assert len(_outer_indices(ps, ps.color_indices(0), *_unit_scaled(ps))) < 100
+        assert len(_outer_indices(ps, ps.color_indices(0), *farthest_scaled(ps))) < 100
 
     def test_mixed_scale_classes_tie_inside_the_hull(self):
         # Color 0 is 2^60 times smaller than color 1, so from each color-1

@@ -12,10 +12,11 @@ matchings differ, both are optima of the complete graph.
 
 Inputs: the benchmark's many-points shape (n = 10k, t = 20, clusters) at
 seeds 1 to 10; the ``varied_set`` families with n from 257 to 5000 and t
-from 2 to 40; and one set with t = 300.  Recorders on
-``_priced_closest``, ``PricedColorGraph.grown`` and ``_quadtree_pairs``
-tell which path a priced solve took, and one on the solvers'
-``min_weight_perfect_matching`` which graphs it matched.  Sets of at most
+from 2 to 40; and one set with t = 300.  Recorders on the solvers'
+``build_closest_color_graph``, on ``PricedColorGraph.grown`` and on
+``_quadtree_pairs`` tell which path a priced solve took, and one on the
+solvers' ``min_weight_perfect_matching`` which graphs it matched.  The
+walks of one solve share one class tree.  Sets of at most
 ``_SCAN_CUTOFF`` points get the complete graph, and a set whose distances
 overflow gets the complete build's error.
 """
@@ -58,11 +59,13 @@ def paths(monkeypatch) -> Paths:
     # The priced step under way, which a walk is part of.
     step: list[str] = []
 
-    def start(*args, inner=geometry._priced_closest):
-        seen.stages.append("start")
+    def start(ps, *args, inner=solvers.build_closest_color_graph):
+        # Only a set that may be built in part has a priced start.
+        if geometry._partial(ps):
+            seen.stages.append("start")
         step.append("lone walk")
         try:
-            seen.built = inner(*args)
+            seen.built = inner(ps, *args)
         finally:
             step.pop()
         return seen.built
@@ -88,7 +91,7 @@ def paths(monkeypatch) -> Paths:
         seen.graphs.append(g)
         return inner(g, *args, **kwargs)
 
-    monkeypatch.setattr(geometry, "_priced_closest", start)
+    monkeypatch.setattr(solvers, "build_closest_color_graph", start)
     monkeypatch.setattr(PricedColorGraph, "grown", grown)
     monkeypatch.setattr(geometry, "_quadtree_pairs", walk)
     monkeypatch.setattr(solvers, "min_weight_perfect_matching", match)
@@ -139,10 +142,12 @@ class TestPricedMatchesFull:
             # Every open color pair is priced out at the grid level.
             (many_points(1, 0), ["start", "price"]),
             # A walk under the limits builds color pairs, and the graph is
-            # matched again; the second pricing walks again and builds none.
+            # matched again; the second pricing builds none and walks
+            # nothing: each color pair the grid leaves open was walked
+            # under a cap as high in the first.
             (
                 many_points(6, 1),
-                ["start", "lone walk", "price", "capped walk", "built", "price", "capped walk"],
+                ["start", "lone walk", "price", "capped walk", "built", "price"],
             ),
             # Every color has no settled pair, so all are walked at the start.
             (far_clusters(), ["start", "lone walk", "price"]),
@@ -161,9 +166,27 @@ class TestPricedMatchesFull:
         assert paths.stages == ["price"]
         assert [len(g.edges) for g in paths.graphs] == [15]
 
-    def test_bottleneck_and_priced_exclude_each_other(self):
-        with pytest.raises(ValueError, match="either bottleneck-bounded or priced"):
-            build_closest_color_graph(many_points(1, 0), bottleneck=True, priced=True)
+    def test_walks_share_one_class_tree_and_never_repeat_a_cap(self, monkeypatch):
+        # One priced solve walks at the start and again while pricing.
+        # The class tree is sorted once for both, and no color pair is
+        # walked again under a cap that is not higher than before.
+        trees, walks, caps = [], [], {}
+
+        def tree(*args, inner=geometry._ClassTree):
+            trees.append(inner(*args))
+            return trees[-1]
+
+        def walk(tiers, pi, pj, inner=geometry._quadtree_pairs):
+            walks.append(len(pi))
+            for code in (pi * tiers.t + pj).tolist():
+                caps.setdefault(code, []).append(tiers.cap[code])
+            return inner(tiers, pi, pj)
+
+        monkeypatch.setattr(geometry, "_ClassTree", tree)
+        monkeypatch.setattr(geometry, "_quadtree_pairs", walk)
+        solve_minsum(many_points(6, 1))
+        assert len(walks) == 2 and len(trees) == 1
+        assert all(all(np.diff(seen) > 0) for seen in caps.values())
 
 
 # 300 points in four classes, two near -1e308 and two near 1e308: the
