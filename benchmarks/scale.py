@@ -14,15 +14,15 @@ least disturbed by other load on the host, and the spread of all its runs
   the three solves, and parsing and serializing the point file;
 - n = 1M points, t = 100, both distributions: both builders;
 - many colors, uniform: the closest builder at n = 3000, t = 300 and
-  n = 5000, t = 500;
-- the many-points benchmark shape, n = 10k, t = 20, clustered: the minmax
-  and minsum solves on the first instance of seeds 1 to 3, and on three
-  more instances whose grid pass leaves paths of their own: seed 3
-  instance 1 and seed 6 instance 0, where one color has no settled pair
-  and is walked first, and seed 9 instance 0, whose grid pairs admit no
-  perfect matching, so minmax walks without a cap and minsum grows into
-  the whole graph (minmax builds its closest graph bounded, minsum
-  priced);
+  n = 5000, t = 500, and the farthest builder at n = 5000, t = 500;
+- the many-points benchmark shape, n = 10k, t = 20, clustered: the
+  farthest builder and the minmax and minsum solves on the first instance
+  of seeds 1 to 3, and on three more instances whose grid pass leaves
+  paths of their own: seed 3 instance 1 and seed 6 instance 0, where one
+  color has no settled pair and is walked first, and seed 9 instance 0,
+  whose grid pairs admit no perfect matching, so minmax walks without a
+  cap and minsum grows into the whole graph (minmax builds its closest
+  graph bounded, minsum priced);
 - mixed scales: the closest builder on ``mixed_scale_points()``, 4002
   points of which two lie near 1e6 and the rest within 1e-6 of the origin,
   so at unit scale the small cluster is under 1e-12 wide; the row also
@@ -157,10 +157,15 @@ def points_rows() -> list[dict]:
         ps = generate_points(n, t, SEED)
         at = f"n={n} t={t} uniform"
         rows.append(timed(f"{at}: closest color graph", lambda: build_closest_color_graph(ps)))
+        if t == 500:
+            rows.append(
+                timed(f"{at}: farthest color graph", lambda: build_farthest_color_graph(ps))
+            )
     for seed, i in MANY_POINTS_INSTANCES:
         ps = generate_points(10_000, 20, seed * 1_000_003 + i, "clusters")
         at = f"n=10k t=20 clusters seed={seed}" + (f" instance={i}" if i else "")
         rows += [
+            timed(f"{at}: farthest color graph", lambda: build_farthest_color_graph(ps)),
             timed(f"{at}: solve_minmax", lambda: solve_minmax(ps)),
             timed(f"{at}: solve_minsum", lambda: solve_minsum(ps)),
         ]

@@ -91,19 +91,25 @@ def generate_matching_instance(k: int, seed: int, max_class_size: int = 5) -> Co
     return ColoredPointSet(coords[:, 0], coords[:, 1], colors, t)
 
 
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex pairs ``(u, v)``, ``u < v``, in lexicographic order."""
+    return np.nonzero(np.arange(n)[:, None] < np.arange(n))
+
+
 def _random_graph(n: int, seed: int, edge_prob: float, num_colors: int | None):
     """The seeded generator, the colors (None when ``num_colors`` is) and
     the edges ``(u, v)``, ``u < v``, each pair kept when its draw falls
     below ``edge_prob``; pairs draw in lexicographic order, after the
-    colors."""
+    colors, in one call, which gives the stream of one draw per pair."""
     if not 0.0 <= edge_prob <= 1.0:
         raise InvalidInstanceError(f"edge probability must be in [0, 1], got {edge_prob}")
     rng = _rng(seed)
     colors = None
     if num_colors is not None:
         colors = _color_assignment(rng, n, num_colors, None, "vertices")
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob]
-    return rng, colors, edges
+    u, v = _pairs(n)
+    keep = rng.random(len(u)) < edge_prob
+    return rng, colors, list(zip(u[keep].tolist(), v[keep].tolist()))
 
 
 def generate_colored_graph(
@@ -143,7 +149,5 @@ def generate_uncolored_graph(n: int, seed: int, edge_prob: float = 0.5) -> Weigh
 def generate_complete_weighted_graph(n: int, seed: int) -> WeightedGraph:
     """Complete graph on n vertices with uniform random weights."""
     rng = _rng(seed)
-    edges = [
-        (u, v, float(rng.random())) for u in range(n) for v in range(u + 1, n)
-    ]
-    return WeightedGraph(n, edges)
+    u, v = _pairs(n)
+    return WeightedGraph(n, zip(u.tolist(), v.tolist(), rng.random(len(u)).tolist()))

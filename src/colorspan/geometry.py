@@ -72,11 +72,15 @@ A set whose distances may exceed the float range, which only the
 complete build reports, or one small enough for the full scan gets the
 complete graph.
 
-The outer points come from two passes: an octagon of extreme points drops
-most of a raw class, then a 32-gon of extreme points filters the distinct
-survivors; a ring through any points of the class is safe.  Builders are
-therefore exact and deterministic, with ties broken toward the
-lexicographically smallest pair of point indexes.
+The outer points come from two passes.  Per class, an octagon of extreme
+points drops most of the raw class, by one product of the points with the
+ring's edge normals against one bound per edge.  Then one pass over the
+distinct survivors of every class filters them by each class's 32-gon of
+extreme points, found as segmented maxima.  A ring through any points of
+the class is safe.  Each color's outer points then meet those of every
+higher color in one block of distances.  Builders are therefore exact and
+deterministic, with ties broken toward the lexicographically smallest
+pair of point indexes.
 """
 
 from __future__ import annotations
@@ -143,6 +147,10 @@ _SPREAD = [
 # Directions, in angular order, whose extreme points span an inner polygon.
 _ANGLES = np.arange(2 * 16) * (np.pi / 16)
 _COS, _SIN = np.cos(_ANGLES), np.sin(_ANGLES)
+# The outer-point test's rounding term per unit of ring edge length, 16 eps,
+# and its underflow term, the least normal float (see ``_off_ring``).
+_EDGE_EPS = 16 * np.finfo(np.float64).eps
+_EDGE_TINY = np.finfo(np.float64).tiny
 
 
 class ColoredPoint(NamedTuple):
@@ -363,23 +371,6 @@ def _unit_exponent(point_set: ColoredPointSet) -> int:
     """The exponent of the power of two by which :func:`_unit_scaled`
     scales the coordinates."""
     return -math.frexp(_peak(point_set))[1]
-
-
-def _distinct_indices(point_set: ColoredPointSet, idx: np.ndarray) -> np.ndarray:
-    """The lowest index of each distinct coordinate among ``idx``, sorted.
-
-    Coincident points are exactly as far from any other point, so the
-    higher indexes lose every ``(distance, a, b)`` tie-break and dropping
-    them changes no witness.
-    """
-    # lexsort is stable, so each run of equal coordinates (0.0 and -0.0
-    # compare equal) starts at its lowest index.
-    xs, ys = point_set.xs[idx], point_set.ys[idx]
-    order = np.lexsort((ys, xs))
-    xs, ys = xs[order], ys[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-    return np.sort(idx[order[first]])
 
 
 def _scan_candidates(point_set: ColoredPointSet) -> tuple[np.ndarray, np.ndarray]:
@@ -802,7 +793,7 @@ def _joined(*pieces: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndar
 def _morton_distinct(
     point_set: ColoredPointSet, sx: np.ndarray, sy: np.ndarray, depth: int
 ) -> tuple[np.ndarray, ...]:
-    """The points that ``_distinct_indices`` keeps of each class, sorted by
+    """The lowest index of each distinct coordinate in each class, sorted by
     their Morton codes at ``depth`` with ties in index order, and their
     codes and cell coordinates there.
 
@@ -891,44 +882,78 @@ def _exact_edges(
     return {divmod(k, t): (sign * d, p, q) for k, (d, p, q) in sorted(best.items())}
 
 
-def _off_ring(
-    xs: np.ndarray, ys: np.ndarray, cos: np.ndarray, sin: np.ndarray, slack: float
+def _edge_thresholds(
+    ux: np.ndarray, uy: np.ndarray, ex: np.ndarray, ey: np.ndarray, slack: float
 ) -> np.ndarray:
+    """Per ring edge from ``(ux, uy)`` along ``(ex, ey)``, the bound that
+    a point's product with the edge normal ``(-ey, ex)`` must exceed for
+    :func:`_off_ring` to drop it."""
+    return ux * -ey + uy * ex + (slack + _EDGE_EPS) * np.hypot(ex, ey) + _EDGE_TINY
+
+
+def _off_ring(xs: np.ndarray, ys: np.ndarray, slack: float) -> np.ndarray:
     """True for each point ``(xs, ys)`` unless it lies over ``slack``
     inside every edge line of the ring through the points' extremes in
-    the directions ``(cos, sin)``, given in angular order; True for all
-    when that ring has fewer than three vertices.
+    every fourth ``_ANGLES`` direction, an octagon; True for all when that
+    ring has fewer than three vertices.
 
-    The test is an orientation test with a rounding bound after Shewchuk
-    (1997) and ``tiny`` for underflow.  No input can make the rounding
-    term decide: unit-scaled coordinates lie in (-1, 1), so for an edge
-    ``e`` the products satisfy ``|t1| + |t2| < 2 * sqrt(2) * |e|`` and the
-    term stays below ``5.1e-15 * |e|``, under 0.51% of the slack term
-    (``slack`` is at least ``1e-12``).  It stays for the bound's sake,
-    and no test can tell it apart from the slack.
+    Each edge from ring vertex ``u`` to the next, ``v``, has the rounded
+    vector ``e = fl(v - u)`` and the normal ``n = (-e_y, e_x)``.  A point
+    ``p`` is over ``slack`` inside the edge line when the exact cross
+    product ``D = cross(v - u, p - u)`` exceeds ``slack * |v - u|``.  The
+    test takes one product of the points with the normals and drops a
+    point when its ``fl(p . n)`` exceeds the edge's bound from
+    :func:`_edge_thresholds`, ``fl(u . n) + (slack + c * eps) * |e| + k *
+    tiny`` (``_EDGE_EPS`` is ``c * eps`` and ``_EDGE_TINY`` is ``k *
+    tiny``).  With the unit roundoff ``r = eps / 2``, the largest
+    rounding error on the subnormal grid ``h = r * tiny``, and ``w = v -
+    u``, after Shewchuk (1997):
+
+    - Unit-scaled coordinates lie in (-1, 1), so ``|p - u|`` is below 2
+      per axis, and ``slack`` is below 2.1 (it reaches 2 only when every
+      coordinate is subnormal; see :func:`_unit_scaled`).
+    - The rounded edge: ``e`` is ``w`` within ``r * |w|`` per axis (a
+      difference that is subnormal is exact), so ``n . (p - u) =
+      cross(e, p - u)`` is ``D`` within ``2 * r * (|w_x| + |w_y|) < 2.83
+      * r * |w|``.
+    - The products: each rounded ``fl(a * n_x + b * n_y)``, with ``|a|``
+      and ``|b|`` below 1, is off by under ``2.01 * r * (|e_x| + |e_y|)
+      + 2.01 * h < 2.85 * r * |w| + 2.01 * h`` (each product underflows
+      by at most ``h``, and a subnormal sum is exact).  So ``D`` is within
+      ``8.53 * r * |w| + 4.02 * h`` of ``fl(p . n) - fl(u . n)``.
+    - The bound: rounding ``slack + c * eps``, ``|e|`` (within one ulp)
+      and their product loses under ``5.01 * r * (slack + c * eps) * |w|
+      + 5.3 * h``, at most ``10.53 * r * |w|`` as ``slack`` is below 2.1;
+      each of the two sums loses ``r`` times its magnitude, under
+      ``3.54 * |w| + tiny``.
+
+    So a dropped point has ``D > slack * |w| + (c - 13.07) * eps * |w| +
+    k * tiny * (1 - r) - 9.4 * h``.  ``c = 16`` covers the rounding of
+    the edge, the products and the bound, and ``k = 1`` the underflow of
+    a subnormal edge, 2^53 times over.  A zero edge drops no point: its
+    bound is ``k * tiny`` against a product of 0.
     """
-    ring = np.argmax(np.multiply.outer(xs, cos) + np.multiply.outer(ys, sin), axis=0)
+    ring = np.argmax(np.multiply.outer(_COS[::4], xs) + np.multiply.outer(_SIN[::4], ys), axis=1)
     ring = ring[ring != np.concatenate((ring[-1:], ring[:-1]))]
     if len(ring) < 3:
         return np.ones(len(xs), dtype=bool)
     ux, uy = xs[ring], ys[ring]
     ahead = np.concatenate((ring[1:], ring[:1]))
     ex, ey = xs[ahead] - ux, ys[ahead] - uy
-    t1 = ex * (ys[:, None] - uy)
-    t2 = ey * (xs[:, None] - ux)
-    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
-    margin = 8 * eps * (np.abs(t1) + np.abs(t2)) + slack * np.hypot(ex, ey) + tiny
-    return ~(t1 - t2 > margin).all(axis=1)
+    products = np.multiply.outer(-ey, xs) + np.multiply.outer(ex, ys)
+    return ~(products > _edge_thresholds(ux, uy, ex, ey, slack)[:, None]).all(axis=0)
 
 
 def _outer_indices(
-    point_set: ColoredPointSet, idx: np.ndarray, sx: np.ndarray, sy: np.ndarray, slack: float
+    point_set: ColoredPointSet, sx: np.ndarray, sy: np.ndarray, slack: float
 ) -> np.ndarray:
-    """The distinct points among ``idx`` that can end a farthest pair, sorted.
+    """The distinct points of every class that can end a farthest pair,
+    in order of color, then index.
 
     Extreme points in angular order close a ring of class points inside
-    the hull (Akl & Toussaint 1978), and :func:`_off_ring` keeps every
-    point that is not over ``slack`` inside each of its edge lines.  A
+    the hull (Akl & Toussaint 1978), and both passes keep every point
+    that is not over ``slack`` inside each of its edge lines, by the test
+    and bound of :func:`_off_ring`.  A
     point over ``slack`` inside every edge line of a closed ring is wound
     around by it, and so is the disc of radius ``slack`` about it: the
     disc lies in the hull of the ring's vertices.  From any point, some
@@ -936,15 +961,53 @@ def _outer_indices(
     than the dropped point, above distance rounding at unit scale and on
     the subnormal grid.  The argument needs only that the ring's vertices
     are points of the class, not that they survive, so the filter runs
-    twice: the octagon of every fourth ``_ANGLES`` direction on the raw
-    class drops most of its interior at a quarter of the cost, then the
-    ring of all ``_ANGLES`` directions runs on the distinct survivors.
-    Coincident points share their test's outcome, so deduplicating after
-    the first pass keeps each coordinate's lowest index.
+    twice: :func:`_off_ring`'s octagon on each raw class drops most of
+    its interior at a quarter of the cost, then the
+    ring of all ``_ANGLES`` directions runs once on the distinct
+    survivors of every class.  Coincident points share their test's
+    outcome, so deduplicating after the first pass keeps each
+    coordinate's lowest index, which wins every ``(distance, a, b)``
+    tie-break against its copies.
+
+    The second pass takes each class's extreme per direction as a
+    segmented maximum, with ``np.argmax``'s tie-break toward the lowest
+    index, and pads each ring to one edge per direction: an edge between
+    two slots of the same vertex is neutral, and a class whose ring has
+    fewer than three vertices keeps every survivor.
     """
-    idx = idx[_off_ring(sx[idx], sy[idx], _COS[::4], _SIN[::4], slack)]
-    reps = _distinct_indices(point_set, idx)
-    return reps[_off_ring(sx[reps], sy[reps], _COS, _SIN, slack)]
+    survivors = np.concatenate([
+        idx[_off_ring(sx[idx], sy[idx], slack)]
+        for idx in point_set._classes
+    ])
+    # lexsort is stable, so each run of equal color and coordinates (0.0
+    # and -0.0 compare equal) starts at its lowest index.
+    keys = (point_set.ys[survivors], point_set.xs[survivors], point_set.colors[survivors])
+    order = np.lexsort(keys)
+    repeat = np.ones(len(order) - 1, dtype=bool)
+    for key in keys:
+        key = key[order]
+        repeat &= key[1:] == key[:-1]
+    distinct = np.ones(len(order), dtype=bool)
+    distinct[order[1:][repeat]] = False
+    reps = survivors[distinct]
+    colors = keys[2][distinct]
+    starts = np.flatnonzero(np.r_[True, colors[1:] != colors[:-1]])
+    # Rows are directions or ring edges, columns points or classes.
+    xs, ys = sx[reps], sy[reps]
+    proj = np.multiply.outer(_COS, xs) + np.multiply.outer(_SIN, ys)
+    tops = np.maximum.reduceat(proj, starts, axis=1)[:, colors]
+    ring = np.minimum.reduceat(
+        np.where(proj == tops, np.arange(len(reps)), len(reps)), starts, axis=1
+    )
+    ahead = np.roll(ring, -1, axis=0)
+    ux, uy = xs[ring], ys[ring]
+    ex, ey = xs[ahead] - ux, ys[ahead] - uy
+    bound = _edge_thresholds(ux, uy, ex, ey, slack)
+    edge = ring != ahead
+    bound[~edge] = -np.inf
+    bound[:, edge.sum(axis=0) < 3] = np.inf
+    products = -ey[:, colors] * xs + ex[:, colors] * ys
+    return reps[~(products > bound[:, colors]).all(axis=0)]
 
 
 def _outer_candidates(
@@ -957,12 +1020,9 @@ def _outer_candidates(
     block of unit-scaled distances, cut at each color pair's maximum.
     """
     t = point_set.num_colors
-    classes = [
-        _outer_indices(point_set, point_set.color_indices(c), sx, sy, slack) for c in range(t)
-    ]
-    sizes = [len(o) for o in classes]
+    outer = _outer_indices(point_set, sx, sy, slack)
+    sizes = np.bincount(point_set.colors[outer], minlength=t)
     ends = np.cumsum(sizes)
-    outer = np.concatenate(classes)
     ox, oy = sx[outer], sy[outer]
     pieces_a, pieces_b = [], []
     for i in range(t - 1):

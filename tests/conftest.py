@@ -10,7 +10,9 @@ from colorspan import ColoredPointSet, solvers
 from colorspan.generate import generate_points
 from colorspan.geometry import (
     _ABS_SLACK,
+    _COS,
     _SCAN_CUTOFF,
+    _SIN,
     ColorGraph,
     _exact_edges,
     _outer_candidates,
@@ -95,6 +97,55 @@ def farthest_scaled(ps: ColoredPointSet) -> tuple[np.ndarray, np.ndarray, float]
     """The unit-scaled coordinates and the slack of the farthest builder."""
     sx, sy, slack = _unit_scaled(ps)
     return sx, sy, slack + _ABS_SLACK
+
+
+def distinct_indices(ps: ColoredPointSet, idx: np.ndarray) -> np.ndarray:
+    """Reference: the lowest index of each distinct coordinate among
+    ``idx``, sorted (0.0 and -0.0 compare equal)."""
+    # lexsort is stable, so each run of equal coordinates starts at its
+    # lowest index.
+    xs, ys = ps.xs[idx], ps.ys[idx]
+    order = np.lexsort((ys, xs))
+    xs, ys = xs[order], ys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+    return np.sort(idx[order[first]])
+
+
+def off_ring_reference(
+    xs: np.ndarray, ys: np.ndarray, cos: np.ndarray, sin: np.ndarray, slack: float
+) -> np.ndarray:
+    """Reference for one class: True for each point unless it lies over
+    ``slack`` inside every edge line of the ring through the points'
+    extremes in the directions ``(cos, sin)``, by an orientation test
+    with a per-point rounding bound; True for all when the ring has fewer
+    than three vertices."""
+    ring = np.argmax(np.multiply.outer(xs, cos) + np.multiply.outer(ys, sin), axis=0)
+    ring = ring[ring != np.concatenate((ring[-1:], ring[:-1]))]
+    if len(ring) < 3:
+        return np.ones(len(xs), dtype=bool)
+    ux, uy = xs[ring], ys[ring]
+    ahead = np.concatenate((ring[1:], ring[:1]))
+    ex, ey = xs[ahead] - ux, ys[ahead] - uy
+    t1 = ex * (ys[:, None] - uy)
+    t2 = ey * (xs[:, None] - ux)
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    margin = 8 * eps * (np.abs(t1) + np.abs(t2)) + slack * np.hypot(ex, ey) + tiny
+    return ~(t1 - t2 > margin).all(axis=1)
+
+
+def outer_reference(ps: ColoredPointSet) -> np.ndarray:
+    """Reference outer points, one class at a time: the octagon of every
+    fourth ``_COS, _SIN`` direction on the raw class, then the ring of all
+    of them on the distinct survivors; in order of color, then index."""
+    sx, sy, slack = farthest_scaled(ps)
+    classes = []
+    for c in range(ps.num_colors):
+        idx = ps.color_indices(c)
+        idx = idx[off_ring_reference(sx[idx], sy[idx], _COS[::4], _SIN[::4], slack)]
+        reps = distinct_indices(ps, idx)
+        classes.append(reps[off_ring_reference(sx[reps], sy[reps], _COS, _SIN, slack)])
+    return np.concatenate(classes)
 
 
 def outer_farthest_graph(ps: ColoredPointSet) -> ColorGraph:

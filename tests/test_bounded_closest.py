@@ -28,11 +28,11 @@ import pytest
 from colorspan import ColoredPointSet, build_closest_color_graph, solve_minmax
 from colorspan import geometry, solvers
 from colorspan.generate import generate_points
-from colorspan.geometry import _distinct_indices, _morton_distinct, _unit_scaled
+from colorspan.geometry import _morton_distinct, _unit_scaled
 from colorspan.matching import Objective, bottleneck_perfect_matching
 from colorspan.solvers import _match_color_graph
 
-from conftest import FAMILIES, far_clusters, many_points, varied_set
+from conftest import FAMILIES, distinct_indices, far_clusters, many_points, varied_set
 
 class Paths:
     """The cap of each bounded build, and the path it took."""
@@ -144,7 +144,7 @@ class TestBoundedMatchesFull:
 class TestMortonDedup:
     def test_keeps_the_per_class_representatives(self):
         # The lowest index of each coordinate in each class, as
-        # ``_distinct_indices`` keeps it: coincident points within and
+        # ``distinct_indices`` keeps it: coincident points within and
         # across classes, +0.0 against -0.0, and distinct points 2^-40
         # apart, which share a Morton code.
         rng = np.random.default_rng(12)
@@ -161,7 +161,7 @@ class TestMortonDedup:
         ps = ColoredPointSet(xs, ys, colors, 4)
         sx, sy, _ = _unit_scaled(ps)
         expected = sorted(
-            np.concatenate([_distinct_indices(ps, ps.color_indices(c)) for c in range(4)])
+            np.concatenate([distinct_indices(ps, ps.color_indices(c)) for c in range(4)])
         )
         for depth in (30, 12, 3):
             pts, codes, ix, iy = _morton_distinct(ps, sx, sy, depth)

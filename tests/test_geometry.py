@@ -230,8 +230,8 @@ class TestColorGraphs:
         xs = [-0.0, 0.0] * 17 + [3.0]
         ys = [float(k) for k in range(17) for _ in range(2)] + [0.0]
         ps = ColoredPointSet(xs, ys, [0] * 34 + [1], 2)
-        outer = _outer_indices(ps, ps.color_indices(0), *farthest_scaled(ps))
-        assert outer.tolist() == list(range(0, 34, 2))
+        outer = _outer_indices(ps, *farthest_scaled(ps))
+        assert outer.tolist() == [*range(0, 34, 2), 34]
         expected = {(0, 1): (math.hypot(3.0, 16.0), 32, 34)}
         assert build_farthest_color_graph(ps).witnesses == expected
 
@@ -239,7 +239,8 @@ class TestColorGraphs:
         # A filter that kept every point would pass every other test.
         g = generate_points(500, 2, seed=11)
         ps = ColoredPointSet(np.append(g.xs, 2.0), np.append(g.ys, 2.0), [0] * 500 + [1], 2)
-        assert len(_outer_indices(ps, ps.color_indices(0), *farthest_scaled(ps))) < 100
+        outer = _outer_indices(ps, *farthest_scaled(ps))
+        assert (ps.colors[outer] == 0).sum() < 100 and outer[-1] == 500
 
     def test_mixed_scale_classes_tie_inside_the_hull(self):
         # Color 0 is 2^60 times smaller than color 1, so from each color-1
