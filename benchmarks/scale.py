@@ -4,10 +4,13 @@
 
 Every row times calls in this process on instances generated from fixed
 seeds, with generation and any input the calls need built outside the
-timed region.  A row runs ``REPEATS`` times (``DESK_REPEATS`` for the
-millisecond-scale ``check`` rows) and records its best run, which is the
-least disturbed by other load on the host, and the spread of all its runs
-(median and worst).  The rows:
+timed region.  The builder and solve rows call on a fresh copy of their
+point set in every run, as each command-line call parses its own: a set
+caches its class indexes, which a reused set would hide after one run.
+A row runs ``REPEATS`` times (``DESK_REPEATS`` for the millisecond-scale
+``check`` rows) and records its best run, which is the least disturbed by
+other load on the host, and the spread of all its runs (median and
+worst).  The rows:
 
 - n = 100k points, t = 100 colors, uniform and clustered: the closest and
   farthest color graph builders, min-weight matching on the closest K100,
@@ -105,12 +108,15 @@ COLD_RUNS = 10
 LARGE_COLD_RUNS = 3
 
 
-def timed(name: str, call, repeats: int = REPEATS) -> dict:
-    """``call()`` run ``repeats`` times; its best, median and worst wall time."""
+def timed(name: str, call, repeats: int = REPEATS, points: ColoredPointSet | None = None) -> dict:
+    """``call()`` run ``repeats`` times, or with ``points``, ``call(copy)``
+    on a fresh copy of them each time, made outside the timed region; its
+    best, median and worst wall time."""
     runs = []
     for _ in range(repeats):
+        args = () if points is None else (fresh(points),)
         start = time.perf_counter()
-        call()
+        call(*args)
         runs.append(time.perf_counter() - start)
     row = {
         "name": name,
@@ -127,6 +133,11 @@ def timed(name: str, call, repeats: int = REPEATS) -> dict:
     return row
 
 
+def fresh(ps: ColoredPointSet) -> ColoredPointSet:
+    """A copy of ``ps`` with nothing cached."""
+    return ColoredPointSet(ps.xs, ps.ys, ps.colors, ps.num_colors)
+
+
 def points_rows() -> list[dict]:
     rows = []
     for distribution in DISTRIBUTIONS:
@@ -135,14 +146,14 @@ def points_rows() -> list[dict]:
         closest = build_closest_color_graph(ps).graph
         at = f"n=100k t=100 {distribution}"
         rows += [
-            timed(f"{at}: closest color graph", lambda: build_closest_color_graph(ps)),
-            timed(f"{at}: farthest color graph", lambda: build_farthest_color_graph(ps)),
+            timed(f"{at}: closest color graph", build_closest_color_graph, points=ps),
+            timed(f"{at}: farthest color graph", build_farthest_color_graph, points=ps),
             timed(
                 f"{at}: min-weight on closest K100", lambda: min_weight_perfect_matching(closest)
             ),
-            timed(f"{at}: solve_minsum", lambda: solve_minsum(ps)),
-            timed(f"{at}: solve_minmax", lambda: solve_minmax(ps)),
-            timed(f"{at}: solve_maxmin", lambda: solve_maxmin(ps)),
+            timed(f"{at}: solve_minsum", solve_minsum, points=ps),
+            timed(f"{at}: solve_minmax", solve_minmax, points=ps),
+            timed(f"{at}: solve_maxmin", solve_maxmin, points=ps),
             timed(f"{at}: parse_points", lambda: parse_points(text)),
             timed(f"{at}: serialize_points", lambda: serialize_points(ps)),
         ]
@@ -150,28 +161,28 @@ def points_rows() -> list[dict]:
         ps = generate_points(1_000_000, 100, SEED, distribution)
         at = f"n=1M t=100 {distribution}"
         rows += [
-            timed(f"{at}: closest color graph", lambda: build_closest_color_graph(ps)),
-            timed(f"{at}: farthest color graph", lambda: build_farthest_color_graph(ps)),
+            timed(f"{at}: closest color graph", build_closest_color_graph, points=ps),
+            timed(f"{at}: farthest color graph", build_farthest_color_graph, points=ps),
         ]
     for n, t in ((3000, 300), (5000, 500)):
         ps = generate_points(n, t, SEED)
         at = f"n={n} t={t} uniform"
-        rows.append(timed(f"{at}: closest color graph", lambda: build_closest_color_graph(ps)))
+        rows.append(timed(f"{at}: closest color graph", build_closest_color_graph, points=ps))
         if t == 500:
             rows.append(
-                timed(f"{at}: farthest color graph", lambda: build_farthest_color_graph(ps))
+                timed(f"{at}: farthest color graph", build_farthest_color_graph, points=ps)
             )
     for seed, i in MANY_POINTS_INSTANCES:
         ps = generate_points(10_000, 20, seed * 1_000_003 + i, "clusters")
         at = f"n=10k t=20 clusters seed={seed}" + (f" instance={i}" if i else "")
         rows += [
-            timed(f"{at}: farthest color graph", lambda: build_farthest_color_graph(ps)),
-            timed(f"{at}: solve_minmax", lambda: solve_minmax(ps)),
-            timed(f"{at}: solve_minsum", lambda: solve_minsum(ps)),
+            timed(f"{at}: farthest color graph", build_farthest_color_graph, points=ps),
+            timed(f"{at}: solve_minmax", solve_minmax, points=ps),
+            timed(f"{at}: solve_minsum", solve_minsum, points=ps),
         ]
     ps = mixed_scale_points()
     at = "n=4002 t=2 mixed scales"
-    rows.append(timed(f"{at}: closest color graph", lambda: build_closest_color_graph(ps)))
+    rows.append(timed(f"{at}: closest color graph", build_closest_color_graph, points=ps))
     rows[-1]["exact_candidates"] = exact_candidates(ps)
     return rows
 

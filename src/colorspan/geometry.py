@@ -85,6 +85,7 @@ pair of point indexes.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -240,7 +241,9 @@ class ColoredPointSet:
 
     @cached_property
     def _classes(self) -> tuple[np.ndarray, ...]:
-        order = np.argsort(self.colors, kind="stable")
+        """Each color's point indexes in input order, as runs of the
+        stable sort of the colors (see :func:`_color_order`)."""
+        order = _color_order(self.colors, self.num_colors)
         order.flags.writeable = False
         ends = np.cumsum(np.bincount(self.colors, minlength=self.num_colors)).tolist()
         return tuple(order[start:end] for start, end in zip([0, *ends], ends))
@@ -248,6 +251,27 @@ class ColoredPointSet:
     def color_indices(self, color: int) -> np.ndarray:
         """Indexes of the points of one color, in input order."""
         return self._classes[color]
+
+
+def _color_order(colors: np.ndarray, num_colors: int) -> np.ndarray:
+    """The stable argsort of ``colors``, each below ``num_colors``.
+
+    A stable sort's permutation depends on the keys alone, so any stable
+    sort gives this order.  Numpy's stable sort is a radix sort on keys of
+    16 bits or fewer and a timsort on wider ones, so colors that fit in 16
+    bits are sorted as ``uint16``: several times faster at every size.
+    """
+    if num_colors <= 1 << 16:
+        colors = colors.astype(np.uint16)
+    return np.argsort(colors, kind="stable")
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """The first position of each run of equal ``values``."""
+    change = np.empty(len(values), dtype=bool)
+    change[:1] = True
+    np.not_equal(values[1:], values[:-1], out=change[1:])
+    return np.flatnonzero(change)
 
 
 def _never_used_message(counts: np.ndarray) -> str:
@@ -405,8 +429,7 @@ def _cell_pairs(codes: np.ndarray, shift: int) -> int:
     """The point pairs that share a cell, given the sorted Morton codes
     ``codes`` and the bits ``shift`` that a cell's codes differ in."""
     cells = codes >> shift
-    first = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
-    counts = np.diff(np.r_[first, len(cells)])
+    counts = np.diff(_run_starts(cells), append=len(cells))
     return int((counts * (counts - 1)).sum()) // 2
 
 
@@ -440,16 +463,23 @@ class _Grid(NamedTuple):
     def blocks(self) -> Iterable[tuple[np.ndarray, ...]]:
         """Blocks of places for :func:`_block_pairs`, ``_CELL_CHUNK`` cells
         at a time: each cell with itself and the cell above, and with the
-        cells to its right, so each neighbouring pair of cells once."""
+        cells to its right, so each neighbouring pair of cells once.  A
+        block that holds no pair is left out: a one-point cell with no
+        point above, or a cell with no point to its right."""
         cells = len(self.above)
         for lo in range(0, cells, _CELL_CHUNK):
             hi = min(lo + _CELL_CHUNK, cells)
             starts = self.starts[lo:hi]
             counts = self.starts[lo + 1 : hi + 1] - starts
-            right, right_end = self.right[lo:hi], self.right_end[lo:hi]
+            up = counts + self.above[lo:hi]
+            right = self.right[lo:hi]
+            wide = self.right_end[lo:hi] - right
+            own, side = np.flatnonzero(up > 1), np.flatnonzero(wide > 0)
+            rows = np.concatenate((own, side))
             yield (
-                np.r_[starts, starts], np.r_[counts, counts],
-                np.r_[starts, right], np.r_[counts + self.above[lo:hi], right_end - right],
+                starts[rows], counts[rows],
+                np.concatenate((starts[own], right[side])),
+                np.concatenate((up[own], wide[side])),
             )
 
 
@@ -457,19 +487,17 @@ def _grid(codes: np.ndarray, ix: np.ndarray, iy: np.ndarray, level: int, depth: 
     """The grid of ``level`` over the points with sorted Morton codes
     ``codes`` at ``depth`` and cell coordinates ``ix``, ``iy`` there."""
     shift = depth - level
-    cells = codes >> 2 * shift
-    first = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
-    del cells
+    first = _run_starts(codes >> 2 * shift)
     # Row-major cell keys with a free row and column on each side: the
     # neighbour at (dx, dy) has the key plus dx * width + dy.
     width = (1 << level) + 2
     keys = ((ix[first] >> shift) + 1) * width + (iy[first] >> shift) + 1
     order = np.argsort(keys)
     keys = keys[order]
-    counts = np.diff(np.r_[first, len(codes)])[order]
+    counts = np.diff(first, append=len(codes))[order]
     first = first[order]
     del order
-    starts = np.r_[0, np.cumsum(counts)]
+    starts = np.concatenate(([0], np.cumsum(counts)))
     above = np.zeros_like(counts)
     up = np.flatnonzero(keys[1:] == keys[:-1] + 1)
     above[up] = counts[up + 1]
@@ -478,7 +506,7 @@ def _grid(codes: np.ndarray, ix: np.ndarray, iy: np.ndarray, level: int, depth: 
     right = np.searchsorted(keys, keys + width - 1)
     right_end = right.copy()
     last = keys + width + 1
-    keys = np.r_[keys, np.full(3, last.max() + 1)]
+    keys = np.concatenate((keys, np.full(3, last.max() + 1)))
     for k in range(3):
         right_end += keys[right + k] <= last
     del keys, last
@@ -497,8 +525,8 @@ def _block_pairs(sa, na, sb, nb) -> Iterable[tuple[np.ndarray, np.ndarray]]:
     width = np.repeat(sb + nb, na) - start
     ends = np.cumsum(width)
     chunk = (ends - width) // _PAIR_CHUNK
-    bounds = np.flatnonzero(np.r_[True, chunk[1:] != chunk[:-1], True])
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+    bounds = _run_starts(chunk).tolist() + [len(chunk)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         w = width[lo:hi]
         # Within a row, j runs with the pair's place in the chunk.
         place = ends[lo:hi] - w - (ends[lo] - w[0])
@@ -545,28 +573,36 @@ class _ClassTree:
 
     The points are sorted by color and then by Morton code at ``depth``, so
     a class is a run and its nodes at a level are the runs of equal code
-    prefixes within it.  :meth:`nodes` finds a level's node starts on the
-    first walk that reaches the level.
+    prefixes within it: ``keys`` holds each point's color above its code,
+    and ``pts`` is the stable sort of the points by those keys.
+    :meth:`nodes` finds a level's node starts on the first walk that
+    reaches the level.
+
+    The points ``pts`` arrive in order of code, then index, as
+    :func:`_morton_distinct` gives them.  So the stable sort of their
+    colors alone, which :func:`_color_order` runs on 16-bit keys, is the
+    stable sort by the keys: within a color it keeps that order.
     """
 
     def __init__(
-        self, pts: np.ndarray, codes: np.ndarray, colors: np.ndarray, depth: int,
-        sx: np.ndarray, sy: np.ndarray,
+        self, pts: np.ndarray, codes: np.ndarray, colors: np.ndarray, num_colors: int,
+        depth: int, sx: np.ndarray, sy: np.ndarray,
     ):
-        keys = (colors[pts].astype(np.int64) << 2 * depth) | codes
-        order = np.argsort(keys, kind="stable")
-        self.keys, self.pts, self.depth = keys[order], pts[order], depth
+        colors = colors[pts]
+        order = _color_order(colors, num_colors)
+        self.keys = (colors[order].astype(np.int64) << 2 * depth) | codes[order]
+        self.pts, self.depth = pts[order], depth
         # A last entry that no node holds ends the last node's reduction.
-        self.px, self.py = sx[np.r_[self.pts, 0]], sy[np.r_[self.pts, 0]]
+        ends = np.concatenate((self.pts, [0]))
+        self.px, self.py = sx[ends], sy[ends]
         self._starts: dict[int, np.ndarray] = {}
 
     def nodes(self, level: int) -> np.ndarray:
         """Each node's first position at ``level``, and past the last node
         the end."""
         if level not in self._starts:
-            prefix = self.keys >> 2 * (self.depth - level)
-            first = np.flatnonzero(np.r_[True, prefix[1:] != prefix[:-1]])
-            self._starts[level] = np.r_[first, len(prefix)]
+            first = _run_starts(self.keys >> 2 * (self.depth - level))
+            self._starts[level] = np.concatenate((first, [len(self.keys)]))
         return self._starts[level]
 
 
@@ -677,11 +713,13 @@ class _ClosestTiers:
         # The coarsest level whose neighbour pairs stay within the budget.
         # Two points that share a cell one level up share or neighbour a
         # cell, so no level below the first whose parent cells hold at most
-        # the budget in pairs can meet it.
+        # the budget in pairs can meet it.  Those pairs only fall as the
+        # level rises, so a bisection finds that first level.
         budget = _GRID_PAIRS_PER_POINT * len(pts)
-        level = 0
-        while level < depth and _cell_pairs(codes, 2 * (depth - level + 1)) > budget:
-            level += 1
+        level = bisect.bisect_left(
+            range(depth), True,
+            key=lambda level: _cell_pairs(codes, 2 * (depth - level + 1)) <= budget,
+        )
         grid = _grid(codes, ix, iy, level, depth)
         while level < depth and grid.pairs() > budget:
             level += 1
@@ -698,7 +736,7 @@ class _ClosestTiers:
     @cached_property
     def tree(self) -> _ClassTree:
         """The class quadtrees, built on the first walk."""
-        return _ClassTree(self.pts, self.codes, self.colors, self.depth, self.sx, self.sy)
+        return _ClassTree(self.pts, self.codes, self.colors, self.t, self.depth, self.sx, self.sy)
 
     def cut(self, code: np.ndarray) -> np.ndarray:
         """The ``_exact_edges`` cut of each color pair's least distance so
@@ -797,8 +835,13 @@ def _morton_distinct(
     their Morton codes at ``depth`` with ties in index order, and their
     codes and cell coordinates there.
 
-    Coincident points share a code, so only runs of equal codes need the
-    exact ``(color, x, y)`` comparison (0.0 and -0.0 compare equal).
+    The codes are sorted by numpy's default sort, several times faster
+    than its stable one on 64-bit keys but free to leave equal codes in
+    any order.  Sorting each run of equal codes by index then gives
+    exactly the stable sort's order, whichever unstable sort ran.  Those
+    runs are the ones the deduplication reads anyway: coincident points
+    share a code, so only they need the exact ``(color, x, y)`` comparison
+    (0.0 and -0.0 compare equal).
     """
     # Cells at ``depth`` have a side of 2^(1 - depth): unit-scaled
     # coordinates lie in (-1, 1), and ldexp and floor are exact there.
@@ -806,15 +849,22 @@ def _morton_distinct(
         np.floor(np.ldexp(c, depth - 1)).astype(np.int64) + (1 << depth - 1) for c in (sx, sy)
     )
     codes = _morton(ix, iy)
-    pts = np.argsort(codes, kind="stable")
+    pts = np.argsort(codes)
     # Point arrays are reordered one at a time and dropped once done: at
     # 10^6 points each is 8 MB, and the peak here must stay under that of
     # parsing the point file.
     codes = codes[pts]
     same = codes[1:] == codes[:-1]
-    tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+    tied = np.zeros(len(pts), dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    tied = np.flatnonzero(tied)
     if len(tied):
-        run = np.cumsum(np.r_[True, ~same])[tied]
+        run = np.cumsum(np.concatenate(([True], ~same)))[tied]
+        # Every run of equal codes back in index order at once, sorted by
+        # one key: its number times n plus the index.
+        n = len(pts)
+        pts[tied] = np.sort(run * n + pts[tied]) % n
         p = pts[tied]
         keys = (point_set.ys[p], point_set.xs[p], point_set.colors[p], run)
         # lexsort is stable, so each run of equal keys starts at its
@@ -991,7 +1041,7 @@ def _outer_indices(
     distinct[order[1:][repeat]] = False
     reps = survivors[distinct]
     colors = keys[2][distinct]
-    starts = np.flatnonzero(np.r_[True, colors[1:] != colors[:-1]])
+    starts = _run_starts(colors)
     # Rows are directions or ring edges, columns points or classes.
     xs, ys = sx[reps], sy[reps]
     proj = np.multiply.outer(_COS, xs) + np.multiply.outer(_SIN, ys)

@@ -24,12 +24,13 @@ three optimizing queries decides feasibility first with that search, so
 the blossom engine runs only on graphs that have a perfect matching, once
 per query, from one call site; it finds no edges on the empty graph.
 
-The bottleneck and threshold variants share one binary search over the
-distinct edge weights (the threshold problems of Gabow and Tarjan, 1988).
-The edges are sorted once in threshold order, so the subgraph within a
-probed level is a prefix of that order, and each probe runs the
-cardinality search on a prefix; the search rests on the monotonicity of
-existence in the edge set.  Only the witness comes from the blossom
+The bottleneck and threshold variants share one search over the
+distinct edge weights (the threshold problems of Gabow and Tarjan, 1988):
+from the first level at which every vertex has an edge, galloping up,
+then bisecting.  The edges are sorted once in threshold order, so the
+subgraph within a probed level is a prefix of that order, and each probe
+runs the cardinality search on a prefix; the search rests on the
+monotonicity of existence in the edge set.  Only the witness comes from the blossom
 engine: one unit-weight, maximum-cardinality run on the prefix found,
 given in ``(u, v)`` order.  That is the edge order of the subgraph
 filtered from the input by weight, so the witness is the one a
@@ -401,7 +402,7 @@ def _threshold_perfect_matching(g: WeightedGraph, minimize_max: bool) -> Matchin
     to the least restrictive threshold (ascending, respectively
     descending weight), so the subgraph within each distinct weight level
     is a prefix of that order.  Once the whole graph is known to have a
-    perfect matching, a binary search with cardinality probes finds the
+    perfect matching, a search with cardinality probes finds the
     shortest such prefix that still has one, and one unit-weight blossom
     run on it gives the witness.  The run gets the prefix re-sorted by
     ``(u, v)``, the order of ``g.edges`` and so of the level's subgraph
@@ -422,19 +423,37 @@ def _threshold_prefix(
     order, so its last edge weighs the optimal threshold.  The whole graph
     must have a perfect matching.
 
-    A binary search with cardinality probes over the distinct levels of
+    A search with cardinality probes over the distinct levels of
     ``edges`` sorted from the most to the least restrictive threshold;
-    the blossom engine does not run.
+    the blossom engine does not run.  No level before the coverage level,
+    the first at which every vertex has an edge, has a perfect matching,
+    and at that level one usually appears.  So the search probes the
+    coverage level first, then gallops up by doubling steps to a level
+    that has one, and bisects the last step.  Existence only grows with
+    the level, so the level found is the first that has one.
     """
     order = sorted(edges, key=itemgetter(2), reverse=not minimize_max)
     # ends[i] is the length of the prefix within the i-th distinct level.
     ends = [i for i in range(1, len(order)) if order[i][2] != order[i - 1][2]]
     ends.append(len(order))
-    # The first level whose prefix has a perfect matching; the last one
-    # (the whole graph) has.
-    level = bisect.bisect_left(
-        range(len(ends) - 1), True, key=lambda i: _perfect_matching_exists(n, order[: ends[i]])
-    )
+    last = len(ends) - 1
+
+    def feasible(level: int) -> bool:
+        # The last level (the whole graph) has a perfect matching.
+        return level == last or _perfect_matching_exists(n, order[: ends[level]])
+
+    # The coverage level holds the last of the vertices' first edges.
+    bare, cover = set(range(n)), -1
+    for cover, (u, v, _) in enumerate(order):
+        bare.discard(u)
+        bare.discard(v)
+        if not bare:
+            break
+    lo = hi = bisect.bisect_right(ends, cover)
+    step = 1
+    while not feasible(hi):
+        lo, hi, step = hi + 1, min(hi + step, last), 2 * step
+    level = bisect.bisect_left(range(lo, hi), True, key=feasible) + lo
     return order[: ends[level]]
 
 

@@ -8,6 +8,7 @@ subgraph at the level found gives the witness.  The library must return
 an equal :class:`Matching` (same edges, same statistics) on every graph.
 """
 
+import bisect
 import random
 
 import pytest
@@ -139,3 +140,60 @@ def test_one_blossom_run_per_solve(solver, reference, monkeypatch):
     monkeypatch.setattr(matching, "maximum_weight_matching", counted)
     assert solver(g) == expected
     assert len(calls) == 1
+
+
+def threshold_graphs():
+    """Random K_t with distinct and with tied weights, and sparse graphs
+    that hold a random perfect matching plus random edges."""
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = 2 * rng.randint(1, 15)
+        kind = seed % 3
+        if kind == 0:
+            yield generate_complete_weighted_graph(n, 8000 + seed)
+            continue
+        weight = (lambda: float(rng.randint(0, 4))) if kind == 1 else rng.random
+        people = list(range(n))
+        rng.shuffle(people)
+        pairs = {tuple(sorted(people[i : i + 2])) for i in range(0, n, 2)}
+        pairs |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15}
+        yield WeightedGraph(n, [(u, v, weight()) for u, v in sorted(pairs)])
+
+
+@pytest.mark.parametrize("minimize_max", [True, False], ids=["bottleneck", "maxmin"])
+def test_threshold_search_starts_at_the_coverage_level(minimize_max, monkeypatch):
+    # The search must find the level of a plain bisection, which no level
+    # before the coverage level (every vertex has an edge) can meet, in at
+    # most 2 * ceil(log2(d + 1)) probes for a level d past that one, and
+    # in one probe when the level is the coverage level.
+    exists = matching._perfect_matching_exists
+    at_coverage = 0
+    for g in threshold_graphs():
+        n = g.num_vertices
+        order = sorted(g.edges, key=lambda e: e[2], reverse=not minimize_max)
+        ends = [i for i in range(1, len(order)) if order[i][2] != order[i - 1][2]]
+        ends.append(len(order))
+        last = len(ends) - 1
+        plain = bisect.bisect_left(range(last), True, key=lambda i: exists(n, order[: ends[i]]))
+        level_of = [bisect.bisect_right(ends, i) for i in range(len(order))]
+        cover = max(
+            min(level_of[i] for i, (u, v, _) in enumerate(order) if w in (u, v))
+            for w in range(n)
+        )
+        probes = []
+
+        def counted(*args):
+            probes.append(args)
+            return exists(*args)
+
+        monkeypatch.setattr(matching, "_perfect_matching_exists", counted)
+        assert matching._threshold_prefix(n, g.edges, minimize_max) == order[: ends[plain]]
+        monkeypatch.undo()
+        d = plain - cover
+        assert d >= 0
+        if d == 0:
+            assert len(probes) == (cover < last)
+            at_coverage += 1
+        else:
+            assert len(probes) <= 2 * d.bit_length()
+    assert at_coverage >= 10
